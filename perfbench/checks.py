@@ -267,13 +267,3 @@ def tamper(data: bytes) -> bytes:
             lines[i] = line[:j] + bytes([48 + digit]) + line[j + 1:]
         return b"\n".join(lines)
     raise ValueError("no data row to tamper with")
-
-
-def digest_entry(data: bytes) -> dict:
-    """The digests.json entry for an output: its SHA-256 and row count."""
-    if data.lstrip().startswith(b"{"):
-        rows = len(json.loads(data)["rows"])
-    else:
-        rows = len(parse_csv(data)[2])
-    return {"sha256": hashlib.sha256(data).hexdigest(), "rows": rows}
-

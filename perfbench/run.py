@@ -11,8 +11,8 @@ fresh ``python -m orbitkit.cli`` process with ``src`` on the path, so every
 command starts with a cold table cache, as it does for users.  Each
 command's stdout goes to a file and is checked (outside the timed region)
 by ``checks.py``.  Passes over the workload's command list repeat until
-``--seconds`` of command time has been measured (at least one pass, and
-none that would end past 1.5 x ``--seconds``).
+``--seconds`` of command time has been measured; the last pass runs to its
+end, so a run holds whole passes only.
 
 End-to-end metrics (``--trace 0``), medians over the passes of a run:
 
@@ -68,7 +68,6 @@ class Command:
     argv: list[str]
     check: Check
     label: str
-    digest: bool = False
 
 
 @dataclass
@@ -112,7 +111,7 @@ class Pass:
 
 
 def _digest_cmd(*argv: str) -> Command:
-    return Command(list(argv), checks.digest_check(argv), " ".join(argv), digest=True)
+    return _cmd(list(argv), checks.digest_check(argv))
 
 
 def _cmd(argv: list[str], check: Check, label: str = "") -> Command:
@@ -193,20 +192,35 @@ def make_inputs(small: bool, rng: random.Random, directory: Path,
 @dataclass(frozen=True)
 class Workload:
     commands: Callable[[bool, Optional[Inputs]], list[Command]]
+    # Per-layer metrics the workload exercises: a traced run that reads 0 on
+    # one of them has lost a call site, and the smoke mode fails on it.
+    layers: tuple[str, ...]
     # Digits of the big count in the seeded one-line file; 0: no seeded input.
     big_digits: int = 0
 
 
+_RENDER_LAYERS = ("cli.self_s", "output.format_s", "output.write_table_s", "output.bytes",
+                  "output.rows", "counting.build_table_s", "arith.self_s", "arith.calls",
+                  "asymptotics.ratio_series_s", "asymptotics.merten_series_s")
+_ZETA_LAYERS = ("zeta.zeta_series_s", "zeta.xi1_closed_form_s", "zeta.radial_scan_s",
+                "series.self_s", "zeta.mul_ops", "zeta.coeff_bits")
+_VERIFY_LAYERS = ("asymptotics.ratio_series_s", "asymptotics.merten_series_s",
+                  "asymptotics.delta_gap_s", "asymptotics.delta_gap_calls",
+                  "zeta.orbit_product_series_s", "verify.run_checks_s", "verify.self_s",
+                  "verify.checks")
+_ITERATE_LAYERS = ("cli.self_s", "output.write_table_s", "output.rows",
+                   "counting.build_table_s", "arith.self_s", "arith.calls",
+                   "zeta.zeta_series_s")
 # BENCHMARK.json records why each workload was chosen.  iterate-cap is not
 # listed there: it is iterate-custom at the sizes where CPython's 4300-digit
 # str<->int cap makes two commands fail at the seed commit, and the listed
 # workloads must run without failures.
 WORKLOADS = {
-    "render-10k": Workload(render_10k),
-    "zeta-3k": Workload(zeta_3k),
-    "verify-5k": Workload(verify_5k),
-    "iterate-custom": Workload(iterate_custom, big_digits=4000),
-    "iterate-cap": Workload(iterate_cap, big_digits=5000),
+    "render-10k": Workload(render_10k, _RENDER_LAYERS),
+    "zeta-3k": Workload(zeta_3k, _ZETA_LAYERS),
+    "verify-5k": Workload(verify_5k, _VERIFY_LAYERS),
+    "iterate-custom": Workload(iterate_custom, _ITERATE_LAYERS, big_digits=4000),
+    "iterate-cap": Workload(iterate_cap, _ITERATE_LAYERS, big_digits=5000),
 }
 
 
@@ -411,10 +425,12 @@ def run(name: str, seed: int, seconds: float, trace: bool, small: bool = False,
         record = {"workload": name, "seed": seed, "seconds": seconds, "trace": trace,
                   "small": small, "environment": environment()}
         if trace:
-            passes, metrics = _traced_run(name, seed, commands)
+            passes, metrics, record["trace_problems"] = _traced_run(
+                name, seed, commands, workload.layers)
         else:
             passes, metrics, record["samples"] = _timed_run(commands, workdir, launcher,
                                                             seconds, setup_samples)
+        record["passes"] = len(passes)
         failed = sum(p.failed for p in passes)
         attempted = sum(len(p.outcomes) for p in passes)
         print_outcomes(f"{name} seed={seed} trace={int(trace)}: {attempted} commands, "
@@ -429,17 +445,13 @@ def run(name: str, seed: int, seconds: float, trace: bool, small: bool = False,
         # by the result line's failed/attempted, not by its metrics.
         print(f"  {'failed_frac':28} {failed / attempted:14.6g} share")
         print("record " + json.dumps(record))
-        return result_line(passes, metrics)
+        return result_line(passes, metrics), record
 
 
 def _timed_run(commands, workdir, launcher, seconds, setup_samples):
     passes: list[Pass] = []
     measured = 0.0
     while not passes or measured < seconds:
-        # Judged by the last pass, do not start one that ends past 1.5x the
-        # run length: that bounds the run when a pass is just short of it.
-        if passes and measured + passes[-1].seconds > 1.5 * seconds:
-            break
         passes.append(subprocess_pass(commands, workdir, launcher))
         measured += passes[-1].seconds
     # Goodput of a median pass: each command's median rows and wall time
@@ -456,7 +468,7 @@ def _timed_run(commands, workdir, launcher, seconds, setup_samples):
     return passes, metrics, samples
 
 
-def _traced_run(name, seed, commands):
+def _traced_run(name, seed, commands, layers):
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
     os.environ.pop("ORBITKIT_PRECISION_BITS", None)
@@ -470,13 +482,15 @@ def _traced_run(name, seed, commands):
     layer["output.bytes"] = written
     layer["output.rows"] = traced.rows
     layer["trace.overhead_frac"] = traced.seconds / plain.seconds
-    if tracer.unbound:
-        print("unbound call sites: " + ", ".join(tracer.unbound))
+    problems = [f"unbound call site {site}" for site in tracer.unbound]
+    problems += [f"{m} reads 0" for m in layers if not layer[m]]
+    for problem in problems:
+        print(f"trace problem: {problem}")
     metrics = {m: (layer[m], unit) for m, unit in LAYER_METRICS.items()}
-    return [plain, traced], metrics
+    return [plain, traced], metrics, problems
 
 
-# ----- smoke test and digest recording --------------------------------------
+# ----- smoke test -----------------------------------------------------------
 
 
 def smoke() -> list[str]:
@@ -486,13 +500,18 @@ def smoke() -> list[str]:
     listed = [w["name"] for w in spec["workloads"]]
     if set(listed) - set(WORKLOADS):
         problems.append(f"unknown workloads in BENCHMARK.json: {listed}")
+    # Every per-layer metric but these two must be exercised by a listed workload.
+    unexercised = set(LAYER_METRICS) - {"verify.checks_failed", "trace.overhead_frac"}
     for name in listed:
+        unexercised -= set(WORKLOADS[name].layers)
         for trace, wanted in ((False, spec["end_to_end"]), (True, spec["per_layer"])):
-            result = run(name, seed=1, seconds=0, trace=trace, small=True, setup_repeats=1)
+            result, record = run(name, seed=1, seconds=0, trace=trace, small=True,
+                                 setup_repeats=1)
             missing = {m["name"] for m in wanted} - set(result["metrics"])
             if missing or not result["correct"] or result["attempted"] < 1:
                 problems.append(f"{name} trace={trace}: correct={result['correct']}, "
                                 f"missing metrics {sorted(missing)}")
+            problems += [f"{name}: {p}" for p in record.get("trace_problems", ())]
         # Every command's check must reject a tampered copy of its real output.
         with workspace("tamper-") as (workdir, launcher):
             _, inputs = setup(WORKLOADS[name], True, 1, workdir, launcher, 1)
@@ -506,21 +525,9 @@ def smoke() -> list[str]:
                     problems.append(f"{cmd.label}: tampered output passed its check")
                 except Mismatch as exc:
                     print(f"  tampered output caught: {cmd.label}: {exc}")
+    if unexercised:
+        problems.append(f"no listed workload exercises {sorted(unexercised)}")
     return problems
-
-
-def record_digests() -> None:
-    """Rewrite digests.json from the outputs of the checked-out program."""
-    entries = {}
-    with workspace("digests-") as (workdir, launcher):
-        for workload in WORKLOADS.values():
-            for small in (True, False):
-                _, inputs = setup(workload, small, 1, workdir, launcher, 1)
-                for cmd in workload.commands(small, inputs):
-                    if cmd.digest:
-                        _, data = run_command(cmd, workdir, launcher)
-                        entries[" ".join(cmd.argv)] = checks.digest_entry(data)
-    checks.DIGESTS_PATH.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -531,15 +538,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true",
                         help="tiny sizes, every workload; checks metrics and tamper detection")
-    parser.add_argument("--record-digests", action="store_true",
-                        help="rewrite digests.json from this checkout's output")
     args = parser.parse_args(argv)
     if not (SRC / "orbitkit" / "cli.py").is_file():
         print(f"perfbench: no orbitkit source under {SRC}", file=sys.stderr)
         return 2
-    if args.record_digests:
-        record_digests()
-        return 0
     if args.smoke:
         problems = smoke()
         for problem in problems:
@@ -548,7 +550,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1 if problems else 0
     if args.workload is None:
         parser.error("--workload is required")
-    result = run(args.workload, args.seed, args.seconds, bool(args.trace))
+    result, _ = run(args.workload, args.seed, args.seconds, bool(args.trace))
     print(json.dumps(result))
     return 0
 
