@@ -9,7 +9,6 @@ from .asymptotics import (
     RatioPoint,
     delta_gap,
     merten_series,
-    pi_sum,
     ratio_series,
 )
 from .counting import (
@@ -62,7 +61,6 @@ __all__ = [
     "padic_factor",
     "RatioPoint",
     "MertenPoint",
-    "pi_sum",
     "ratio_series",
     "delta_gap",
     "merten_series",

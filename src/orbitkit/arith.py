@@ -114,10 +114,9 @@ def padic_abs(n: int, p: int) -> "PAdicAbs":
 class PAdicAbs:
     """The exact value p**(-valuation), stored as its prime and exponent.
 
-    Keeping the exponent instead of any numeric value makes products and
-    comparisons exact integer operations.  Only absolute values of nonzero
-    integers occur here, so the valuation is always >= 0 and the value lies
-    in (0, 1].
+    Keeping the exponent instead of any numeric value keeps the value exact
+    at any size.  Only absolute values of nonzero integers occur here, so
+    the valuation is always >= 0 and the value lies in (0, 1].
     """
 
     prime: int
@@ -134,34 +133,6 @@ class PAdicAbs:
 
     def __float__(self) -> float:
         return 1.0 / self.prime**self.valuation
-
-    def __mul__(self, other: "PAdicAbs") -> "PAdicAbs":
-        if not isinstance(other, PAdicAbs):
-            return NotImplemented
-        self._check_same_prime(other)
-        return PAdicAbs(self.prime, self.valuation + other.valuation)
-
-    # A larger valuation means a smaller value, so order is reversed.
-    def __lt__(self, other: "PAdicAbs") -> bool:
-        self._check_same_prime(other)
-        return self.valuation > other.valuation
-
-    def __le__(self, other: "PAdicAbs") -> bool:
-        self._check_same_prime(other)
-        return self.valuation >= other.valuation
-
-    def __gt__(self, other: "PAdicAbs") -> bool:
-        return other.__lt__(self)
-
-    def __ge__(self, other: "PAdicAbs") -> bool:
-        return other.__le__(self)
-
-    def _check_same_prime(self, other: "PAdicAbs") -> None:
-        if self.prime != other.prime:
-            raise ValueError(
-                f"cannot combine absolute values for different primes "
-                f"({self.prime} vs {other.prime})"
-            )
 
     def __str__(self) -> str:
         if self.valuation == 0:

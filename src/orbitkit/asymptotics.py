@@ -1,11 +1,13 @@
 """Aggregate orbit statistics over a growing length cutoff X.
 
-``pi_sum`` counts all closed orbits of length at most X.  For the doubling
-map this count grows like 2**(X+1)/X, so the normalized ratio
-X*pi(X)/2**(X+1) tends to 1; for the 3-adic extension the ratio only
-oscillates inside [1/3, 1].  ``merten_series`` forms the weighted sums
-sum_{n<=X} orbits(n)/2**n, which track log X for the doubling map and sit
-between (1/2) log X and log X for the extension.
+pi(X) counts all closed orbits of length at most X; ``ratio_series``
+reports it with the normalized ratio X*pi(X)/2**(X+1).  For the doubling
+map pi(X) grows like 2**(X+1)/X, so the ratio tends to 1; for the 3-adic
+extension it only oscillates inside [1/3, 1].  ``delta_gap`` returns the
+gap pi_g(X) - pi_f(X) for every X up to a cutoff, with the even-length
+orbit count that bounds it, in one running-sum pass.  ``merten_series``
+forms the weighted sums sum_{n<=X} orbits(n)/2**n, which track log X for
+the doubling map and sit between (1/2) log X and log X for the extension.
 
 All sums are exact rationals; conversion to high-precision reals (mpmath,
 at least 60 significant bits, default 64) happens only for rendering and
@@ -25,7 +27,6 @@ from .counting import OrbitTable
 __all__ = [
     "RatioPoint",
     "MertenPoint",
-    "pi_sum",
     "ratio_series",
     "delta_gap",
     "merten_series",
@@ -77,13 +78,6 @@ class MertenPoint:
     normalized: "mpmath.mpf | None"
 
 
-def pi_sum(table: OrbitTable, X: int) -> int:
-    """Number of closed orbits of length at most X."""
-    if not 1 <= X <= table.n_max:
-        raise ValueError(f"X={X} outside table range 1..{table.n_max}")
-    return sum(table.orbit_counts[:X])
-
-
 def ratio_series(
     table: OrbitTable, X_max: int, burn_in: int = DEFAULT_BURN_IN
 ) -> list[RatioPoint]:
@@ -116,23 +110,32 @@ def ratio_series(
     return points
 
 
-def delta_gap(table_f: OrbitTable, table_g: OrbitTable, X: int) -> tuple[int, int]:
-    """Orbit-count gap pi_g(X) - pi_f(X) and its even-length upper bound.
+def delta_gap(
+    table_f: OrbitTable, table_g: OrbitTable, X_max: int
+) -> list[tuple[int, int]]:
+    """Orbit-count gaps pi_g(X) - pi_f(X) with their even-length upper bounds.
 
-    Returns ``(gap, even_bound)`` where ``even_bound`` sums the second
-    table's orbit counts over even n <= X.  The gap is guaranteed
-    non-negative when the first map's orbit counts are dominated by the
-    second's (true for the 3-adic extension vs. the doubling map); a
-    negative gap is reported as a defect.  gap <= even_bound additionally
-    requires the odd-length counts to agree, as they do for that pair.
+    Returns one ``(gap, even_bound)`` pair for each X = 1..X_max, where
+    ``even_bound`` sums the second table's orbit counts over even n <= X.
+    The gap is guaranteed non-negative when the first map's orbit counts
+    are dominated by the second's (true for the 3-adic extension vs. the
+    doubling map); a negative gap is reported as a defect.  gap <= even_bound
+    additionally requires the odd-length counts to agree, as they do for
+    that pair.
     """
-    if not 1 <= X <= table_f.n_max or X > table_g.n_max:
-        raise ValueError(f"X={X} outside joint table range")
-    gap = pi_sum(table_g, X) - pi_sum(table_f, X)
-    if gap < 0:
-        raise ExactnessError(f"negative orbit-count gap {gap} at X={X}")
-    even_bound = sum(table_g.orbit_counts[n - 1] for n in range(2, X + 1, 2))
-    return gap, even_bound
+    if not 1 <= X_max <= table_f.n_max or X_max > table_g.n_max:
+        raise ValueError(f"X_max={X_max} outside joint table range")
+    pairs: list[tuple[int, int]] = []
+    gap = even_bound = 0
+    for X in range(1, X_max + 1):
+        orbits_g = table_g.orbit_counts[X - 1]
+        gap += orbits_g - table_f.orbit_counts[X - 1]
+        if gap < 0:
+            raise ExactnessError(f"negative orbit-count gap {gap} at X={X}")
+        if X % 2 == 0:
+            even_bound += orbits_g
+        pairs.append((gap, even_bound))
+    return pairs
 
 
 def merten_series(

@@ -74,6 +74,11 @@ def _precision_bits() -> int:
     return bits
 
 
+def _check_range(option: str, value: int, low: int, high: int) -> None:
+    if not low <= value <= high:
+        raise ValueError(f"{option} must lie in {low}..{high}, got {value}")
+
+
 def _resolve_map(name: str) -> MapSpec:
     """A named map, or a path to a one-column file of orbit counts."""
     if name in _NAMED_MAPS:
@@ -86,7 +91,7 @@ def _resolve_map(name: str) -> MapSpec:
     counts = []
     for i, line in enumerate(lines, start=1):
         if not line:
-            continue
+            raise ValueError(f"{name}:{i}: blank line")
         try:
             value = int(line)
         except ValueError as exc:
@@ -97,6 +102,15 @@ def _resolve_map(name: str) -> MapSpec:
     if not counts:
         raise ValueError(f"orbit file {name!r} is empty")
     return custom_orbits(counts)
+
+
+def _require_entropy_log2(spec: MapSpec, command: str) -> None:
+    """Refuse maps that the normalisation by 2**X does not fit."""
+    if spec.entropy_base != 2:
+        raise ValueError(
+            f"{command} normalises by 2**X, which fits only maps of entropy "
+            f"log 2 (f, g), got {spec.label}"
+        )
 
 
 def _output_config(args: argparse.Namespace) -> OutputConfig:
@@ -119,8 +133,7 @@ def _add_map_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if not 1 <= args.max <= 10**4:
-        raise ValueError(f"--max must lie in 1..10000, got {args.max}")
+    _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
     table = build_table(spec, args.max)
     meta = {"command": "table", "map": spec.label, "max": args.max}
@@ -136,9 +149,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_pnt(args: argparse.Namespace) -> int:
-    if not 1 <= args.max <= 10**4:
-        raise ValueError(f"--max must lie in 1..10000, got {args.max}")
+    _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
+    _require_entropy_log2(spec, "pnt")
     table = build_table(spec, args.max)
     points = ratio_series(table, args.max, args.burn_in)
     config = _output_config(args)
@@ -172,9 +185,9 @@ def _cmd_pnt(args: argparse.Namespace) -> int:
 
 
 def _cmd_merten(args: argparse.Namespace) -> int:
-    if not 1 <= args.max <= 10**4:
-        raise ValueError(f"--max must lie in 1..10000, got {args.max}")
+    _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
+    _require_entropy_log2(spec, "merten")
     bits = _precision_bits()
     table = build_table(spec, args.max)
     points = merten_series(table, args.max, bits)
@@ -204,8 +217,7 @@ def _cmd_merten(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeta_coeffs(args: argparse.Namespace) -> int:
-    if not 0 <= args.degree <= 5000:
-        raise ValueError(f"--degree must lie in 0..5000, got {args.degree}")
+    _check_range("--degree", args.degree, 0, 5000)
     spec = _resolve_map(args.map)
     table = build_table(spec, max(args.degree, 1))
     coeffs = zeta_series(table, args.degree)
@@ -240,9 +252,13 @@ def _cmd_zeta_boundary(args: argparse.Namespace) -> int:
         raise ValueError("--radii must list at least one radius")
     if args.terms < 0:
         raise ValueError(f"--terms must be >= 0, got {args.terms}")
-    if not 1 <= args.degree <= 10**4:
-        raise ValueError(f"--degree must lie in 1..10000, got {args.degree}")
+    _check_range("--degree", args.degree, 1, 10**4)
     spec = _resolve_map(args.map)
+    if spec != THREE_ADIC_EXTENSION:
+        raise ValueError(
+            f"zeta boundary prints the 3-adic extension's boundary product, "
+            f"so it takes only --map f, got {spec.label}"
+        )
     table = build_table(spec, args.degree)
     rows_data = radial_scan(table, turns.numerator, turns.denominator,
                             radii, args.terms, args.degree)
@@ -275,8 +291,7 @@ def _cmd_zeta_boundary(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if not 1 <= args.max <= 10**4:
-        raise ValueError(f"--max must lie in 1..10000, got {args.max}")
+    _check_range("--max", args.max, 1, 10**4)
     results = run_checks(args.max)
     meta = {"command": "verify", "max": args.max,
             "checks": len(results), "version": __version__}
@@ -341,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_boundary.add_argument("--degree", type=int, default=2000,
                             help="series truncation for the series column (default 2000)")
     p_boundary.add_argument("--map", default="f", metavar="MAP",
-                            help="f, g, f2, g2, or an orbit-count file (default f)")
+                            help="f, the only map with a boundary product (default f)")
     _add_output_options(p_boundary)
     p_boundary.set_defaults(func=_cmd_zeta_boundary)
 

@@ -6,6 +6,11 @@ Windows scale with the requested maximum; a window that comes out empty is
 reported as a vacuous PASS.  Checks with no pass/fail content (the ratio
 cluster report, the empirically estimated constants) always pass and carry
 their findings in the detail column.
+
+``CHECKS`` maps each check's name to the check, a function of the maximum
+that returns its ``CheckResult``; ``run_checks`` walks it in the order the
+checks are defined below.  The acceptance tests assert these same results,
+so every criterion has this one implementation.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .zeta import (
     zeta_series,
 )
 
-__all__ = ["CheckResult", "run_checks"]
+__all__ = ["CHECKS", "CheckResult", "run_checks"]
 
 _VACUOUS = "vacuous (window empty at this max)"
 
@@ -60,146 +65,153 @@ class CheckResult:
     detail: str = ""
 
 
-def _first_failure(pairs, describe) -> str | None:
-    for key, ok in pairs:
-        if not ok:
-            return describe(key)
-    return None
+CHECKS: dict[str, Callable[[int], CheckResult]] = {}
 
 
-def _check_mobius_sum(max_n: int) -> CheckResult:
-    params = f"n<=min(max,10000)={min(max_n, 10000)}"
-    bad = None
-    for n in range(1, min(max_n, 10000) + 1):
+def _check(name: str):
+    """Register a check under ``name``.
+
+    The decorated function returns ``(passed, params)`` or
+    ``(passed, params, detail)``; the registered check wraps that in a
+    ``CheckResult`` named ``name``.
+    """
+
+    def register(fn):
+        def check(max_n: int) -> CheckResult:
+            return CheckResult(name, *fn(max_n))
+
+        CHECKS[name] = check
+        return check
+
+    return register
+
+
+@_check("mobius-divisor-sum")
+def _check_mobius_sum(max_n: int) -> tuple:
+    top = min(max_n, 10000)
+    params = f"n<=min(max,10000)={top}"
+    for n in range(1, top + 1):
         total = sum(mobius(d) for d in divisors(n))
-        expected = 1 if n == 1 else 0
-        if total != expected:
-            bad = f"sum over divisors of {n} is {total}"
-            break
-    return CheckResult("mobius-divisor-sum", bad is None, params, bad or "")
+        if total != (1 if n == 1 else 0):
+            return False, params, f"sum over divisors of {n} is {total}"
+    return True, params
 
 
-def _check_divisor_pairing(max_n: int) -> CheckResult:
+@_check("divisor-pairing")
+def _check_divisor_pairing(max_n: int) -> tuple:
     top = min(max_n, 2000)
     for n in range(1, top + 1):
         ds = divisors(n)
         if sorted(n // d for d in ds) != ds:
-            return CheckResult("divisor-pairing", False, f"n<={top}", f"fails at {n}")
-    return CheckResult("divisor-pairing", True, f"n<={top}")
+            return False, f"n<={top}", f"fails at {n}"
+    return True, f"n<={top}"
 
 
-def _check_padic_range(max_n: int) -> CheckResult:
+@_check("padic-abs-range")
+def _check_padic_range(max_n: int) -> tuple:
     for n in range(1, max_n + 1):
         value = padic_abs(n, 3).as_rational()
         if not (0 < value <= 1 and value >= Fraction(1, n)):
-            return CheckResult("padic-abs-range", False, f"n<={max_n}", f"fails at {n}")
-    return CheckResult("padic-abs-range", True, f"n<={max_n}")
+            return False, f"n<={max_n}", f"fails at {n}"
+    return True, f"n<={max_n}"
 
 
-def _check_padic_closed_form(max_n: int) -> CheckResult:
+@_check("padic-closed-form")
+def _check_padic_closed_form(max_n: int) -> tuple:
     mersenne = 0
     for n in range(1, max_n + 1):
         mersenne = (mersenne << 1) + 1
         if padic_factor(n).valuation != ord_p(mersenne, 3):
-            return CheckResult(
-                "padic-closed-form", False, f"n<={max_n}", f"mismatch at n={n}"
-            )
-    return CheckResult("padic-closed-form", True, f"n<={max_n}")
+            return False, f"n<={max_n}", f"mismatch at n={n}"
+    return True, f"n<={max_n}"
 
 
-def _check_even_divisibility(max_n: int) -> CheckResult:
+@_check("even-power-divisibility")
+def _check_even_divisibility(max_n: int) -> tuple:
     for n in range(2, max_n + 1, 2):
         power = 3 ** (1 + ord_p(n, 3))
         if ((1 << n) - 1) % power != 0:
-            return CheckResult(
-                "even-power-divisibility", False, f"even n<={max_n}", f"fails at {n}"
-            )
-    return CheckResult("even-power-divisibility", True, f"even n<={max_n}")
+            return False, f"even n<={max_n}", f"fails at {n}"
+    return True, f"even n<={max_n}"
 
 
-def _check_inversion_roundtrip(max_n: int) -> CheckResult:
+@_check("inversion-roundtrip")
+def _check_inversion_roundtrip(max_n: int) -> tuple:
     for spec, label in ((THREE_ADIC_EXTENSION, "f"), (CIRCLE_DOUBLING, "g")):
         table = build_table(spec, max_n)
         for n in range(1, max_n + 1):
             rebuilt = sum(table.least_counts[d - 1] for d in divisors(n))
             if rebuilt != table.fix_counts[n - 1]:
-                return CheckResult(
-                    "inversion-roundtrip", False, f"n<={max_n}", f"{label} at n={n}"
-                )
+                return False, f"n<={max_n}", f"{label} at n={n}"
             if table.least_counts[n - 1] % n != 0:
-                return CheckResult(
-                    "inversion-roundtrip", False, f"n<={max_n}",
-                    f"{label}: n does not divide least count at n={n}",
-                )
-    return CheckResult("inversion-roundtrip", True, f"n<={max_n}, maps f and g")
+                return (False, f"n<={max_n}",
+                        f"{label}: n does not divide least count at n={n}")
+    return True, f"n<={max_n}, maps f and g"
 
 
-def _check_orbit_domination(max_n: int) -> CheckResult:
+@_check("orbit-domination")
+def _check_orbit_domination(max_n: int) -> tuple:
     tf = build_table(THREE_ADIC_EXTENSION, max_n)
     tg = build_table(CIRCLE_DOUBLING, max_n)
     for n in range(1, max_n + 1):
         if tf.orbit_counts[n - 1] > tg.orbit_counts[n - 1]:
-            return CheckResult("orbit-domination", False, f"n<={max_n}", f"fails at {n}")
-    return CheckResult("orbit-domination", True, f"n<={max_n}")
+            return False, f"n<={max_n}", f"fails at {n}"
+    return True, f"n<={max_n}"
 
 
-def _check_divisor_sum_bound(max_n: int) -> CheckResult:
+@_check("proper-divisor-sum-bound")
+def _check_divisor_sum_bound(max_n: int) -> tuple:
     # 3 * sum_{d|n, d<n} (2^d - 1) <= 2 * (2^n - 1), all integers
     for n in range(1, max_n + 1):
         proper = sum((1 << d) - 1 for d in divisors(n) if d < n)
         if 3 * proper > 2 * ((1 << n) - 1):
-            return CheckResult(
-                "proper-divisor-sum-bound", False, f"n<={max_n}", f"fails at {n}"
-            )
-    return CheckResult("proper-divisor-sum-bound", True, f"n<={max_n}")
+            return False, f"n<={max_n}", f"fails at {n}"
+    return True, f"n<={max_n}"
 
 
-def _check_iterate_double_sum(max_n: int) -> CheckResult:
+@_check("iterate-double-sum")
+def _check_iterate_double_sum(max_n: int) -> tuple:
     top = min(max_n, 200)
     params = f"n<={top}, k in (2,3), bases f and g"
     if top < 1:
-        return CheckResult("iterate-double-sum", True, params, _VACUOUS)
+        return True, params, _VACUOUS
     for spec in (CIRCLE_DOUBLING, THREE_ADIC_EXTENSION):
         for k in (2, 3):
             base = build_table(spec, top * k)
             direct = build_table(iterate(spec, k), top)
             for n in range(1, top + 1):
                 if orbit_count_iterate(base, k, n) != direct.orbit_counts[n - 1]:
-                    return CheckResult(
-                        "iterate-double-sum", False, params,
-                        f"{spec.label}, k={k}, n={n}",
-                    )
-    return CheckResult("iterate-double-sum", True, params)
+                    return False, params, f"{spec.label}, k={k}, n={n}"
+    return True, params
 
 
-def _check_square_identity(max_n: int) -> CheckResult:
+@_check("square-iterate-identity")
+def _check_square_identity(max_n: int) -> tuple:
     top = min(max_n, 500)
     params = f"n<={top}, bases f and g"
     if top < 1:
-        return CheckResult("square-iterate-identity", True, params, _VACUOUS)
+        return True, params, _VACUOUS
     for spec in (CIRCLE_DOUBLING, THREE_ADIC_EXTENSION):
         base = build_table(spec, 2 * top)
         direct = build_table(iterate(spec, 2), top)
         for n in range(1, top + 1):
             if iterate_square_identity(base, n) != direct.orbit_counts[n - 1]:
-                return CheckResult(
-                    "square-iterate-identity", False, params, f"{spec.label}, n={n}"
-                )
-    return CheckResult("square-iterate-identity", True, params)
+                return False, params, f"{spec.label}, n={n}"
+    return True, params
 
 
-def _check_killed_orbits(max_n: int) -> CheckResult:
+@_check("killed-orbits")
+def _check_killed_orbits(max_n: int) -> tuple:
     if max_n < 6:
-        return CheckResult("killed-orbits", True, "n in (2, 6)", _VACUOUS)
+        return True, "n in (2, 6)", _VACUOUS
     table = build_table(THREE_ADIC_EXTENSION, 6)
     ok = table.orbits(2) == 0 and table.orbits(6) == 0
-    return CheckResult(
-        "killed-orbits", ok, "n in (2, 6)",
-        "" if ok else f"orbits(2)={table.orbits(2)}, orbits(6)={table.orbits(6)}",
-    )
+    detail = "" if ok else f"orbits(2)={table.orbits(2)}, orbits(6)={table.orbits(6)}"
+    return ok, "n in (2, 6)", detail
 
 
-def _check_pi_domination(max_n: int) -> CheckResult:
+@_check("pi-domination")
+def _check_pi_domination(max_n: int) -> tuple:
     tf = build_table(THREE_ADIC_EXTENSION, max_n)
     tg = build_table(CIRCLE_DOUBLING, max_n)
     total_f = total_g = 0
@@ -207,8 +219,8 @@ def _check_pi_domination(max_n: int) -> CheckResult:
         total_f += tf.orbit_counts[X - 1]
         total_g += tg.orbit_counts[X - 1]
         if total_f > total_g:
-            return CheckResult("pi-domination", False, f"X<={max_n}", f"fails at X={X}")
-    return CheckResult("pi-domination", True, f"X<={max_n}")
+            return False, f"X<={max_n}", f"fails at X={X}"
+    return True, f"X<={max_n}"
 
 
 def _ratio_window(max_n: int):
@@ -218,51 +230,45 @@ def _ratio_window(max_n: int):
     return asymptotics.ratio_series(table, max_n, asymptotics.DEFAULT_BURN_IN)
 
 
-def _check_ratio_band(max_n: int) -> CheckResult:
+@_check("extension-ratio-band")
+def _check_ratio_band(max_n: int) -> tuple:
     params = f"64<=X<={max_n}, band [1/3-0.02, 1+0.02]"
     points = _ratio_window(max_n)
     if points is None:
-        return CheckResult("extension-ratio-band", True, params, _VACUOUS)
+        return True, params, _VACUOUS
     low = Fraction(1, 3) - asymptotics.RATIO_BAND_TOLERANCE
     high = Fraction(1) + asymptotics.RATIO_BAND_TOLERANCE
     for p in points:
         if not low <= p.ratio <= high:
-            return CheckResult(
-                "extension-ratio-band", False, params,
-                f"ratio {float(p.ratio):.6f} at X={p.X}",
-            )
+            return False, params, f"ratio {float(p.ratio):.6f} at X={p.X}"
     final = points[-1]
-    return CheckResult(
-        "extension-ratio-band", True, params,
-        f"observed [{float(final.running_min):.6f}, {float(final.running_max):.6f}]",
-    )
+    observed = f"[{float(final.running_min):.6f}, {float(final.running_max):.6f}]"
+    return True, params, f"observed {observed}"
 
 
-def _check_ratio_clusters(max_n: int) -> CheckResult:
+@_check("ratio-cluster-report")
+def _check_ratio_clusters(max_n: int) -> tuple:
     params = f"64<=X<={max_n}"
     points = _ratio_window(max_n)
     if points is None:
-        return CheckResult("ratio-cluster-report", True, params, _VACUOUS)
+        return True, params, _VACUOUS
     clusters = asymptotics.cluster_ratios([p.ratio for p in points])
     summary = "; ".join(f"{mean:.4f} x{count}" for mean, count in clusters[:8])
     if len(clusters) > 8:
         summary += f"; ... ({len(clusters)} clusters total)"
-    return CheckResult(
-        "ratio-cluster-report", True, params, f"report only: {summary}"
-    )
+    return True, params, f"report only: {summary}"
 
 
-def _check_doubling_ratio(max_n: int) -> CheckResult:
+@_check("doubling-ratio-limit")
+def _check_doubling_ratio(max_n: int) -> tuple:
     params = f"64<=X<={max_n}, |ratio-1| < 0.02"
     if max_n <= asymptotics.DEFAULT_BURN_IN:
-        return CheckResult("doubling-ratio-limit", True, params, _VACUOUS)
+        return True, params, _VACUOUS
     table = build_table(CIRCLE_DOUBLING, max_n)
     points = asymptotics.ratio_series(table, max_n, asymptotics.DEFAULT_BURN_IN)
     worst = max(abs(p.ratio - 1) for p in points)
     ok = worst < asymptotics.RATIO_BAND_TOLERANCE
-    return CheckResult(
-        "doubling-ratio-limit", ok, params, f"max |ratio-1| = {float(worst):.6f}"
-    )
+    return ok, params, f"max |ratio-1| = {float(worst):.6f}"
 
 
 def _merten_bounds(table, max_n: int):
@@ -276,121 +282,114 @@ def _merten_bounds(table, max_n: int):
     return deviations
 
 
-def _check_merten_sandwich(max_n: int) -> CheckResult:
+@_check("merten-sandwich")
+def _check_merten_sandwich(max_n: int) -> tuple:
     params = f"16<=X<={max_n}, 0.5*ln X - 2 <= sum <= ln X + 2"
     if max_n < 16:
-        return CheckResult("merten-sandwich", True, params, _VACUOUS)
+        return True, params, _VACUOUS
     table = build_table(THREE_ADIC_EXTENSION, max_n)
     slack = asymptotics.MERTEN_SLACK
     lows, highs = [], []
     for X, dev_full, dev_half in _merten_bounds(table, max_n):
         if dev_half < -slack or dev_full > slack:
-            return CheckResult("merten-sandwich", False, params, f"fails at X={X}")
+            return False, params, f"fails at X={X}"
         lows.append(dev_half)
         highs.append(dev_full)
-    return CheckResult(
-        "merten-sandwich", True, params,
+    return True, params, (
         f"observed sum-0.5lnX >= {float(min(lows)):.4f}, "
-        f"sum-lnX <= {float(max(highs)):.4f}",
+        f"sum-lnX <= {float(max(highs)):.4f}"
     )
 
 
-def _check_merten_doubling(max_n: int) -> CheckResult:
+@_check("merten-doubling-baseline")
+def _check_merten_doubling(max_n: int) -> tuple:
     params = f"16<=X<={max_n}, |sum - ln X| <= 2"
     if max_n < 16:
-        return CheckResult("merten-doubling-baseline", True, params, _VACUOUS)
+        return True, params, _VACUOUS
     table = build_table(CIRCLE_DOUBLING, max_n)
     worst = Fraction(0)
     for X, dev_full, _ in _merten_bounds(table, max_n):
         if abs(dev_full) > worst:
             worst = abs(dev_full)
         if abs(dev_full) > asymptotics.MERTEN_SLACK:
-            return CheckResult("merten-doubling-baseline", False, params, f"X={X}")
-    return CheckResult(
-        "merten-doubling-baseline", True, params,
-        f"empirical constant: max |sum - ln X| = {float(worst):.4f}",
-    )
+            return False, params, f"X={X}"
+    return True, params, f"empirical constant: max |sum - ln X| = {float(worst):.4f}"
 
 
-def _check_delta_gap(max_n: int) -> CheckResult:
+@_check("delta-gap-bound")
+def _check_delta_gap(max_n: int) -> tuple:
     params = f"X<={max_n}; rescaled band [0.3, 1.5] for even X>=64"
     tf = build_table(THREE_ADIC_EXTENSION, max_n)
     tg = build_table(CIRCLE_DOUBLING, max_n)
-    for X in range(1, max_n + 1):
-        gap, even_bound = asymptotics.delta_gap(tf, tg, X)
+    gaps = asymptotics.delta_gap(tf, tg, max_n)
+    for X, (gap, even_bound) in enumerate(gaps, start=1):
         if gap > even_bound:
-            return CheckResult(
-                "delta-gap-bound", False, params, f"gap {gap} > bound {even_bound} at X={X}"
-            )
+            return False, params, f"gap {gap} > bound {even_bound} at X={X}"
         if X >= 64 and X % 2 == 0:
             scaled = Fraction(even_bound * (X // 2), 4 ** (X // 2))
             if not Fraction(3, 10) <= scaled <= Fraction(3, 2):
-                return CheckResult(
-                    "delta-gap-bound", False, params,
-                    f"rescaled bound {float(scaled):.4f} at X={X}",
-                )
-    return CheckResult("delta-gap-bound", True, params)
+                return False, params, f"rescaled bound {float(scaled):.4f} at X={X}"
+    return True, params
 
 
-def _check_zeta_oracle(max_n: int) -> CheckResult:
+@_check("zeta-two-routes")
+def _check_zeta_oracle(max_n: int) -> tuple:
     degree = min(max_n, 400)
     params = f"degree {degree}, maps f and g"
     table_f = build_table(THREE_ADIC_EXTENSION, max(degree, 1))
     if zeta_series(table_f, degree) != orbit_product_series(table_f, degree):
-        return CheckResult("zeta-two-routes", False, params, "f series differ")
+        return False, params, "f series differ"
     table_g = build_table(CIRCLE_DOUBLING, max(degree, 1))
     series_g = zeta_series(table_g, degree)
     if series_g != orbit_product_series(table_g, degree):
-        return CheckResult("zeta-two-routes", False, params, "g series differ")
+        return False, params, "g series differ"
     for n in range(degree + 1):
         expected = 1 if n == 0 else 1 << (n - 1)
         if series_g[n] != expected:
-            return CheckResult(
-                "zeta-two-routes", False, params, f"g closed form fails at degree {n}"
-            )
-    return CheckResult("zeta-two-routes", True, params)
+            return False, params, f"g closed form fails at degree {n}"
+    return True, params
 
 
-def _check_xi1_identity(max_n: int) -> CheckResult:
+@_check("xi1-identity")
+def _check_xi1_identity(max_n: int) -> tuple:
     degree = min(max_n, 500)
     params = f"degree {degree}"
     if degree < 2:
-        return CheckResult("xi1-identity", True, params, _VACUOUS)
-    ok = xi1_direct(degree) == xi1_closed_form(degree)
-    return CheckResult("xi1-identity", ok, params)
+        return True, params, _VACUOUS
+    return xi1_direct(degree) == xi1_closed_form(degree), params
 
 
-def _check_decomposition(max_n: int) -> CheckResult:
+@_check("exponent-decomposition")
+def _check_decomposition(max_n: int) -> tuple:
     degree = min(max_n, 400)
     params = f"degree {degree}"
     if degree < 2:
-        return CheckResult("exponent-decomposition", True, params, _VACUOUS)
+        return True, params, _VACUOUS
     table = build_table(THREE_ADIC_EXTENSION, degree)
-    ok = xi_series(table, degree) == xi_from_closed_parts(degree)
-    return CheckResult("exponent-decomposition", ok, params)
+    return xi_series(table, degree) == xi_from_closed_parts(degree), params
 
 
-def _check_coefficient_growth(max_n: int) -> CheckResult:
+@_check("coefficient-growth")
+def _check_coefficient_growth(max_n: int) -> tuple:
     top = min(max_n, 400)
     params = f"200<=n<={top}, |log2(c_n)/n - 1| <= 0.05"
     if top < 200:
-        return CheckResult("coefficient-growth", True, params, _VACUOUS)
+        return True, params, _VACUOUS
     table = build_table(THREE_ADIC_EXTENSION, top)
     coeffs = zeta_series(table, top)
     for n in range(200, top + 1):
         rate = math.log2(int(coeffs[n])) / n
         if abs(rate - 1.0) > 0.05:
-            return CheckResult(
-                "coefficient-growth", False, params, f"rate {rate:.4f} at n={n}"
-            )
-    return CheckResult("coefficient-growth", True, params)
+            return False, params, f"rate {rate:.4f} at n={n}"
+    return True, params
 
 
-def _check_fix_ratio_witnesses(max_n: int) -> CheckResult:
+@_check("fix-ratio-witnesses")
+def _check_fix_ratio_witnesses(max_n: int) -> tuple:
     top = min(max_n, 200)
     params = f"n<={top}, witnesses > 2.2 and < 1.0"
     if top < 6:
-        return CheckResult("fix-ratio-witnesses", True, params, _VACUOUS)
+        return True, params, _VACUOUS
     table = build_table(THREE_ADIC_EXTENSION, top)
     above = below = None
     for n in range(1, top):
@@ -400,50 +399,44 @@ def _check_fix_ratio_witnesses(max_n: int) -> CheckResult:
         if below is None and ratio < 1:
             below = n
     ok = above is not None and below is not None
-    return CheckResult(
-        "fix-ratio-witnesses", ok, params,
-        f"ratio > 2.2 at n={above}, ratio < 1 at n={below}" if ok else "missing witness",
-    )
+    detail = f"ratio > 2.2 at n={above}, ratio < 1 at n={below}" if ok else "missing witness"
+    return ok, params, detail
 
 
-def _check_custom_example(max_n: int) -> CheckResult:
+@_check("custom-counterexample")
+def _check_custom_example(max_n: int) -> tuple:
     top = min(max_n, 100)
     params = f"n<={top}"
     if top < 2:
-        return CheckResult("custom-counterexample", True, params, _VACUOUS)
+        return True, params, _VACUOUS
     table_a = build_table(custom_orbits((1, 3)), top)
     table_b = build_table(custom_orbits((6, 1)), top)
     for n in range(1, top + 1):
         expected_a = 4 + 3 * (-1) ** n
         expected_b = 7 + (-1) ** n
         if table_a.fix_counts[n - 1] != expected_a:
-            return CheckResult("custom-counterexample", False, params, f"a at n={n}")
+            return False, params, f"a at n={n}"
         if table_b.fix_counts[n - 1] != expected_b:
-            return CheckResult("custom-counterexample", False, params, f"b at n={n}")
+            return False, params, f"b at n={n}"
         if expected_a >= expected_b:
-            return CheckResult(
-                "custom-counterexample", False, params, f"fix dominance at n={n}"
-            )
+            return False, params, f"fix dominance at n={n}"
     ok = table_a.orbits(2) > table_b.orbits(2)
-    return CheckResult(
-        "custom-counterexample", ok, params,
-        "" if ok else "orbit counts unexpectedly dominated",
-    )
+    return ok, params, "" if ok else "orbit counts unexpectedly dominated"
 
 
-def _check_boundary_zeros(max_n: int) -> CheckResult:
+@_check("boundary-zeros")
+def _check_boundary_zeros(max_n: int) -> tuple:
     params = "(j, r) in ((1,1), (1,2), (2,2)), terms 4"
     for j, r in ((1, 1), (1, 2), (2, 2)):
         point = BoundaryPoint(Fraction(1, 2), Fraction(j, 3**r))
         value = modulus_product(point, 4)
         if value != 0.0:
-            return CheckResult(
-                "boundary-zeros", False, params, f"nonzero {value} at j={j}, r={r}"
-            )
-    return CheckResult("boundary-zeros", True, params)
+            return False, params, f"nonzero {value} at j={j}, r={r}"
+    return True, params
 
 
-def _check_boundary_decrease(max_n: int) -> CheckResult:
+@_check("boundary-decrease")
+def _check_boundary_decrease(max_n: int) -> tuple:
     params = f"ray 2pi/3, radii {_DECREASE_RADII}, terms {_DECREASE_TERMS}"
     values = [
         modulus_product(r * complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)),
@@ -452,62 +445,27 @@ def _check_boundary_decrease(max_n: int) -> CheckResult:
     ]
     decreasing = all(a > b for a, b in zip(values, values[1:]))
     below = values[-1] < _INNERMOST_CEILING
-    ok = decreasing and below
-    return CheckResult(
-        "boundary-decrease", ok, params,
-        f"values {['%.4f' % v for v in values]}, ceiling {_INNERMOST_CEILING}",
-    )
+    return (decreasing and below, params,
+            f"values {['%.4f' % v for v in values]}, ceiling {_INNERMOST_CEILING}")
 
 
-def _check_interior_agreement(max_n: int) -> CheckResult:
+@_check("interior-agreement")
+def _check_interior_agreement(max_n: int) -> tuple:
     params = (
         f"z={_INTERIOR_Z}, terms={_INTERIOR_TERMS}, degree={_INTERIOR_DEGREE}, "
         f"tol={_INTERIOR_TOLERANCE}"
     )
     if max_n < 400:
-        return CheckResult("interior-agreement", True, params, _VACUOUS)
+        return True, params, _VACUOUS
     table = build_table(THREE_ADIC_EXTENSION, _INTERIOR_DEGREE)
     product = modulus_product(complex(_INTERIOR_Z), _INTERIOR_TERMS)
     series = zeta.series_modulus(table, complex(_INTERIOR_Z), _INTERIOR_DEGREE)
     diff = abs(product - series)
-    return CheckResult(
-        "interior-agreement", diff <= _INTERIOR_TOLERANCE, params, f"diff {diff:.2e}"
-    )
-
-
-_CHECKS: tuple[Callable[[int], CheckResult], ...] = (
-    _check_mobius_sum,
-    _check_divisor_pairing,
-    _check_padic_range,
-    _check_padic_closed_form,
-    _check_even_divisibility,
-    _check_inversion_roundtrip,
-    _check_orbit_domination,
-    _check_divisor_sum_bound,
-    _check_iterate_double_sum,
-    _check_square_identity,
-    _check_killed_orbits,
-    _check_pi_domination,
-    _check_ratio_band,
-    _check_ratio_clusters,
-    _check_doubling_ratio,
-    _check_merten_sandwich,
-    _check_merten_doubling,
-    _check_delta_gap,
-    _check_zeta_oracle,
-    _check_xi1_identity,
-    _check_decomposition,
-    _check_coefficient_growth,
-    _check_fix_ratio_witnesses,
-    _check_custom_example,
-    _check_boundary_zeros,
-    _check_boundary_decrease,
-    _check_interior_agreement,
-)
+    return diff <= _INTERIOR_TOLERANCE, params, f"diff {diff:.2e}"
 
 
 def run_checks(max_n: int) -> list[CheckResult]:
     """Run the full invariant suite with windows scaled to ``max_n``."""
     if max_n < 1:
         raise ValueError(f"verification max must be >= 1, got {max_n}")
-    return [check(max_n) for check in _CHECKS]
+    return [check(max_n) for check in CHECKS.values()]

@@ -1,199 +1,116 @@
 """Acceptance suite: every criterion at its stated window and tolerance.
 
-Each test prints one PASS line on success (run pytest with -s to see them);
-a failed assert is the FAIL line.  The heavy tables are built once per
-module and shared through the package-level memo cache.
+Each criterion asserts the ``CheckResult``s that ``verify`` returns for it,
+so the checks in ``orbitkit.verify`` are the one implementation of every
+criterion.  The windows are pinned through each result's ``params``: n <= 5000
+for the 3-adic closed form, n and X <= 2000 for the rest, degrees 400/500
+for zeta.  Each test prints one PASS line per check on success (run pytest
+with -s to see them); a failed assert is the FAIL line.
 """
-
-import math
-from fractions import Fraction
 
 import pytest
 
-from orbitkit.arith import divisors, ord_p
-from orbitkit.asymptotics import (
-    delta_gap,
-    merten_series,
-    mpf_to_fraction,
-    pi_sum,
-    ratio_series,
-)
-from orbitkit.counting import (
-    CIRCLE_DOUBLING,
-    THREE_ADIC_EXTENSION,
-    build_table,
-    custom_orbits,
-    iterate,
-    iterate_square_identity,
-    orbit_count_iterate,
-    padic_factor,
-)
-from orbitkit.zeta import (
-    BoundaryPoint,
-    modulus_product,
-    orbit_product_series,
-    series_modulus,
-    xi1_closed_form,
-    xi1_direct,
-    xi_from_closed_parts,
-    xi_series,
-    zeta_series,
-)
+from orbitkit import verify
+from orbitkit.arith import PAdicAbs
 
 
 @pytest.fixture(scope="module")
-def table_f():
-    return build_table(THREE_ADIC_EXTENSION, 2000)
+def checks():
+    results = {r.name: r for r in verify.run_checks(2000)}
+    results["padic-closed-form"] = verify.CHECKS["padic-closed-form"](5000)
+    return results
 
 
-@pytest.fixture(scope="module")
-def table_g():
-    return build_table(CIRCLE_DOUBLING, 2000)
+def _assert_passed(checks, number, windows):
+    """Each named check passed, with content, over the stated window."""
+    for name, params in windows.items():
+        result = checks[name]
+        label = f"criterion {number}: {name}"
+        assert result.passed, f"{label} FAIL ({result.params}): {result.detail}"
+        assert result.params == params, f"{label} ran over {result.params}"
+        assert "vacuous" not in result.detail, f"{label} {result.detail}"
+        print(f"PASS {label} ({params}) {result.detail}".rstrip())
 
 
-def _report(number, text):
-    print(f"PASS criterion {number}: {text}")
+def test_criterion_01_padic_closed_form_vs_brute_force(checks):
+    _assert_passed(checks, 1, {"padic-closed-form": "n<=5000"})
 
 
-def test_criterion_01_padic_closed_form_vs_brute_force():
-    mersenne = 0
-    for n in range(1, 5001):
-        mersenne = (mersenne << 1) + 1
-        assert padic_factor(n).valuation == ord_p(mersenne, 3), f"n={n}"
-    _report(1, "closed-form 3-adic valuation equals brute division for n <= 5000")
+def test_criterion_02_inversion_roundtrip_and_divisibility(checks):
+    _assert_passed(checks, 2, {"inversion-roundtrip": "n<=2000, maps f and g"})
 
 
-def test_criterion_02_inversion_roundtrip_and_divisibility(table_f, table_g):
-    for table in (table_f, table_g):
-        for n in range(1, 2001):
-            rebuilt = sum(table.least_counts[d - 1] for d in divisors(n))
-            assert rebuilt == table.fix_counts[n - 1], f"{table.spec.label} n={n}"
-            assert table.least_counts[n - 1] == n * table.orbit_counts[n - 1]
-    _report(2, "Möbius round trip and n | least count for f and g, n <= 2000")
+def test_criterion_03_domination_and_divisor_sum_bound(checks):
+    _assert_passed(checks, 3, {
+        "orbit-domination": "n<=2000",
+        "proper-divisor-sum-bound": "n<=2000",
+    })
 
 
-def test_criterion_03_domination_and_divisor_sum_bound(table_f, table_g):
-    for n in range(1, 2001):
-        assert table_f.orbit_counts[n - 1] <= table_g.orbit_counts[n - 1], f"n={n}"
-        proper = sum((1 << d) - 1 for d in divisors(n) if d < n)
-        assert 3 * proper <= 2 * ((1 << n) - 1), f"n={n}"
-    _report(3, "orbit domination and proper-divisor sum bound for n <= 2000")
+def test_criterion_04_iterate_double_sum_and_square_formula(checks):
+    _assert_passed(checks, 4, {
+        "iterate-double-sum": "n<=200, k in (2,3), bases f and g",
+        "square-iterate-identity": "n<=500, bases f and g",
+    })
 
 
-def test_criterion_04_iterate_double_sum_and_square_formula():
-    for spec in (CIRCLE_DOUBLING, THREE_ADIC_EXTENSION):
-        for k in (2, 3):
-            base = build_table(spec, 200 * k)
-            direct = build_table(iterate(spec, k), 200)
-            for n in range(1, 201):
-                assert orbit_count_iterate(base, k, n) == direct.orbit_counts[n - 1]
-        base = build_table(spec, 1000)
-        squared = build_table(iterate(spec, 2), 500)
-        for n in range(1, 501):
-            assert iterate_square_identity(base, n) == squared.orbit_counts[n - 1]
-    _report(4, "iterate double sum (k=2,3, n<=200) and two-case identity (n<=500)")
+def test_criterion_05_killed_orbits(checks):
+    _assert_passed(checks, 5, {"killed-orbits": "n in (2, 6)"})
 
 
-def test_criterion_05_killed_orbits(table_f):
-    assert table_f.fix(2) - table_f.fix(1) == 0
-    assert table_f.orbits(2) == 0
-    assert table_f.orbits(6) == 0
-    _report(5, "extension kills the orbits of length 2 and 6")
+def test_criterion_06_extension_ratio_band(checks):
+    _assert_passed(checks, 6, {
+        "extension-ratio-band": "64<=X<=2000, band [1/3-0.02, 1+0.02]",
+    })
 
 
-def test_criterion_06_extension_ratio_band(table_f):
-    low, high = Fraction(313, 1000), Fraction(51, 50)
-    points = ratio_series(table_f, 2000, burn_in=64)
-    for p in points:
-        assert low <= p.ratio <= high, f"X={p.X}, ratio={float(p.ratio)}"
-    _report(6, "X*pi_f(X)/2^(X+1) stays in [0.313, 1.02] for 64 <= X <= 2000")
+def test_criterion_07_doubling_ratio_baseline(checks):
+    _assert_passed(checks, 7, {"doubling-ratio-limit": "64<=X<=2000, |ratio-1| < 0.02"})
 
 
-def test_criterion_07_doubling_ratio_baseline(table_g):
-    tolerance = Fraction(1, 50)
-    points = ratio_series(table_g, 2000, burn_in=64)
-    for p in points:
-        assert abs(p.ratio - 1) < tolerance, f"X={p.X}"
-    _report(7, "doubling-map ratio within 0.02 of 1 for 64 <= X <= 2000")
+def test_criterion_08_merten_sandwich(checks):
+    _assert_passed(checks, 8, {
+        "merten-sandwich": "16<=X<=2000, 0.5*ln X - 2 <= sum <= ln X + 2",
+        "merten-doubling-baseline": "16<=X<=2000, |sum - ln X| <= 2",
+    })
 
 
-def test_criterion_08_merten_sandwich(table_f, table_g):
-    slack = Fraction(2)
-    for p in merten_series(table_f, 2000):
-        if p.X < 16:
-            continue
-        log_x = mpf_to_fraction(p.log_x)
-        assert p.sum >= log_x / 2 - slack, f"X={p.X}"
-        assert p.sum <= log_x + slack, f"X={p.X}"
-    for p in merten_series(table_g, 2000):
-        if p.X < 16:
-            continue
-        log_x = mpf_to_fraction(p.log_x)
-        assert abs(p.sum - log_x) <= slack, f"X={p.X}"
-    _report(8, "Merten sandwich for f and ±2 baseline for g, 16 <= X <= 2000")
+def test_criterion_09_zeta_two_routes(checks):
+    _assert_passed(checks, 9, {"zeta-two-routes": "degree 400, maps f and g"})
 
 
-def test_criterion_09_zeta_two_routes(table_f, table_g):
-    recurrence = zeta_series(table_f, 400)
-    product = orbit_product_series(table_f, 400)
-    assert recurrence == product
-    for c in recurrence.coeffs:
-        assert c.denominator == 1 and c >= 0
-    doubling = zeta_series(table_g, 400)
-    assert doubling[0] == 1
-    for n in range(1, 401):
-        assert doubling[n] == 1 << (n - 1)
-    _report(9, "zeta recurrence equals orbit product at degree 400; g closed form")
+def test_criterion_10_lacunary_identity_and_decomposition(checks):
+    _assert_passed(checks, 10, {
+        "xi1-identity": "degree 500",
+        "exponent-decomposition": "degree 400",
+    })
 
 
-def test_criterion_10_lacunary_identity_and_decomposition(table_f):
-    assert xi1_direct(500) == xi1_closed_form(500)
-    assert xi_series(table_f, 400) == xi_from_closed_parts(400)
-    _report(10, "lacunary series identity (500) and exponent decomposition (400)")
+def test_criterion_11_boundary_behaviour(checks):
+    _assert_passed(checks, 11, {
+        "boundary-zeros": "(j, r) in ((1,1), (1,2), (2,2)), terms 4",
+        "boundary-decrease":
+            "ray 2pi/3, radii (0.49, 0.495, 0.499, 0.4995, 0.4999), terms 10",
+        "interior-agreement": "z=0.4, terms=8, degree=4000, tol=1e-06",
+    })
 
 
-def test_criterion_11_boundary_behaviour():
-    for j, r in ((1, 1), (1, 2), (2, 2)):
-        point = BoundaryPoint(Fraction(1, 2), Fraction(j, 3**r))
-        assert modulus_product(point, 4) == 0.0, f"j={j}, r={r}"
-    direction = complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3))
-    values = [
-        modulus_product(radius * direction, 10)
-        for radius in (0.49, 0.495, 0.499, 0.4995, 0.4999)
-    ]
-    assert all(a > b for a, b in zip(values, values[1:])), values
-    deep_table = build_table(THREE_ADIC_EXTENSION, 4000)
-    product = modulus_product(complex(0.4), 8)
-    series = series_modulus(deep_table, complex(0.4), 4000)
-    assert abs(product - series) <= 1e-6, (product, series)
-    _report(11, "exact boundary zeros, strict radial decrease, interior agreement")
+def test_criterion_12_custom_counterexample(checks):
+    _assert_passed(checks, 12, {"custom-counterexample": "n<=100"})
 
 
-def test_criterion_12_custom_counterexample():
-    table_a = build_table(custom_orbits((1, 3)), 100)
-    table_b = build_table(custom_orbits((6, 1)), 100)
-    for n in range(1, 101):
-        fix_a = table_a.fix_counts[n - 1]
-        fix_b = table_b.fix_counts[n - 1]
-        assert fix_a == 4 + 3 * (-1) ** n, f"n={n}"
-        assert fix_b == 7 + (-1) ** n, f"n={n}"
-        assert fix_a < fix_b, f"n={n}"
-    assert table_a.orbits(2) > table_b.orbits(2)
-    _report(12, "custom tables: fix counts dominated while orbit counts are not")
+def test_criterion_13_fix_ratio_witnesses(checks):
+    _assert_passed(checks, 13, {"fix-ratio-witnesses": "n<=200, witnesses > 2.2 and < 1.0"})
 
 
-def test_criterion_13_fix_ratio_witnesses(table_f):
-    ratios = [
-        Fraction(table_f.fix_counts[n], table_f.fix_counts[n - 1])
-        for n in range(1, 200)
-    ]
-    assert any(r > Fraction(11, 5) for r in ratios)
-    assert any(r < 1 for r in ratios)
-    _report(13, "fix-count ratio exceeds 2.2 and drops below 1 within n <= 200")
+def test_every_check_passes_at_the_acceptance_window(checks):
+    assert list(checks) == list(verify.CHECKS)
+    failed = [(r.name, r.detail) for r in checks.values() if not r.passed]
+    assert not failed
 
 
-def test_pi_sum_spot_values(table_f, table_g):
-    # anchors the aggregate counts used across the criteria
-    assert pi_sum(table_f, 6) == 10
-    assert pi_sum(table_g, 6) == 22
-    assert delta_gap(table_f, table_g, 6) == (12, 13)
+def test_broken_check_fails_its_criterion(checks, monkeypatch):
+    monkeypatch.setattr(verify, "padic_factor", lambda n: PAdicAbs(3, 0))
+    broken = {**checks, "padic-closed-form": verify.CHECKS["padic-closed-form"](5000)}
+    with pytest.raises(AssertionError, match="padic-closed-form FAIL"):
+        test_criterion_01_padic_closed_form_vs_brute_force(broken)

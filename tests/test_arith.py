@@ -141,26 +141,6 @@ def test_padic_value_semantics():
     assert str(PAdicAbs(3, 0)) == "1"
 
 
-def test_padic_product_adds_valuations():
-    assert PAdicAbs(3, 1) * PAdicAbs(3, 2) == PAdicAbs(3, 3)
-
-
-def test_padic_ordering_reverses_valuation():
-    small = PAdicAbs(3, 5)
-    large = PAdicAbs(3, 1)
-    assert small < large
-    assert large > small
-    assert small <= PAdicAbs(3, 5)
-    assert small >= PAdicAbs(3, 5)
-
-
-def test_padic_mixed_primes_rejected():
-    with pytest.raises(ValueError):
-        PAdicAbs(3, 1) * PAdicAbs(5, 1)
-    with pytest.raises(ValueError):
-        PAdicAbs(3, 1) < PAdicAbs(5, 1)
-
-
 def test_padic_validation():
     with pytest.raises(ValueError):
         PAdicAbs(4, 1)

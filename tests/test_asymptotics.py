@@ -9,7 +9,6 @@ from orbitkit.asymptotics import (
     delta_gap,
     merten_series,
     mpf_to_fraction,
-    pi_sum,
     ratio_series,
 )
 from orbitkit.counting import (
@@ -31,16 +30,9 @@ def tg():
 
 
 def test_pi_sum_examples(tf, tg):
-    assert pi_sum(tf, 3) == 3
-    assert pi_sum(tg, 3) == 4
-    assert pi_sum(tf, 1) == 1
-
-
-def test_pi_sum_range(tf):
-    with pytest.raises(ValueError):
-        pi_sum(tf, 0)
-    with pytest.raises(ValueError):
-        pi_sum(tf, 65)
+    # pi(X), the number of closed orbits of length <= X, for X = 1..6
+    assert [p.pi for p in ratio_series(tf, 6, burn_in=1)] == [1, 1, 3, 4, 10, 10]
+    assert [p.pi for p in ratio_series(tg, 6, burn_in=1)] == [1, 2, 4, 7, 13, 22]
 
 
 def test_ratio_series_values(tf):
@@ -80,14 +72,16 @@ def test_ratio_series_validation(tf):
 
 
 def test_delta_gap_examples(tf, tg):
-    assert delta_gap(tf, tg, 6) == (12, 13)
-    assert delta_gap(tf, tg, 1) == (0, 0)
-    assert delta_gap(tf, tg, 3) == (1, 1)
+    expected = [(0, 0), (1, 1), (1, 1), (3, 4), (3, 4), (12, 13)]
+    assert delta_gap(tf, tg, 6) == expected
+    assert delta_gap(tf, tg, 3) == expected[:3]
+    assert delta_gap(tf, tg, 1) == [(0, 0)]
 
 
 def test_delta_gap_bound_holds(tf, tg):
-    for X in range(1, 65):
-        gap, even_bound = delta_gap(tf, tg, X)
+    for X, (gap, even_bound) in enumerate(delta_gap(tf, tg, 64), start=1):
+        assert gap == sum(tg.orbit_counts[:X]) - sum(tf.orbit_counts[:X])
+        assert even_bound == sum(tg.orbit_counts[1:X:2])
         assert 0 <= gap <= even_bound
 
 

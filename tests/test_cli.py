@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -72,6 +73,39 @@ def test_custom_orbit_file_bad_content(tmp_path, capsys):
     code, _, err = run_cli(capsys, "table", "--map", str(path), "--max", "2")
     assert code == 1
     assert "not an integer" in err
+
+
+def test_custom_orbit_file_blank_line(tmp_path, capsys):
+    path = tmp_path / "orbits.txt"
+    path.write_text("1\n\n3\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "table", "--map", str(path), "--max", "3")
+    assert code == 1
+    assert out == ""
+    assert f"{path}:2: blank line" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("pnt", "--map", "g2", "--max", "8000"),
+    ("pnt", "--map", "f2", "--max", "100"),
+    ("merten", "--map", "g2", "--max", "8000"),
+    ("zeta", "boundary", "--angle", "1/3", "--radii", "0.49",
+     "--map", "g2", "--degree", "2000"),
+    ("zeta", "boundary", "--angle", "1/3", "--radii", "0.49", "--map", "g"),
+])
+def test_map_specific_formulas_refuse_other_maps(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("orbitkit: error: ") and "only" in err
+
+
+def test_custom_orbit_file_refused_by_pnt_and_merten(tmp_path, capsys):
+    path = tmp_path / "orbits.txt"
+    path.write_text("1\n3\n0\n", encoding="utf-8")
+    for command in ("pnt", "merten"):
+        code, _, err = run_cli(capsys, command, "--map", str(path), "--max", "3")
+        assert code == 1
+        assert "entropy log 2" in err
 
 
 def test_pnt_final_ratio(capsys):
@@ -213,3 +247,13 @@ def test_verify_fault_injection_fails(monkeypatch, capsys):
     assert code == 2
     _, rows = csv_rows(out)
     assert any(row[1] == "FAIL" for row in rows)
+
+
+@pytest.mark.parametrize("max_n, sha256", [
+    ("100", "86bd3dfab8e0c118411cfa27d3a4e8076b501b492a5ffb4bcfb952b0b89dc485"),
+    ("2000", "e1fcca489d63d0e043d45c2915a8f69305c102f0bb6ffea4ef188db05c13cf15"),
+])
+def test_verify_output_bytes_pinned(capsys, max_n, sha256):
+    code, out, _ = run_cli(capsys, "verify", "--max", max_n)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
