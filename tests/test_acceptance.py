@@ -12,6 +12,8 @@ import pytest
 
 from orbitkit import verify
 from orbitkit.arith import PAdicAbs
+from orbitkit.asymptotics import delta_gap, ratio_series
+from orbitkit.counting import CIRCLE_DOUBLING, THREE_ADIC_EXTENSION, build_table
 
 
 @pytest.fixture(scope="module")
@@ -114,3 +116,12 @@ def test_broken_check_fails_its_criterion(checks, monkeypatch):
     broken = {**checks, "padic-closed-form": verify.CHECKS["padic-closed-form"](5000)}
     with pytest.raises(AssertionError, match="padic-closed-form FAIL"):
         test_criterion_01_padic_closed_form_vs_brute_force(broken)
+
+
+def test_pi_sum_spot_values():
+    # anchors the aggregate counts used across the criteria
+    table_f = build_table(THREE_ADIC_EXTENSION, 6)
+    table_g = build_table(CIRCLE_DOUBLING, 6)
+    assert ratio_series(table_f, 6, burn_in=5)[-1].pi == 10
+    assert ratio_series(table_g, 6, burn_in=5)[-1].pi == 22
+    assert delta_gap(table_f, table_g, 6)[-1] == (12, 13)
