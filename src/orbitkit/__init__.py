@@ -3,7 +3,7 @@ circle-doubling map and its 3-adic isometric extension."""
 
 __version__ = "0.1.0"
 
-from .arith import ExactnessError, PAdicAbs, Rational, divisors, mobius, ord_p, padic_abs
+from .arith import ExactnessError, PAdicAbs, divisors, mobius, ord_p, padic_abs
 from .asymptotics import (
     MertenPoint,
     RatioPoint,
@@ -24,7 +24,7 @@ from .counting import (
     orbit_count_iterate,
     padic_factor,
 )
-from .series import PowerSeries, log_one_minus
+from .series import log_one_minus
 from .zeta import (
     BoundaryPoint,
     ScanRow,
@@ -43,7 +43,6 @@ __all__ = [
     "__version__",
     "ExactnessError",
     "PAdicAbs",
-    "Rational",
     "divisors",
     "mobius",
     "ord_p",
@@ -64,7 +63,6 @@ __all__ = [
     "ratio_series",
     "delta_gap",
     "merten_series",
-    "PowerSeries",
     "log_one_minus",
     "BoundaryPoint",
     "ScanRow",

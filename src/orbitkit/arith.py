@@ -11,13 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-# Exact rational carrier used throughout the package.  Fraction already
-# guarantees lowest terms and a positive denominator, which makes every
-# downstream equality test structural.
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "PAdicAbs",
     "ExactnessError",
     "divisors",

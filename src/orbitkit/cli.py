@@ -222,7 +222,7 @@ def _cmd_zeta_coeffs(args: argparse.Namespace) -> int:
     table = build_table(spec, max(args.degree, 1))
     coeffs = zeta_series(table, args.degree)
     meta = {"command": "zeta coeffs", "map": spec.label, "degree": args.degree}
-    rows = [(str(n), str(int(coeffs[n]))) for n in range(args.degree + 1)]
+    rows = [(str(n), str(c)) for n, c in enumerate(coeffs)]
     write_table(_output_config(args), meta, ("n", "coefficient"), rows)
     return EXIT_OK
 
@@ -376,6 +376,10 @@ def main(argv: "list[str] | None" = None) -> int:
         # argparse exits 2 on usage errors; our contract reserves 2 for
         # verification failures, so fold usage problems into status 1.
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
+    # Counts outgrow CPython's 4300-digit cap on str(int)/int(str) well
+    # inside the accepted ranges (g2 at --max 8000, large orbit files).
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ValueError as exc:
@@ -384,6 +388,8 @@ def main(argv: "list[str] | None" = None) -> int:
     except OSError as exc:
         print(f"orbitkit: i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

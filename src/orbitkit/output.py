@@ -65,8 +65,6 @@ def format_real(value: Any, digits: int) -> str:
         return format_fraction_decimal(Fraction(value), digits)
     if isinstance(value, mpmath.mpf):
         return format_fraction_decimal(mpf_to_fraction(value), digits)
-    if isinstance(value, Fraction):
-        return format_fraction_decimal(value, digits)
     raise TypeError(f"cannot render {type(value).__name__} as a real")
 
 

@@ -1,153 +1,18 @@
-"""Truncated formal power series with exact rational coefficients.
+"""Elementary logarithm series with exact rational coefficients.
 
-A series is a fixed tuple of Fractions c_0..c_N; every operation truncates
-consistently at N.  exp and log use the derivative recurrences
-
-    exp: n*c_n = sum_{k=1..n} k*a_k*c_{n-k}      (needs a_0 = 0)
-    log: n*a_n = n*c_n - sum_{k=1..n-1} k*a_k*c_{n-k}   (needs c_0 = 1)
-
-so both stay exact over the rationals and invert each other degree by
-degree.
+A truncated power series is a plain tuple of coefficients c_0..c_D.  The
+zeta module assembles its closed forms from the one building block here,
+log(1 - s*z**p), by adding, subtracting and scaling such tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
 
-Scalar = Union[int, Fraction]
-
-__all__ = ["PowerSeries", "log_one_minus"]
+__all__ = ["log_one_minus"]
 
 
-class PowerSeries:
-    """Exact power series truncated at a fixed degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar]):
-        cs = tuple(Fraction(c) for c in coeffs)
-        if not cs:
-            raise ValueError("a power series needs at least the constant term")
-        object.__setattr__(self, "coeffs", cs)
-
-    @classmethod
-    def zero(cls, degree: int) -> "PowerSeries":
-        return cls([0] * (degree + 1))
-
-    @classmethod
-    def one(cls, degree: int) -> "PowerSeries":
-        return cls([1] + [0] * degree)
-
-    @classmethod
-    def from_terms(cls, terms: dict[int, Scalar], degree: int) -> "PowerSeries":
-        """Series with the given {degree: coefficient} entries, rest zero."""
-        cs = [Fraction(0)] * (degree + 1)
-        for d, c in terms.items():
-            if not 0 <= d <= degree:
-                raise ValueError(f"term degree {d} outside 0..{degree}")
-            cs[d] += Fraction(c)
-        return cls(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> Fraction:
-        if not 0 <= n <= self.degree:
-            raise IndexError(f"degree {n} outside 0..{self.degree}")
-        return self.coeffs[n]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        head = ", ".join(str(c) for c in self.coeffs[:8])
-        tail = ", ..." if self.degree >= 8 else ""
-        return f"PowerSeries([{head}{tail}], degree={self.degree})"
-
-    def _check_aligned(self, other: "PowerSeries") -> None:
-        if self.degree != other.degree:
-            raise ValueError(
-                f"degree mismatch: {self.degree} vs {other.degree}; "
-                "truncate explicitly before combining"
-            )
-
-    def truncate(self, degree: int) -> "PowerSeries":
-        if degree < 0:
-            raise ValueError("truncation degree must be >= 0")
-        if degree <= self.degree:
-            return PowerSeries(self.coeffs[: degree + 1])
-        return PowerSeries(self.coeffs + (Fraction(0),) * (degree - self.degree))
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_aligned(other)
-        return PowerSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_aligned(other)
-        return PowerSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(-c for c in self.coeffs)
-
-    def __mul__(self, other: "PowerSeries | Scalar") -> "PowerSeries":
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries(c * other for c in self.coeffs)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        self._check_aligned(other)
-        n = self.degree
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(0, n - i + 1):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(out)
-
-    def __rmul__(self, other: Scalar) -> "PowerSeries":
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(other)
-        return NotImplemented
-
-    def exp(self) -> "PowerSeries":
-        """Series exponential; requires a vanishing constant term."""
-        if self.coeffs[0] != 0:
-            raise ValueError("exp requires constant term 0")
-        n_max = self.degree
-        out = [Fraction(0)] * (n_max + 1)
-        out[0] = Fraction(1)
-        for n in range(1, n_max + 1):
-            acc = Fraction(0)
-            for k in range(1, n + 1):
-                a = self.coeffs[k]
-                if a:
-                    acc += k * a * out[n - k]
-            out[n] = acc / n
-        return PowerSeries(out)
-
-    def log(self) -> "PowerSeries":
-        """Series logarithm; requires constant term 1."""
-        if self.coeffs[0] != 1:
-            raise ValueError("log requires constant term 1")
-        n_max = self.degree
-        out = [Fraction(0)] * (n_max + 1)
-        for n in range(1, n_max + 1):
-            acc = n * self.coeffs[n]
-            for k in range(1, n):
-                a = out[k]
-                if a:
-                    acc -= k * a * self.coeffs[n - k]
-            out[n] = acc / n
-        return PowerSeries(out)
-
-
-def log_one_minus(scale: Scalar, power: int, degree: int) -> PowerSeries:
+def log_one_minus(scale: "int | Fraction", power: int, degree: int) -> tuple[Fraction, ...]:
     """The series log(1 - scale*z**power) = -sum_k scale**k/k * z**(k*power)."""
     if power < 1:
         raise ValueError(f"power must be >= 1, got {power}")
@@ -159,4 +24,4 @@ def log_one_minus(scale: Scalar, power: int, degree: int) -> PowerSeries:
         k += 1
         term *= s
         coeffs[k * power] = -term / k
-    return PowerSeries(coeffs)
+    return tuple(coeffs)

@@ -378,7 +378,7 @@ def _check_coefficient_growth(max_n: int) -> tuple:
     table = build_table(THREE_ADIC_EXTENSION, top)
     coeffs = zeta_series(table, top)
     for n in range(200, top + 1):
-        rate = math.log2(int(coeffs[n])) / n
+        rate = math.log2(coeffs[n]) / n
         if abs(rate - 1.0) > 0.05:
             return False, params, f"rate {rate:.4f} at n={n}"
     return True, params

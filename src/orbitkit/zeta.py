@@ -9,6 +9,8 @@ orbits of (1 - z**n)**(-orbits(n)).  Both routes are implemented exactly
 and independently: ``zeta_series`` exponentiates via the convolution
 recurrence n*c_n = sum F_k c_{n-k}, while ``orbit_product_series`` expands
 the product with binomial coefficients; they must agree coefficientwise.
+A series truncated at degree D is a plain tuple of coefficients c_0..c_D:
+ints for the zeta series, Fractions for the logarithmic ones.
 
 For the 3-adic extension the inner sum splits into elementary logarithms
 plus one sixth of the lacunary piece
@@ -34,7 +36,7 @@ from typing import Sequence
 
 from .arith import ExactnessError, ord_p
 from .counting import OrbitTable
-from .series import PowerSeries, log_one_minus
+from .series import log_one_minus
 
 __all__ = [
     "xi_series",
@@ -59,16 +61,23 @@ def _check_degree(table: OrbitTable, degree: int) -> None:
         raise ValueError(f"degree {degree} exceeds table range {table.n_max}")
 
 
-def xi_series(table: OrbitTable, degree: int) -> PowerSeries:
+def _add_scaled(
+    a: Sequence[Fraction], weight: "int | Fraction", b: Sequence[Fraction]
+) -> tuple[Fraction, ...]:
+    """a + weight*b coefficientwise; a degree mismatch raises ValueError."""
+    return tuple(x + weight * y if y else x for x, y in zip(a, b, strict=True))
+
+
+def xi_series(table: OrbitTable, degree: int) -> tuple[Fraction, ...]:
     """The inner sum of the zeta exponential: coefficients F_n/n, a_0 = 0."""
     _check_degree(table, degree)
     coeffs = [Fraction(0)] * (degree + 1)
     for n in range(1, degree + 1):
         coeffs[n] = Fraction(table.fix_counts[n - 1], n)
-    return PowerSeries(coeffs)
+    return tuple(coeffs)
 
 
-def zeta_series(table: OrbitTable, degree: int) -> PowerSeries:
+def zeta_series(table: OrbitTable, degree: int) -> tuple[int, ...]:
     """Exact zeta coefficients via the exponential recurrence.
 
     Every coefficient must come out a non-negative integer (the orbit
@@ -86,10 +95,10 @@ def zeta_series(table: OrbitTable, degree: int) -> PowerSeries:
         if c < 0:
             raise ExactnessError(f"negative zeta coefficient {c} at degree {n}")
         coeffs[n] = c
-    return PowerSeries(coeffs)
+    return tuple(coeffs)
 
 
-def orbit_product_series(table: OrbitTable, degree: int) -> PowerSeries:
+def orbit_product_series(table: OrbitTable, degree: int) -> tuple[int, ...]:
     """Zeta via the orbit product, an independent check on ``zeta_series``.
 
     Expands prod_{n<=N} (1 - z**n)**(-orbits(n)) with the binomial series
@@ -112,10 +121,10 @@ def orbit_product_series(table: OrbitTable, degree: int) -> PowerSeries:
                 if coeffs[i]:
                     new[i + shift] += coeffs[i] * b
         coeffs = new
-    return PowerSeries(coeffs)
+    return tuple(coeffs)
 
 
-def xi1_direct(degree: int) -> PowerSeries:
+def xi1_direct(degree: int) -> tuple[Fraction, ...]:
     """The lacunary even part, term by term.
 
     Coefficient at z**(2n) is (4**n - 1) * |n|_3 / n; odd degrees vanish.
@@ -125,10 +134,10 @@ def xi1_direct(degree: int) -> PowerSeries:
     coeffs = [Fraction(0)] * (degree + 1)
     for n in range(1, degree // 2 + 1):
         coeffs[2 * n] = Fraction(4**n - 1, n * 3 ** ord_p(n, 3))
-    return PowerSeries(coeffs)
+    return tuple(coeffs)
 
 
-def xi1_closed_form(degree: int) -> PowerSeries:
+def xi1_closed_form(degree: int) -> tuple[Fraction, ...]:
     """The same series from its closed form,
 
         log((1-z^2)/(1-4z^2)) + 2*sum_{j>=1} 9**(-j) * log((1-(2z)**(2*3^j))/(1-z**(2*3^j))).
@@ -138,17 +147,17 @@ def xi1_closed_form(degree: int) -> PowerSeries:
     """
     if degree < 2:
         raise ValueError(f"xi1 needs degree >= 2, got {degree}")
-    total = log_one_minus(1, 2, degree) - log_one_minus(4, 2, degree)
+    total = _add_scaled(log_one_minus(1, 2, degree), -1, log_one_minus(4, 2, degree))
     j = 1
     while 2 * 3**j <= degree:
         m = 2 * 3**j
-        level = log_one_minus(1 << m, m, degree) - log_one_minus(1, m, degree)
-        total = total + level * Fraction(2, 9**j)
+        level = _add_scaled(log_one_minus(1 << m, m, degree), -1, log_one_minus(1, m, degree))
+        total = _add_scaled(total, Fraction(2, 9**j), level)
         j += 1
     return total
 
 
-def xi_from_closed_parts(degree: int) -> PowerSeries:
+def xi_from_closed_parts(degree: int) -> tuple[Fraction, ...]:
     """Reassemble the full inner sum for the 3-adic extension:
 
         log((1-z)/(1-2z)) - (1/2) log((1-z^2)/(1-4z^2)) + (1/6) xi1(z).
@@ -157,9 +166,10 @@ def xi_from_closed_parts(degree: int) -> PowerSeries:
     """
     if degree < 2:
         raise ValueError(f"decomposition needs degree >= 2, got {degree}")
-    odd_part = log_one_minus(1, 1, degree) - log_one_minus(2, 1, degree)
-    even_fix = log_one_minus(1, 2, degree) - log_one_minus(4, 2, degree)
-    return odd_part - even_fix * Fraction(1, 2) + xi1_closed_form(degree) * Fraction(1, 6)
+    odd_part = _add_scaled(log_one_minus(1, 1, degree), -1, log_one_minus(2, 1, degree))
+    even_fix = _add_scaled(log_one_minus(1, 2, degree), -1, log_one_minus(4, 2, degree))
+    odd_even = _add_scaled(odd_part, Fraction(-1, 2), even_fix)
+    return _add_scaled(odd_even, Fraction(1, 6), xi1_closed_form(degree))
 
 
 @dataclass(frozen=True)

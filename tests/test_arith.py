@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitkit.arith import PAdicAbs, Rational, divisors, mobius, ord_p, padic_abs
+from orbitkit.arith import PAdicAbs, divisors, mobius, ord_p, padic_abs
 
 
 def naive_divisors(n):
@@ -147,10 +147,3 @@ def test_padic_validation():
     with pytest.raises(ValueError):
         PAdicAbs(3, -1)
 
-
-def test_rational_is_normalized_fraction():
-    value = Rational(6, 4)
-    assert value == Fraction(3, 2)
-    assert value.numerator == 3 and value.denominator == 2
-    negative = Rational(1, -2)
-    assert negative.denominator == 2 and negative.numerator == -1

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -65,6 +66,18 @@ def test_custom_orbit_file(tmp_path, capsys):
     assert code == 0
     _, rows = csv_rows(out)
     assert [r[1] for r in rows] == ["1", "7", "1", "7"]
+
+
+def test_custom_orbit_file_count_beyond_4300_digits(tmp_path, capsys):
+    count = "7" * 5000
+    path = tmp_path / "orbits.txt"
+    path.write_text(count + "\n", encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run_cli(capsys, "table", "--map", str(path), "--max", "1")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows == [["1", count, count, count]]
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_custom_orbit_file_bad_content(tmp_path, capsys):
@@ -249,11 +262,19 @@ def test_verify_fault_injection_fails(monkeypatch, capsys):
     assert any(row[1] == "FAIL" for row in rows)
 
 
-@pytest.mark.parametrize("max_n, sha256", [
-    ("100", "86bd3dfab8e0c118411cfa27d3a4e8076b501b492a5ffb4bcfb952b0b89dc485"),
-    ("2000", "e1fcca489d63d0e043d45c2915a8f69305c102f0bb6ffea4ef188db05c13cf15"),
-])
-def test_verify_output_bytes_pinned(capsys, max_n, sha256):
-    code, out, _ = run_cli(capsys, "verify", "--max", max_n)
+@pytest.mark.parametrize("argv, sha256", [
+    (("verify", "--max", "100"),
+     "86bd3dfab8e0c118411cfa27d3a4e8076b501b492a5ffb4bcfb952b0b89dc485"),
+    (("verify", "--max", "2000"),
+     "e1fcca489d63d0e043d45c2915a8f69305c102f0bb6ffea4ef188db05c13cf15"),
+    (("zeta", "coeffs", "--map", "f", "--degree", "500"),
+     "a9b612ca435dd39016a3bffd9fd385fb5ae3f7d17eb2d823cff49bcdd7f877cc"),
+    (("zeta", "coeffs", "--map", "f", "--degree", "500", "--format", "json"),
+     "5fb8cc431800eb43ca651f0d955d0f59269bb12d6697eaf0e18fffaf4fac2846"),
+    (("zeta", "xi1-check", "--degree", "500"),
+     "ef046bc40ef1743bb78c1f7c27c5a9982f743a20062e4138f92babde9fd9489b"),
+], ids=lambda value: value[-1] if isinstance(value, tuple) else None)
+def test_verify_output_bytes_pinned(capsys, argv, sha256):
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256

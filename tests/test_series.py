@@ -1,113 +1,13 @@
-import random
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
-from orbitkit.series import PowerSeries, log_one_minus
-
-
-def test_construction_and_degree():
-    s = PowerSeries([1, 2, Fraction(1, 3)])
-    assert s.degree == 2
-    assert s[2] == Fraction(1, 3)
-    with pytest.raises(ValueError):
-        PowerSeries([])
-    with pytest.raises(IndexError):
-        s[3]
-
-
-def test_zero_one_from_terms():
-    assert PowerSeries.zero(3).coeffs == (0, 0, 0, 0)
-    assert PowerSeries.one(2).coeffs == (1, 0, 0)
-    s = PowerSeries.from_terms({0: 1, 4: Fraction(-2, 3)}, 5)
-    assert s[0] == 1 and s[4] == Fraction(-2, 3) and s[5] == 0
-    with pytest.raises(ValueError):
-        PowerSeries.from_terms({7: 1}, 5)
-
-
-def test_add_sub_scale():
-    a = PowerSeries([1, 2, 3])
-    b = PowerSeries([0, 1, 1])
-    assert (a + b).coeffs == (1, 3, 4)
-    assert (a - b).coeffs == (1, 1, 2)
-    assert (-b).coeffs == (0, -1, -1)
-    assert (a * 2).coeffs == (2, 4, 6)
-    assert (Fraction(1, 2) * a).coeffs == (Fraction(1, 2), 1, Fraction(3, 2))
-
-
-def test_alignment_enforced():
-    with pytest.raises(ValueError):
-        PowerSeries([1, 2]) + PowerSeries([1, 2, 3])
-
-
-def test_truncate():
-    s = PowerSeries([1, 2, 3])
-    assert s.truncate(1).coeffs == (1, 2)
-    assert s.truncate(4).coeffs == (1, 2, 3, 0, 0)
-
-
-def test_multiplication_matches_naive_convolution():
-    a = PowerSeries([1, Fraction(1, 2), 0, 3, -1])
-    b = PowerSeries([2, 0, Fraction(-1, 3), 1, 5])
-    product = a * b
-    for n in range(5):
-        expected = sum(a[i] * b[n - i] for i in range(n + 1))
-        assert product[n] == expected
-
-
-def test_multiplication_commutes():
-    a = PowerSeries([1, 2, 3, 4])
-    b = PowerSeries([0, -1, Fraction(5, 7), 2])
-    assert a * b == b * a
-
-
-def test_exp_of_z_gives_factorials():
-    z = PowerSeries.from_terms({1: 1}, 6)
-    e = z.exp()
-    for n in range(7):
-        assert e[n] == Fraction(1, factorial(n))
-
-
-def test_exp_requires_zero_constant_term():
-    with pytest.raises(ValueError):
-        PowerSeries([1, 1]).exp()
-
-
-def test_log_requires_unit_constant_term():
-    with pytest.raises(ValueError):
-        PowerSeries([2, 1]).log()
-
-
-def test_log_exp_roundtrip_random():
-    rng = random.Random(987654)
-    for _ in range(25):
-        coeffs = [Fraction(0)] + [
-            Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(8)
-        ]
-        s = PowerSeries(coeffs)
-        assert s.exp().log() == s
-
-
-def test_exp_log_roundtrip_other_direction():
-    rng = random.Random(555)
-    for _ in range(10):
-        coeffs = [Fraction(1)] + [
-            Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(7)
-        ]
-        s = PowerSeries(coeffs)
-        assert s.log().exp() == s
-
-
-def test_exp_is_multiplicative():
-    a = PowerSeries([0, 1, Fraction(1, 2), -2, 0, 1])
-    b = PowerSeries([0, -1, 3, Fraction(2, 3), 1, 0])
-    assert (a + b).exp() == a.exp() * b.exp()
+from orbitkit.series import log_one_minus
 
 
 def test_log_one_minus_coefficients():
     s = log_one_minus(2, 1, 5)
-    assert s.coeffs == (
+    assert s == (
         0,
         -2,
         -2,
@@ -115,15 +15,10 @@ def test_log_one_minus_coefficients():
         -4,
         Fraction(-32, 5),
     )
+    assert all(type(c) is Fraction for c in s)
     sparse = log_one_minus(Fraction(1, 2), 3, 7)
     assert sparse[3] == Fraction(-1, 2)
     assert sparse[6] == Fraction(-1, 8)
     assert sparse[7] == 0
     with pytest.raises(ValueError):
         log_one_minus(1, 0, 4)
-
-
-def test_exp_of_minus_log_is_geometric():
-    # exp(-log(1 - z)) = 1/(1 - z): all-ones coefficients
-    s = (-log_one_minus(1, 1, 10)).exp()
-    assert all(c == 1 for c in s.coeffs)
