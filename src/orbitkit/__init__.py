@@ -3,7 +3,7 @@ circle-doubling map and its 3-adic isometric extension."""
 
 __version__ = "0.1.0"
 
-from .arith import ExactnessError, PAdicAbs, divisors, mobius, ord_p, padic_abs
+from .arith import ExactnessError, divisors, mobius, ord_p, padic_abs
 from .asymptotics import (
     MertenPoint,
     RatioPoint,
@@ -42,7 +42,6 @@ from .zeta import (
 __all__ = [
     "__version__",
     "ExactnessError",
-    "PAdicAbs",
     "divisors",
     "mobius",
     "ord_p",

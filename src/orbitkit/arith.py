@@ -7,12 +7,10 @@ Everything is plain integer arithmetic on Python ints plus
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
 __all__ = [
-    "PAdicAbs",
     "ExactnessError",
     "divisors",
     "mobius",
@@ -99,36 +97,6 @@ def ord_p(n: int, p: int) -> int:
     return a
 
 
-def padic_abs(n: int, p: int) -> "PAdicAbs":
+def padic_abs(n: int, p: int) -> Fraction:
     """p-adic absolute value of a positive integer, |n|_p = p**(-ord_p(n))."""
-    return PAdicAbs(p, ord_p(n, p))
-
-
-@dataclass(frozen=True)
-class PAdicAbs:
-    """The exact value p**(-valuation), stored as its prime and exponent.
-
-    Keeping the exponent instead of any numeric value keeps the value exact
-    at any size.  Only absolute values of nonzero integers occur here, so
-    the valuation is always >= 0 and the value lies in (0, 1].
-    """
-
-    prime: int
-    valuation: int
-
-    def __post_init__(self) -> None:
-        if not _is_prime(self.prime):
-            raise ValueError(f"PAdicAbs prime must be prime, got {self.prime}")
-        if self.valuation < 0:
-            raise ValueError(f"PAdicAbs valuation must be >= 0, got {self.valuation}")
-
-    def as_rational(self) -> Fraction:
-        return Fraction(1, self.prime**self.valuation)
-
-    def __float__(self) -> float:
-        return 1.0 / self.prime**self.valuation
-
-    def __str__(self) -> str:
-        if self.valuation == 0:
-            return "1"
-        return f"{self.prime}^(-{self.valuation})"
+    return Fraction(1, p ** ord_p(n, p))

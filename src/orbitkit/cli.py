@@ -139,10 +139,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
     meta = {"command": "table", "map": spec.label, "max": args.max}
     if spec.entropy_base is not None:
         meta["entropy"] = f"log({spec.entropy_base})"
-    rows = [
+    rows = (
         (str(n), str(fix), str(least), str(orbits))
         for n, fix, least, orbits in table.rows()
-    ]
+    )
     write_table(_output_config(args), meta,
                 ("n", "fix_count", "least_count", "orbit_count"), rows)
     return EXIT_OK
@@ -167,7 +167,7 @@ def _cmd_pnt(args: argparse.Namespace) -> int:
         "band": f"[{format_fraction(band_low)}, {format_fraction(band_high)}]",
         "ratio_clusters": "; ".join(f"{mean:.4f} x{count}" for mean, count in clusters),
     }
-    rows = [
+    rows = (
         (
             str(p.X),
             str(p.pi),
@@ -177,7 +177,7 @@ def _cmd_pnt(args: argparse.Namespace) -> int:
             format_fraction(p.running_max),
         )
         for p in points
-    ]
+    )
     write_table(config, meta,
                 ("X", "pi", "ratio", "ratio_decimal", "running_min", "running_max"),
                 rows)
@@ -200,17 +200,16 @@ def _cmd_merten(args: argparse.Namespace) -> int:
         "precision_bits": bits,
         "slack": str(MERTEN_SLACK),
     }
-    rows = []
-    for p in points:
-        rows.append(
-            (
-                str(p.X),
-                format_fraction(p.sum),
-                format_fraction_decimal(p.sum, config.digits),
-                format_real(p.log_x, config.digits),
-                "" if p.normalized is None else format_real(p.normalized, config.digits),
-            )
+    rows = (
+        (
+            str(p.X),
+            format_fraction(p.sum),
+            format_fraction_decimal(p.sum, config.digits),
+            format_real(p.log_x, config.digits),
+            "" if p.normalized is None else format_real(p.normalized, config.digits),
         )
+        for p in points
+    )
     write_table(config, meta,
                 ("X", "sum", "sum_decimal", "log_x", "normalized"), rows)
     return EXIT_OK
@@ -222,14 +221,13 @@ def _cmd_zeta_coeffs(args: argparse.Namespace) -> int:
     table = build_table(spec, max(args.degree, 1))
     coeffs = zeta_series(table, args.degree)
     meta = {"command": "zeta coeffs", "map": spec.label, "degree": args.degree}
-    rows = [(str(n), str(c)) for n, c in enumerate(coeffs)]
+    rows = ((str(n), str(c)) for n, c in enumerate(coeffs))
     write_table(_output_config(args), meta, ("n", "coefficient"), rows)
     return EXIT_OK
 
 
 def _cmd_zeta_xi1_check(args: argparse.Namespace) -> int:
-    if args.degree < 2:
-        raise ValueError(f"--degree must be >= 2, got {args.degree}")
+    _check_range("--degree", args.degree, 2, 5000)
     direct = xi1_direct(args.degree)
     closed = xi1_closed_form(args.degree)
     verified = direct == closed
@@ -271,7 +269,7 @@ def _cmd_zeta_boundary(args: argparse.Namespace) -> int:
         "degree": args.degree,
         "digits": config.digits,
     }
-    rows = [
+    rows = (
         (
             format_real(row.radius, config.digits),
             str(row.angle_num),
@@ -282,7 +280,7 @@ def _cmd_zeta_boundary(args: argparse.Namespace) -> int:
             str(row.degree),
         )
         for row in rows_data
-    ]
+    )
     write_table(config, meta,
                 ("radius", "angle_num", "angle_den", "product_modulus",
                  "series_modulus", "terms", "degree"),

@@ -17,10 +17,9 @@ iterates of either, and user-supplied orbit-count data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log
 from typing import Iterator, Sequence
 
-from .arith import ExactnessError, PAdicAbs, divisors, mobius, ord_p
+from .arith import ExactnessError, divisors, mobius, ord_p
 
 __all__ = [
     "MapSpec",
@@ -85,11 +84,6 @@ class MapSpec:
         return None
 
     @property
-    def entropy(self) -> float | None:
-        b = self.entropy_base
-        return None if b is None else log(b)
-
-    @property
     def label(self) -> str:
         if self.kind == _ITERATE:
             assert self.base is not None
@@ -117,18 +111,18 @@ def custom_orbits(counts: Sequence[int]) -> MapSpec:
     return MapSpec(_CUSTOM, counts=tuple(int(c) for c in counts))
 
 
-def padic_factor(n: int) -> PAdicAbs:
-    """Closed form for |2**n - 1|_3.
+def padic_factor(n: int) -> int:
+    """Closed form for ord_3(2**n - 1), so |2**n - 1|_3 = 3**(-padic_factor(n)).
 
-    Expanding 2**n = (3 - 1)**n shows the value is 1 for odd n and
-    (1/3)|n|_3 for even n.  ``ord_p`` on the full integer 2**n - 1 is the
+    Expanding 2**n = (3 - 1)**n shows the value is 0 for odd n and
+    1 + ord_3(n) for even n.  ``ord_p`` on the full integer 2**n - 1 is the
     brute-force check for this.
     """
     if n < 1:
         raise ValueError(f"padic_factor requires n >= 1, got {n}")
     if n % 2 == 1:
-        return PAdicAbs(3, 0)
-    return PAdicAbs(3, 1 + ord_p(n, 3))
+        return 0
+    return 1 + ord_p(n, 3)
 
 
 def fix_count(spec: MapSpec, n: int) -> int:
@@ -143,12 +137,10 @@ def fix_count(spec: MapSpec, n: int) -> int:
         return (1 << n) - 1
     if spec.kind == _EXTENSION:
         mersenne = (1 << n) - 1
-        scale = 3 ** padic_factor(n).valuation
-        quotient, remainder = divmod(mersenne, scale)
+        valuation = padic_factor(n)
+        quotient, remainder = divmod(mersenne, 3**valuation)
         if remainder:
-            raise ExactnessError(
-                f"3**{padic_factor(n).valuation} does not divide 2**{n} - 1"
-            )
+            raise ExactnessError(f"3**{valuation} does not divide 2**{n} - 1")
         return quotient
     if spec.kind == _ITERATE:
         assert spec.base is not None

@@ -10,13 +10,13 @@ under a "meta" key.  Identical invocations produce byte-identical output.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
 import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import mpmath
 
@@ -68,39 +68,32 @@ def format_real(value: Any, digits: int) -> str:
     raise TypeError(f"cannot render {type(value).__name__} as a real")
 
 
-def _render_csv(meta: Mapping[str, Any], header: Sequence[str],
-                rows: Sequence[Sequence[str]]) -> str:
-    buffer = io.StringIO()
-    for key, value in meta.items():
-        buffer.write(f"# {key}={value}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _render_json(meta: Mapping[str, Any], header: Sequence[str],
-                 rows: Sequence[Sequence[str]]) -> str:
-    payload = {
-        "meta": {k: str(v) for k, v in meta.items()},
-        "rows": [dict(zip(header, row)) for row in rows],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def write_table(
     config: OutputConfig,
     meta: Mapping[str, Any],
     header: Sequence[str],
-    rows: Sequence[Sequence[str]],
+    rows: Iterable[Sequence[str]],
 ) -> None:
-    """Render one result table to the configured destination."""
-    if config.format == "csv":
-        text = _render_csv(meta, header, rows)
-    else:
-        text = _render_json(meta, header, rows)
+    """Write one result table to the configured destination, row by row.
+
+    CSV rows go out as they are pulled from ``rows``; JSON needs its row
+    objects in hand before ``json.dump`` can encode them.
+    """
     if config.path is None:
-        sys.stdout.write(text)
+        destination = contextlib.nullcontext(sys.stdout)
     else:
-        with open(config.path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        destination = open(config.path, "w", encoding="utf-8")
+    with destination as handle:
+        if config.format == "csv":
+            for key, value in meta.items():
+                handle.write(f"# {key}={value}\n")
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        else:
+            payload = {
+                "meta": {k: str(v) for k, v in meta.items()},
+                "rows": [dict(zip(header, row)) for row in rows],
+            }
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")

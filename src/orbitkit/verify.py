@@ -15,6 +15,7 @@ so every criterion has this one implementation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -110,7 +111,7 @@ def _check_divisor_pairing(max_n: int) -> tuple:
 @_check("padic-abs-range")
 def _check_padic_range(max_n: int) -> tuple:
     for n in range(1, max_n + 1):
-        value = padic_abs(n, 3).as_rational()
+        value = padic_abs(n, 3)
         if not (0 < value <= 1 and value >= Fraction(1, n)):
             return False, f"n<={max_n}", f"fails at {n}"
     return True, f"n<={max_n}"
@@ -121,7 +122,7 @@ def _check_padic_closed_form(max_n: int) -> tuple:
     mersenne = 0
     for n in range(1, max_n + 1):
         mersenne = (mersenne << 1) + 1
-        if padic_factor(n).valuation != ord_p(mersenne, 3):
+        if padic_factor(n) != ord_p(mersenne, 3):
             return False, f"n<={max_n}", f"mismatch at n={n}"
     return True, f"n<={max_n}"
 
@@ -223,7 +224,9 @@ def _check_pi_domination(max_n: int) -> tuple:
     return True, f"X<={max_n}"
 
 
+@functools.lru_cache(maxsize=1)
 def _ratio_window(max_n: int):
+    """The f ratio series, built once for the two checks that read it."""
     if max_n <= asymptotics.DEFAULT_BURN_IN:
         return None
     table = build_table(THREE_ADIC_EXTENSION, max_n)
@@ -250,6 +253,7 @@ def _check_ratio_band(max_n: int) -> tuple:
 def _check_ratio_clusters(max_n: int) -> tuple:
     params = f"64<=X<={max_n}"
     points = _ratio_window(max_n)
+    _ratio_window.cache_clear()  # the last reader: free the series before later checks
     if points is None:
         return True, params, _VACUOUS
     clusters = asymptotics.cluster_ratios([p.ratio for p in points])

@@ -10,8 +10,7 @@ with -s to see them); a failed assert is the FAIL line.
 
 import pytest
 
-from orbitkit import verify
-from orbitkit.arith import PAdicAbs
+from orbitkit import asymptotics, verify
 from orbitkit.asymptotics import delta_gap, ratio_series
 from orbitkit.counting import CIRCLE_DOUBLING, THREE_ADIC_EXTENSION, build_table
 
@@ -112,10 +111,23 @@ def test_every_check_passes_at_the_acceptance_window(checks):
 
 
 def test_broken_check_fails_its_criterion(checks, monkeypatch):
-    monkeypatch.setattr(verify, "padic_factor", lambda n: PAdicAbs(3, 0))
+    monkeypatch.setattr(verify, "padic_factor", lambda n: 0)
     broken = {**checks, "padic-closed-form": verify.CHECKS["padic-closed-form"](5000)}
     with pytest.raises(AssertionError, match="padic-closed-form FAIL"):
         test_criterion_01_padic_closed_form_vs_brute_force(broken)
+
+
+def test_run_checks_builds_each_ratio_series_once(monkeypatch):
+    built = []
+    original = asymptotics.ratio_series
+
+    def counted(table, *args):
+        built.append(table.spec.label)
+        return original(table, *args)
+
+    monkeypatch.setattr(asymptotics, "ratio_series", counted)
+    verify.run_checks(200)
+    assert sorted(built) == ["3-adic-extension", "circle-doubling"]
 
 
 def test_pi_sum_spot_values():

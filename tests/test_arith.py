@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from orbitkit.arith import PAdicAbs, divisors, mobius, ord_p, padic_abs
+from orbitkit.arith import divisors, mobius, ord_p, padic_abs
 
 
 def naive_divisors(n):
@@ -116,14 +116,16 @@ def test_ord_rejects_bad_input():
 
 
 def test_padic_abs_examples():
-    assert padic_abs(63, 3) == PAdicAbs(3, 2)
-    assert padic_abs(7, 3) == PAdicAbs(3, 0)
-    assert padic_abs(4095, 3) == PAdicAbs(3, 2)
+    assert padic_abs(63, 3) == Fraction(1, 9)
+    assert padic_abs(7, 3) == Fraction(1)
+    assert padic_abs(4095, 3) == Fraction(1, 9)
+    assert padic_abs(250, 5) == Fraction(1, 125)
+    assert type(padic_abs(7, 3)) is Fraction
 
 
 def test_padic_abs_range():
     for n in range(1, 2000):
-        value = padic_abs(n, 3).as_rational()
+        value = padic_abs(n, 3)
         assert 0 < value <= 1
         assert value >= Fraction(1, n)
 
@@ -131,19 +133,3 @@ def test_padic_abs_range():
 def test_padic_abs_rejects_zero():
     with pytest.raises(ValueError):
         padic_abs(0, 3)
-
-
-def test_padic_value_semantics():
-    one_ninth = PAdicAbs(3, 2)
-    assert one_ninth.as_rational() == Fraction(1, 9)
-    assert float(one_ninth) == 1.0 / 9.0
-    assert str(one_ninth) == "3^(-2)"
-    assert str(PAdicAbs(3, 0)) == "1"
-
-
-def test_padic_validation():
-    with pytest.raises(ValueError):
-        PAdicAbs(4, 1)
-    with pytest.raises(ValueError):
-        PAdicAbs(3, -1)
-

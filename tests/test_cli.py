@@ -1,10 +1,12 @@
 import hashlib
+import io
 import json
 import sys
 
 import pytest
 
 from orbitkit.cli import main
+from orbitkit.output import OutputConfig, write_table
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +181,14 @@ def test_zeta_xi1_check_passes(capsys):
     assert rows == [["100", "PASS"]]
 
 
+@pytest.mark.parametrize("degree", ["1", "5001"])
+def test_zeta_xi1_check_degree_range(capsys, degree):
+    code, out, err = run_cli(capsys, "zeta", "xi1-check", "--degree", degree)
+    assert code == 1
+    assert out == ""
+    assert err == f"orbitkit: error: --degree must lie in 2..5000, got {degree}\n"
+
+
 def test_zeta_boundary_scan(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -231,6 +241,32 @@ def test_output_to_file(tmp_path, capsys):
     assert "n,fix_count" in target.read_text(encoding="utf-8")
 
 
+def test_output_to_missing_directory_is_io_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv"
+    code, out, err = run_cli(
+        capsys, "table", "--map", "g", "--max", "2", "--output", str(target)
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("orbitkit: i/o error: ") and "Traceback" not in err
+    assert not target.parent.exists()
+
+
+def test_write_table_writes_csv_rows_as_it_pulls_them(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    written_before_pull = []
+
+    def rows():
+        for n in range(3):
+            written_before_pull.append(sys.stdout.tell())
+            yield str(n), str(n * n)
+
+    write_table(OutputConfig(), {"command": "squares"}, ("n", "square"), rows())
+    first, second, third = written_before_pull
+    assert 0 < first < second < third
+    assert sys.stdout.getvalue() == "# command=squares\nn,square\n0,0\n1,1\n2,4\n"
+
+
 def test_byte_identical_reruns(capsys):
     _, first, _ = run_cli(capsys, "merten", "--map", "f", "--max", "10")
     _, second, _ = run_cli(capsys, "merten", "--map", "f", "--max", "10")
@@ -253,9 +289,8 @@ def test_verify_digits_flag_accepted(capsys):
 
 def test_verify_fault_injection_fails(monkeypatch, capsys):
     import orbitkit.verify as verify
-    from orbitkit.arith import PAdicAbs
 
-    monkeypatch.setattr(verify, "padic_factor", lambda n: PAdicAbs(3, 0))
+    monkeypatch.setattr(verify, "padic_factor", lambda n: 0)
     code, out, _ = run_cli(capsys, "verify", "--max", "16")
     assert code == 2
     _, rows = csv_rows(out)
@@ -273,6 +308,15 @@ def test_verify_fault_injection_fails(monkeypatch, capsys):
      "5fb8cc431800eb43ca651f0d955d0f59269bb12d6697eaf0e18fffaf4fac2846"),
     (("zeta", "xi1-check", "--degree", "500"),
      "ef046bc40ef1743bb78c1f7c27c5a9982f743a20062e4138f92babde9fd9489b"),
+    (("table", "--map", "f", "--max", "300"),
+     "8fb301b49bf055bfe39874c2c741326a6c9a98bd48a7d556cd4c36968d870231"),
+    (("pnt", "--map", "f", "--max", "300"),
+     "12c609257c3a5c7f3390002afda28663138be4ad282a62664d58e9cf0c39451b"),
+    (("merten", "--map", "g", "--max", "300", "--format", "json"),
+     "a5f9e36d9e09e9c2a89d0b681f822f2b703eb746ed9f83066f0a187c2884bc5a"),
+    (("zeta", "boundary", "--angle", "1/3", "--radii", "0.49,0.499", "--terms", "6",
+      "--degree", "300"),
+     "241dcc5252c94605853ebdcda679fb6f3397b7078c4ad33fbdf4aef13b0072c2"),
 ], ids=lambda value: value[-1] if isinstance(value, tuple) else None)
 def test_verify_output_bytes_pinned(capsys, argv, sha256):
     code, out, _ = run_cli(capsys, *argv)
