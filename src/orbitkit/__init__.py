@@ -3,7 +3,7 @@ circle-doubling map and its 3-adic isometric extension."""
 
 __version__ = "0.1.0"
 
-from .arith import ExactnessError, divisors, mobius, ord_p, padic_abs
+from .arith import Dyadic, ExactnessError, divisors, mobius, ord_p, padic_abs
 from .asymptotics import (
     MertenPoint,
     RatioPoint,
@@ -41,6 +41,7 @@ from .zeta import (
 
 __all__ = [
     "__version__",
+    "Dyadic",
     "ExactnessError",
     "divisors",
     "mobius",

@@ -1,5 +1,6 @@
 """Exact number-theoretic primitives: divisors, the Möbius function,
-p-adic valuations and absolute values.
+p-adic valuations and absolute values, and the dyadic rationals that the
+power-of-two normalised sums are kept in.
 
 Everything is plain integer arithmetic on Python ints plus
 ``fractions.Fraction``, so results are exact at any size.
@@ -7,10 +8,12 @@ Everything is plain integer arithmetic on Python ints plus
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import isqrt
 
 __all__ = [
+    "Dyadic",
     "ExactnessError",
     "divisors",
     "mobius",
@@ -100,3 +103,72 @@ def ord_p(n: int, p: int) -> int:
 def padic_abs(n: int, p: int) -> Fraction:
     """p-adic absolute value of a positive integer, |n|_p = p**(-ord_p(n))."""
     return Fraction(1, p ** ord_p(n, p))
+
+
+def _exact_comparison(op):
+    def compare(self: "Dyadic", other: object) -> bool:
+        pair = self._common_numerators(other)
+        return NotImplemented if pair is None else op(*pair)
+
+    return compare
+
+
+class Dyadic:
+    """The exact rational ``numerator / 2**shift``, kept unreduced.
+
+    Sums and ratios normalised by a power of two live in this form instead
+    of a ``Fraction``, which would pay a big-int gcd at every step: two
+    dyadics compare, subtract and take ``abs`` by shifting one numerator.
+    They compare by value with each other, with ints and with
+    ``Fraction``s; ``float()`` rounds correctly, as it does for a
+    ``Fraction``.  ``shift`` is never negative.
+    """
+
+    __slots__ = ("numerator", "shift")
+
+    def __init__(self, numerator: int, shift: int) -> None:
+        self.numerator = numerator
+        self.shift = shift
+
+    @classmethod
+    def from_mpf(cls, value) -> "Dyadic":
+        """The exact value ``man * 2**exp`` of a finite mpmath real."""
+        sign, man, exp, _ = value._mpf_
+        if not man and exp:
+            raise ValueError("cannot convert a non-finite value to a Dyadic")
+        if sign:
+            man = -man
+        return cls(man << exp, 0) if exp >= 0 else cls(man, -exp)
+
+    def _common_numerators(self, other: object) -> "tuple[int, int] | None":
+        """Numerators of self and ``other`` over one common denominator."""
+        if isinstance(other, Dyadic):
+            return (self.numerator << max(other.shift - self.shift, 0),
+                    other.numerator << max(self.shift - other.shift, 0))
+        if isinstance(other, (int, Fraction)):
+            return self.numerator * other.denominator, other.numerator << self.shift
+        return None
+
+    __eq__ = _exact_comparison(operator.eq)
+    __lt__ = _exact_comparison(operator.lt)
+    __le__ = _exact_comparison(operator.le)
+    __gt__ = _exact_comparison(operator.gt)
+    __ge__ = _exact_comparison(operator.ge)
+    __hash__ = None  # equal to Fractions whose hashes it does not compute
+
+    def __sub__(self, other: "Dyadic | int") -> "Dyadic":
+        if isinstance(other, int):
+            other = Dyadic(other, 0)
+        shift = max(self.shift, other.shift)
+        return Dyadic((self.numerator << (shift - self.shift))
+                      - (other.numerator << (shift - other.shift)), shift)
+
+    def __abs__(self) -> "Dyadic":
+        return Dyadic(abs(self.numerator), self.shift)
+
+    def __float__(self) -> float:
+        # int / int true division rounds correctly, the same as float(Fraction).
+        return self.numerator / (1 << self.shift)
+
+    def __repr__(self) -> str:
+        return f"Dyadic({self.numerator}, {self.shift})"

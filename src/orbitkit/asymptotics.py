@@ -9,9 +9,15 @@ orbit count that bounds it, in one running-sum pass.  ``merten_series``
 forms the weighted sums sum_{n<=X} orbits(n)/2**n, which track log X for
 the doubling map and sit between (1/2) log X and log X for the extension.
 
-All sums are exact rationals; conversion to high-precision reals (mpmath,
-at least 60 significant bits, default 64) happens only for rendering and
-for comparison against ln X.
+The ratios and the sums are exact rationals with a power-of-two
+denominator, so they are carried as ``Dyadic`` values: an integer
+numerator over an implicit 2**shift, never reduced.  The Merten numerator
+N_X over 2**X grows by N_X = 2*N_{X-1} + orbits(X), the ratio's numerator
+is X*pi(X) over 2**(X+1), and running extrema compare by shifting one
+numerator, so no step pays for a gcd.  Conversion to high-precision reals
+(mpmath, at least 60 significant bits, default 64) happens only for
+rendering and for comparison against ln X: mpf((N_X, -X)) rounds the exact
+sum once, correctly.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .arith import ExactnessError
+from .arith import Dyadic, ExactnessError
 from .counting import OrbitTable
 
 __all__ = [
@@ -31,7 +37,6 @@ __all__ = [
     "delta_gap",
     "merten_series",
     "cluster_ratios",
-    "mpf_to_fraction",
     "DEFAULT_PRECISION_BITS",
     "DEFAULT_BURN_IN",
     "RATIO_BAND_TOLERANCE",
@@ -53,27 +58,28 @@ class RatioPoint:
     """One sample of the normalized orbit-count ratio X*pi(X)/2**(X+1).
 
     ``running_min``/``running_max`` are the extrema of the ratio over the
-    window from the burn-in point up to X, all exact rationals.
+    window from the burn-in point up to X: each is the ``ratio`` of the
+    point where it was reached.  All three are exact ``Dyadic`` values.
     """
 
     X: int
     pi: int
-    ratio: Fraction
-    running_min: Fraction
-    running_max: Fraction
+    ratio: Dyadic
+    running_min: Dyadic
+    running_max: Dyadic
 
 
 @dataclass(frozen=True)
 class MertenPoint:
     """One partial sum sum_{n<=X} orbits(n)/2**n with its log X comparison.
 
-    ``sum`` is exact with a power-of-two denominator; ``log_x`` and
-    ``normalized`` (= sum/log X, defined for X >= 2) are mpmath reals at the
-    requested precision.
+    ``sum`` is the exact ``Dyadic`` N_X / 2**X; ``log_x`` and ``normalized``
+    (= sum/log X, defined for X >= 2) are mpmath reals at the requested
+    precision.
     """
 
     X: int
-    sum: Fraction
+    sum: Dyadic
     log_x: mpmath.mpf
     normalized: "mpmath.mpf | None"
 
@@ -95,13 +101,13 @@ def ratio_series(
         )
     points: list[RatioPoint] = []
     running = 0
-    lo: Fraction | None = None
-    hi: Fraction | None = None
+    lo: Dyadic | None = None
+    hi: Dyadic | None = None
     for X in range(1, X_max + 1):
         running += table.orbit_counts[X - 1]
         if X < burn_in:
             continue
-        ratio = Fraction(X * running, 1 << (X + 1))
+        ratio = Dyadic(X * running, X + 1)
         lo = ratio if lo is None or ratio < lo else lo
         hi = ratio if hi is None or ratio > hi else hi
         points.append(
@@ -147,25 +153,19 @@ def merten_series(
     if precision_bits < 60:
         raise ValueError(f"precision must be >= 60 bits, got {precision_bits}")
     points: list[MertenPoint] = []
-    total = Fraction(0)
+    numerator = 0
     with mpmath.workprec(precision_bits):
         for X in range(1, X_max + 1):
-            total += Fraction(table.orbit_counts[X - 1], 1 << X)
+            numerator = 2 * numerator + table.orbit_counts[X - 1]
             log_x = mpmath.log(X)
-            if X >= 2:
-                normalized = (
-                    mpmath.fdiv(total.numerator, total.denominator) / log_x
-                )
-            else:
-                normalized = None
-            points.append(
-                MertenPoint(X=X, sum=total, log_x=log_x, normalized=normalized)
-            )
+            normalized = mpmath.mpf((numerator, -X)) / log_x if X >= 2 else None
+            points.append(MertenPoint(X=X, sum=Dyadic(numerator, X), log_x=log_x,
+                                      normalized=normalized))
     return points
 
 
 def cluster_ratios(
-    values: list[Fraction], gap: float = 0.01
+    values: "list[Dyadic | Fraction]", gap: float = 0.01
 ) -> list[tuple[float, int]]:
     """Group ratio values into clusters separated by more than ``gap``.
 
@@ -186,11 +186,3 @@ def cluster_ratios(
             start = i
     return clusters
 
-
-def mpf_to_fraction(x: mpmath.mpf) -> Fraction:
-    """Exact rational value of a finite mpmath float."""
-    sign, man, exp, _ = mpmath.mpf(x)._mpf_
-    if man == 0 and exp != 0:
-        raise ValueError("cannot convert non-finite value to Fraction")
-    value = Fraction(man) * (Fraction(2) ** exp)
-    return -value if sign else value

@@ -10,8 +10,8 @@ in CSV or JSON.  Subcommands:
     verify   the full invariant suite, one PASS/FAIL line per check
 
 Exit status: 0 on success, 1 on a validation error, 2 on a verification
-failure.  The environment variable ORBITKIT_PRECISION_BITS (default 64)
-sets the working precision for real-valued columns.
+failure.  The environment variable ORBITKIT_PRECISION_BITS (default 64,
+range 60..10000) sets the working precision for real-valued columns.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .asymptotics import (
     DEFAULT_PRECISION_BITS,
     MERTEN_SLACK,
     RATIO_BAND_TOLERANCE,
+    RatioPoint,
     cluster_ratios,
     merten_series,
     ratio_series,
@@ -69,8 +70,7 @@ def _precision_bits() -> int:
         bits = int(raw)
     except ValueError as exc:
         raise ValueError(f"ORBITKIT_PRECISION_BITS must be an integer, got {raw!r}") from exc
-    if bits < 60:
-        raise ValueError(f"ORBITKIT_PRECISION_BITS must be >= 60, got {bits}")
+    _check_range("ORBITKIT_PRECISION_BITS", bits, 60, 10**4)
     return bits
 
 
@@ -120,7 +120,7 @@ def _output_config(args: argparse.Namespace) -> OutputConfig:
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--digits", type=int, default=12,
-                        help="decimal places for real-valued columns (default 12)")
+                        help="decimal places for real-valued columns, 1..1000 (default 12)")
     parser.add_argument("--output", default=None, metavar="PATH",
                         help="write to a file instead of stdout")
 
@@ -167,21 +167,22 @@ def _cmd_pnt(args: argparse.Namespace) -> int:
         "band": f"[{format_fraction(band_low)}, {format_fraction(band_high)}]",
         "ratio_clusters": "; ".join(f"{mean:.4f} x{count}" for mean, count in clusters),
     }
-    rows = (
-        (
-            str(p.X),
-            str(p.pi),
-            format_fraction(p.ratio),
-            format_fraction_decimal(p.ratio, config.digits),
-            format_fraction(p.running_min),
-            format_fraction(p.running_max),
-        )
-        for p in points
-    )
     write_table(config, meta,
                 ("X", "pi", "ratio", "ratio_decimal", "running_min", "running_max"),
-                rows)
+                _pnt_rows(points, config.digits))
     return EXIT_OK
+
+
+def _pnt_rows(points: list[RatioPoint], digits: int):
+    """pnt's rows; a running extremum is rendered only at the X that reaches it."""
+    for p in points:
+        ratio = format_fraction(p.ratio)
+        if p.running_min == p.ratio:
+            running_min = ratio
+        if p.running_max == p.ratio:
+            running_max = ratio
+        yield (str(p.X), str(p.pi), ratio, format_fraction_decimal(p.ratio, digits),
+               running_min, running_max)
 
 
 def _cmd_merten(args: argparse.Namespace) -> int:
@@ -379,6 +380,8 @@ def main(argv: "list[str] | None" = None) -> int:
     digit_limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
+        # Every subcommand takes --digits; bound it before any work is done.
+        _check_range("--digits", args.digits, 1, 1000)
         return args.func(args)
     except ValueError as exc:
         print(f"orbitkit: error: {exc}", file=sys.stderr)

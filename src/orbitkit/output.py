@@ -1,11 +1,14 @@
 """Rendering of result tables as CSV or JSON.
 
 Conventions, identical for both formats: big integers are full decimal
-strings, exact rationals are "numerator/denominator", and reals are
-fixed-point strings with a configurable number of decimal places.  CSV
-output starts with '#'-prefixed metadata lines (truncation and tolerance
-parameters) followed by the column header; JSON carries the same metadata
-under a "meta" key.  Identical invocations produce byte-identical output.
+strings, exact rationals are "numerator/denominator" in lowest terms, and
+reals are fixed-point strings with a configurable number of decimal places.
+Every fixed-point string comes from one dyadic formatter: the dyadic sums
+and ratios directly, floats and mpmath reals through their exact
+mantissa-and-exponent values.  CSV output starts with '#'-prefixed metadata
+lines (truncation and tolerance parameters) followed by the column header;
+JSON carries the same metadata under a "meta" key.  Identical invocations
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import mpmath
 
-from .asymptotics import mpf_to_fraction
+from .arith import Dyadic
 
 __all__ = [
     "OutputConfig",
@@ -44,17 +47,24 @@ class OutputConfig:
             raise ValueError(f"digits must be >= 1, got {self.digits}")
 
 
-def format_fraction(value: Fraction) -> str:
+def format_fraction(value: "Fraction | Dyadic") -> str:
+    """"numerator/denominator" in lowest terms."""
+    if isinstance(value, Dyadic):
+        # A dyadic reduces by its common factors of two alone: no gcd.
+        numerator, shift = value.numerator, value.shift
+        common = min(shift, (numerator & -numerator).bit_length() - 1) if numerator else shift
+        return f"{numerator >> common}/{1 << (shift - common)}"
     return f"{value.numerator}/{value.denominator}"
 
 
-def format_fraction_decimal(value: Fraction, digits: int) -> str:
-    """Fixed-point decimal of an exact rational, round half away from zero."""
-    sign = "-" if value < 0 else ""
-    num = abs(value.numerator) * 10**digits
-    quotient, remainder = divmod(num, value.denominator)
-    if 2 * remainder >= value.denominator:
-        quotient += 1
+def format_fraction_decimal(value: Dyadic, digits: int) -> str:
+    """Fixed-point decimal of a dyadic rational, round half away from zero."""
+    numerator, shift = value.numerator, value.shift
+    sign = "-" if numerator < 0 else ""
+    scaled = abs(numerator) * 10**digits
+    # scaled / 2**(shift - 1), plus one, halved: a remainder of half or more
+    # rounds up.
+    quotient = ((scaled >> (shift - 1)) + 1) >> 1 if shift else scaled
     whole, frac = divmod(quotient, 10**digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
 
@@ -62,9 +72,13 @@ def format_fraction_decimal(value: Fraction, digits: int) -> str:
 def format_real(value: Any, digits: int) -> str:
     """Fixed-point decimal of a float or mpmath real, via its exact value."""
     if isinstance(value, float):
-        return format_fraction_decimal(Fraction(value), digits)
+        numerator, denominator = value.as_integer_ratio()
+        return format_fraction_decimal(Dyadic(numerator, denominator.bit_length() - 1),
+                                       digits)
     if isinstance(value, mpmath.mpf):
-        return format_fraction_decimal(mpf_to_fraction(value), digits)
+        # mpf(value) first rounds to mpmath's current working precision, which
+        # is 53 bits outside a workprec block, whatever precision made value.
+        return format_fraction_decimal(Dyadic.from_mpf(mpmath.mpf(value)), digits)
     raise TypeError(f"cannot render {type(value).__name__} as a real")
 
 

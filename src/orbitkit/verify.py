@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import asymptotics, zeta
-from .arith import divisors, mobius, ord_p, padic_abs
+from .arith import Dyadic, divisors, mobius, ord_p, padic_abs
 from .counting import (
     CIRCLE_DOUBLING,
     THREE_ADIC_EXTENSION,
@@ -276,14 +276,13 @@ def _check_doubling_ratio(max_n: int) -> tuple:
 
 
 def _merten_bounds(table, max_n: int):
-    points = asymptotics.merten_series(table, max_n)
-    deviations = []
-    for p in points:
+    """(X, sum - ln X, sum - ln X / 2) for 16 <= X <= max_n, all exact."""
+    for p in asymptotics.merten_series(table, max_n):
         if p.X < 16:
             continue
-        log_x = asymptotics.mpf_to_fraction(p.log_x)
-        deviations.append((p.X, p.sum - log_x, p.sum - log_x / 2))
-    return deviations
+        log_x = Dyadic.from_mpf(p.log_x)
+        half_log_x = Dyadic(log_x.numerator, log_x.shift + 1)
+        yield p.X, p.sum - log_x, p.sum - half_log_x
 
 
 @_check("merten-sandwich")
@@ -311,7 +310,7 @@ def _check_merten_doubling(max_n: int) -> tuple:
     if max_n < 16:
         return True, params, _VACUOUS
     table = build_table(CIRCLE_DOUBLING, max_n)
-    worst = Fraction(0)
+    worst = Dyadic(0, 0)
     for X, dev_full, _ in _merten_bounds(table, max_n):
         if abs(dev_full) > worst:
             worst = abs(dev_full)
@@ -326,12 +325,13 @@ def _check_delta_gap(max_n: int) -> tuple:
     tf = build_table(THREE_ADIC_EXTENSION, max_n)
     tg = build_table(CIRCLE_DOUBLING, max_n)
     gaps = asymptotics.delta_gap(tf, tg, max_n)
+    low, high = Fraction(3, 10), Fraction(3, 2)
     for X, (gap, even_bound) in enumerate(gaps, start=1):
         if gap > even_bound:
             return False, params, f"gap {gap} > bound {even_bound} at X={X}"
         if X >= 64 and X % 2 == 0:
-            scaled = Fraction(even_bound * (X // 2), 4 ** (X // 2))
-            if not Fraction(3, 10) <= scaled <= Fraction(3, 2):
+            scaled = Dyadic(even_bound * (X // 2), X)  # X even: 2**X = 4**(X // 2)
+            if not low <= scaled <= high:
                 return False, params, f"rescaled bound {float(scaled):.4f} at X={X}"
     return True, params
 

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
-from orbitkit.arith import divisors, mobius, ord_p, padic_abs
+from orbitkit.arith import Dyadic, divisors, mobius, ord_p, padic_abs
 
 
 def naive_divisors(n):
@@ -133,3 +134,33 @@ def test_padic_abs_range():
 def test_padic_abs_rejects_zero():
     with pytest.raises(ValueError):
         padic_abs(0, 3)
+
+
+def test_dyadic_against_fraction():
+    rng = random.Random(7)
+    for _ in range(2000):
+        a = Dyadic(rng.randint(-(2**80), 2**80), rng.randint(0, 90))
+        b = Dyadic(rng.randint(-(2**80), 2**80), rng.randint(0, 90))
+        fa = Fraction(a.numerator, 2**a.shift)
+        fb = Fraction(b.numerator, 2**b.shift)
+        assert (a < b, a <= b, a == b, a > b, a >= b) == (fa < fb, fa <= fb, fa == fb, fa > fb, fa >= fb)
+        assert (a < fb, a == fb, fa <= b, fa > b) == (fa < fb, fa == fb, fa <= fb, fa > fb)
+        difference = a - b
+        assert Fraction(difference.numerator, 2**difference.shift) == fa - fb
+        assert abs(a) == abs(fa)
+        assert float(a) == float(fa)
+    assert Dyadic(6, 3) == Dyadic(3, 2) == Fraction(3, 4)
+    assert Dyadic(8, 3) == 1 and Dyadic(3, 2) - 1 == Fraction(-1, 4)
+    assert float(Dyadic(1, 2000)) == float(Fraction(1, 2**2000))
+    with pytest.raises(TypeError):
+        Dyadic(1, 1) < "1/2"
+
+
+def test_dyadic_from_mpf_exact():
+    assert Dyadic.from_mpf(mpmath.mpf("0.5")) == Fraction(1, 2)
+    assert Dyadic.from_mpf(mpmath.mpf(3) / 4) == Fraction(3, 4)
+    assert Dyadic.from_mpf(-mpmath.mpf(7)) == Fraction(-7)
+    assert Dyadic.from_mpf(mpmath.mpf(2) ** 70).shift == 0
+    assert Dyadic.from_mpf(mpmath.mpf(0)) == 0
+    with pytest.raises(ValueError):
+        Dyadic.from_mpf(mpmath.inf)

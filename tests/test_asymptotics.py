@@ -4,11 +4,11 @@ import mpmath
 import pytest
 
 from orbitkit.arith import ExactnessError
+from orbitkit.arith import Dyadic
 from orbitkit.asymptotics import (
     cluster_ratios,
     delta_gap,
     merten_series,
-    mpf_to_fraction,
     ratio_series,
 )
 from orbitkit.counting import (
@@ -17,6 +17,12 @@ from orbitkit.counting import (
     build_table,
     custom_orbits,
 )
+
+
+def exact(x):
+    """Exact value of a positive finite mpmath real."""
+    man, exp = x.man_exp
+    return Fraction(man) * Fraction(2) ** exp
 
 
 @pytest.fixture(scope="module")
@@ -111,8 +117,8 @@ def test_merten_examples(tf, tg):
 
 def test_merten_denominator_is_power_of_two(tf):
     for p in merten_series(tf, 40):
-        den = p.sum.denominator
-        assert den & (den - 1) == 0
+        assert isinstance(p.sum, Dyadic)
+        assert p.sum.shift == p.X
 
 
 def test_merten_normalized_matches_sum(tf):
@@ -120,17 +126,18 @@ def test_merten_normalized_matches_sum(tf):
     assert points[0].normalized is None
     assert points[0].log_x == 0
     for p in points[1:]:
-        log_x = mpf_to_fraction(p.log_x)
-        normalized = mpf_to_fraction(p.normalized)
+        log_x = exact(p.log_x)
+        normalized = exact(p.normalized)
         # normalized = sum / log X up to two 64-bit roundings
-        assert abs(normalized * log_x - p.sum) < Fraction(1, 10**15)
+        total = Fraction(p.sum.numerator, 2**p.X)
+        assert abs(normalized * log_x - total) < Fraction(1, 10**15)
 
 
 def test_merten_precision_control(tf):
     coarse = merten_series(tf, 8, precision_bits=64)
     fine = merten_series(tf, 8, precision_bits=128)
     assert coarse[-1].sum == fine[-1].sum
-    diff = abs(mpf_to_fraction(coarse[-1].log_x) - mpf_to_fraction(fine[-1].log_x))
+    diff = abs(exact(coarse[-1].log_x) - exact(fine[-1].log_x))
     assert diff < Fraction(1, 2**60)
     with pytest.raises(ValueError):
         merten_series(tf, 8, precision_bits=53)
@@ -152,10 +159,37 @@ def test_cluster_ratios():
     assert clusters[0][0] == pytest.approx(0.2505)
 
 
-def test_mpf_to_fraction_exact():
-    assert mpf_to_fraction(mpmath.mpf("0.5")) == Fraction(1, 2)
-    assert mpf_to_fraction(mpmath.mpf(3) / 4) == Fraction(3, 4)
-    assert mpf_to_fraction(-mpmath.mpf(7)) == Fraction(-7)
-    assert mpf_to_fraction(mpmath.mpf(0)) == 0
-    with pytest.raises(ValueError):
-        mpf_to_fraction(mpmath.inf)
+
+
+maps = pytest.mark.parametrize("spec", [THREE_ADIC_EXTENSION, CIRCLE_DOUBLING],
+                               ids=lambda spec: spec.label)
+
+
+@maps
+@pytest.mark.parametrize("burn_in", [1, 64])
+def test_ratio_series_against_fraction_oracle(spec, burn_in):
+    table = build_table(spec, 300)
+    points = ratio_series(table, 300, burn_in)
+    assert [p.X for p in points] == list(range(burn_in, 301))
+    ratios = []
+    for p in points:
+        pi = sum(table.orbit_counts[:p.X])
+        ratios.append(Fraction(p.X * pi, 2 ** (p.X + 1)))
+        assert p.pi == pi
+        assert p.ratio == ratios[-1]
+        assert p.running_min == min(ratios)
+        assert p.running_max == max(ratios)
+
+
+@maps
+def test_merten_series_against_fraction_oracle(spec):
+    table = build_table(spec, 300)
+    total = Fraction(0)
+    with mpmath.workprec(64):
+        for p in merten_series(table, 300):
+            total += Fraction(table.orbit_counts[p.X - 1], 2**p.X)
+            assert p.sum == total
+            assert p.log_x == mpmath.log(p.X)
+            if p.X >= 2:
+                expected = mpmath.fdiv(total.numerator, total.denominator) / p.log_x
+                assert p.normalized == expected

@@ -1,10 +1,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import orbitkit
 from orbitkit.cli import main
 from orbitkit.output import OutputConfig, write_table
 
@@ -165,6 +169,35 @@ def test_bad_precision_env(monkeypatch, capsys):
     monkeypatch.setenv("ORBITKIT_PRECISION_BITS", "50")
     code, _, err = run_cli(capsys, "merten", "--map", "f", "--max", "3")
     assert code == 1
+    assert err == "orbitkit: error: ORBITKIT_PRECISION_BITS must lie in 60..10000, got 50\n"
+    monkeypatch.setenv("ORBITKIT_PRECISION_BITS", "10000")
+    code, _, _ = run_cli(capsys, "merten", "--map", "f", "--max", "3")
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv, env, message", [
+    (("pnt", "--map", "f", "--max", "100", "--digits", "50000000"), {},
+     "--digits must lie in 1..1000, got 50000000"),
+    (("merten", "--map", "f", "--max", "20"), {"ORBITKIT_PRECISION_BITS": "100000000"},
+     "ORBITKIT_PRECISION_BITS must lie in 60..10000, got 100000000"),
+])
+def test_oversized_precision_is_refused_at_once(argv, env, message):
+    src = str(Path(orbitkit.__file__).resolve().parents[1])
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-m", "orbitkit.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=10)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr == f"orbitkit: error: {message}\n"
+
+
+@pytest.mark.parametrize("digits", ["0", "1001"])
+def test_digits_range(capsys, digits):
+    code, out, err = run_cli(capsys, "verify", "--max", "3", "--digits", digits)
+    assert code == 1
+    assert out == ""
+    assert err == f"orbitkit: error: --digits must lie in 1..1000, got {digits}\n"
 
 
 def test_zeta_coeffs(capsys):
@@ -314,6 +347,10 @@ def test_verify_fault_injection_fails(monkeypatch, capsys):
      "12c609257c3a5c7f3390002afda28663138be4ad282a62664d58e9cf0c39451b"),
     (("merten", "--map", "g", "--max", "300", "--format", "json"),
      "a5f9e36d9e09e9c2a89d0b681f822f2b703eb746ed9f83066f0a187c2884bc5a"),
+    (("pnt", "--map", "g", "--max", "300", "--burn-in", "1"),
+     "93bf7388cb850a4989d184913ec456c96325a36e31dba83efd2a05f25df7a778"),
+    (("merten", "--map", "f", "--max", "1"),
+     "a1f3326d4e51d89f44d87ff612cc6d76c1c8e7e7f4fa75fc56083cb62f5878da"),
     (("zeta", "boundary", "--angle", "1/3", "--radii", "0.49,0.499", "--terms", "6",
       "--degree", "300"),
      "241dcc5252c94605853ebdcda679fb6f3397b7078c4ad33fbdf4aef13b0072c2"),

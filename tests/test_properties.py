@@ -1,8 +1,15 @@
-"""Identities that hold for every map, checked on arbitrary orbit data."""
+"""Identities that hold for every map, checked on arbitrary orbit data, and
+the CLI's exit-status contract, checked on arbitrary command lines."""
+
+import contextlib
+import io
+import os
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitkit.cli import main
 from orbitkit.counting import (
     build_table,
     custom_orbits,
@@ -46,3 +53,68 @@ def test_iterate_routes_agree(counts):
         assert tuple(orbit_count_iterate(base, k, n) for n in range(1, n_max + 1)) == expected
     expected = build_table(iterate(spec, 2), n_max).orbit_counts
     assert tuple(iterate_square_identity(base, n) for n in range(1, n_max + 1)) == expected
+
+
+# Sizes stay small so that every accepted command line runs in milliseconds.
+# Each option lists good values, the first used when another option is the
+# malformed one; BAD values are drawn for every option alike.
+BAD = ("", "x", "-1", "0", "1/0", "nan", "1e400")
+SIZES = ("8", "1", "2", "24")
+MAPS = ("f", "g", "f2", "g2", "no-such-orbit-file")
+COMMANDS = {
+    ("table",): {"--map": MAPS, "--max": SIZES},
+    ("pnt",): {"--map": MAPS, "--max": SIZES, "--burn-in": ("1", "8", "24")},
+    ("merten",): {"--map": MAPS, "--max": SIZES},
+    ("zeta", "coeffs"): {"--map": MAPS, "--degree": SIZES},
+    ("zeta", "xi1-check"): {"--degree": SIZES},
+    ("zeta", "boundary"): {
+        "--angle": ("1/3", "2/9", "-5/7"),
+        "--radii": ("0.49", "0.1,0.4999", "0.5", "1e-320,inf"),
+        "--terms": ("2", "4"),
+        "--degree": SIZES,
+        "--map": MAPS,
+    },
+    ("verify",): {"--max": SIZES},
+    ("--version",): {},
+    ("bogus",): {},
+}
+OUTPUT_OPTIONS = {"--format": ("csv", "json"), "--digits": ("12", "1", "1000", "1001")}
+
+
+def run_main(argv, precision):
+    """Exit status and stderr of one in-process CLI run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        os.environ.pop("ORBITKIT_PRECISION_BITS", None)
+        if precision is not None:
+            os.environ["ORBITKIT_PRECISION_BITS"] = precision
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    assert code != 1 or err, argv
+    return code
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data(), st.sampled_from((None, "64", "59", "10001", "abc")))
+def test_cli_exits_cleanly_on_any_argv(data, precision):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    argv = list(command)
+    for option, good in {**COMMANDS[command], **OUTPUT_OPTIONS}.items():
+        # Leaving an option out exercises defaults and missing required options.
+        if data.draw(st.integers(min_value=0, max_value=4)):
+            argv += [option, data.draw(st.sampled_from(good + BAD))]
+    run_main(argv, precision)
+
+
+def test_cli_exits_cleanly_on_each_malformed_value():
+    for command, options in COMMANDS.items():
+        options = {**options, **OUTPUT_OPTIONS}
+        for malformed in options:
+            for bad in BAD:
+                argv = list(command)
+                for option, good in options.items():
+                    argv += [option, bad if option == malformed else good[0]]
+                run_main(argv, None)
