@@ -19,6 +19,7 @@ from .counting import (
     build_table,
     custom_orbits,
     fix_count,
+    fix_terms,
     iterate,
     iterate_square_identity,
     orbit_count_iterate,
@@ -54,6 +55,7 @@ __all__ = [
     "build_table",
     "custom_orbits",
     "fix_count",
+    "fix_terms",
     "iterate",
     "iterate_square_identity",
     "orbit_count_iterate",

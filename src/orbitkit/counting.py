@@ -12,11 +12,20 @@ with the inverse of the first relation given by Möbius inversion.  The maps
 supported here are the circle-doubling map (fix(n) = 2**n - 1), its 3-adic
 isometric extension (fix(n) = (2**n - 1) * |2**n - 1|_3, an exact integer),
 iterates of either, and user-supplied orbit-count data.
+
+Every closed-form map also has a term form (``fix_terms``): its fix counts
+are a short sum of gated geometric terms,
+
+    fix(n) = (1/den) * sum of w * 2**(s*n/m) * [m | n] over terms (w, s, m),
+
+valid for n up to a given bound.  The zeta recurrence runs on this form;
+``fix_count`` stays the independent value it is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Iterator, Sequence
 
 from .arith import ExactnessError, divisors, mobius, ord_p
@@ -30,6 +39,7 @@ __all__ = [
     "custom_orbits",
     "padic_factor",
     "fix_count",
+    "fix_terms",
     "build_table",
     "orbit_count_iterate",
     "iterate_square_identity",
@@ -148,6 +158,45 @@ def fix_count(spec: MapSpec, n: int) -> int:
     # custom: fix(n) = sum of d * orbits(d) over divisors d of n
     counts = spec.counts
     return sum(d * counts[d - 1] for d in divisors(n) if d <= len(counts))
+
+
+def fix_terms(spec: MapSpec, n_max: int) -> tuple[int, tuple[tuple[int, int, int], ...]] | None:
+    """The term form ``(den, terms)`` of the fix counts for n <= n_max.
+
+    fix(n) = (1/den) * sum of w * 2**(s*n/m) over the terms (w, s, m) with
+    m | n.  The doubling map is 2**n - 1.  For the 3-adic extension the
+    factor 3**(-1-ord_3(n)) of even n splits over the levels j = 0..J with
+    2*3**j | n, where 2*3**J <= n_max is the deepest level in range.  The
+    p-th iterate reads the base form at n*p.  Custom orbit data has no
+    closed form: the result is None.
+    """
+    if n_max < 0:
+        raise ValueError(f"fix_terms requires n_max >= 0, got {n_max}")
+    if spec.kind == _DOUBLING:
+        return 1, ((1, 1, 1), (-1, 0, 1))
+    if spec.kind == _EXTENSION:
+        depth = 0
+        while 2 * 3 ** (depth + 1) <= n_max:
+            depth += 1
+        den = 3 ** (depth + 1)
+        terms = [(den, 1, 1), (-den, 0, 1)]
+        for j in range(depth + 1):
+            m, w = 2 * 3**j, 2 * 3 ** (depth - j)
+            terms += [(-w, m, m), (w, 0, m)]
+        return den, tuple(terms)
+    if spec.kind == _ITERATE:
+        assert spec.base is not None
+        p = spec.power
+        form = fix_terms(spec.base, n_max * p)
+        if form is None:
+            return None
+        den, terms = form
+        mapped = []
+        for w, s, m in terms:
+            g = gcd(m, p)  # m | n*p exactly when m/g | n
+            mapped.append((w, s * p // g, m // g))
+        return den, tuple(mapped)
+    return None
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .counting import (
     THREE_ADIC_EXTENSION,
     build_table,
     custom_orbits,
+    fix_terms,
     iterate,
     iterate_square_identity,
     orbit_count_iterate,
@@ -198,6 +199,21 @@ def _check_square_identity(max_n: int) -> tuple:
         for n in range(1, top + 1):
             if iterate_square_identity(base, n) != direct.orbit_counts[n - 1]:
                 return False, params, f"{spec.label}, n={n}"
+    return True, params
+
+
+@_check("fix-term-form")
+def _check_fix_term_form(max_n: int) -> tuple:
+    k2, k3 = min(max_n, 500), min(max_n, 200)
+    params = f"n<={max_n} for f and g, n<={k2} for k=2, n<={k3} for k=3"
+    for base in (THREE_ADIC_EXTENSION, CIRCLE_DOUBLING):
+        for spec, top in ((base, max_n), (iterate(base, 2), k2), (iterate(base, 3), k3)):
+            den, terms = fix_terms(spec, top)
+            table = build_table(spec, top)
+            for n in range(1, top + 1):
+                total = sum(w << (s * n // m) for w, s, m in terms if n % m == 0)
+                if total != den * table.fix_counts[n - 1]:
+                    return False, params, f"{spec.label} at n={n}"
     return True, params
 
 

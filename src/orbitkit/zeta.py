@@ -6,9 +6,20 @@ For a map with fix counts F_n the zeta function is
 
 an integer power series that also equals the product over all closed
 orbits of (1 - z**n)**(-orbits(n)).  Both routes are implemented exactly
-and independently: ``zeta_series`` exponentiates via the convolution
-recurrence n*c_n = sum F_k c_{n-k}, while ``orbit_product_series`` expands
-the product with binomial coefficients; they must agree coefficientwise.
+and independently.  ``zeta_series`` solves z*zeta' = zeta * sum F_n z**n.
+For the closed-form maps it reads the term form of the fix counts
+(``counting.fix_terms``), F_n = (1/den) * sum_i w_i 2**(s_i*n/m_i) [m_i | n],
+so the right side is zeta * (1/den) * sum_i w_i u_i/(1 - u_i) with
+u_i = 2**s_i z**m_i.  One running sum per term,
+
+    U_i[n] = (c_{n-m_i} + U_i[n-m_i]) << s_i,   n*den*c_n = sum_i w_i U_i[n],
+
+gives each coefficient in O(T) shifts and adds: O(D*T) big-integer
+operations for degree D and T terms, instead of the D**2/2 products of the
+convolution n*c_n = sum F_k c_{n-k}.  Custom orbit data has no term form
+and keeps that convolution over the table's fix counts.
+``orbit_product_series`` expands the product with binomial coefficients
+from the orbit counts; the two routes must agree coefficientwise.
 A series truncated at degree D is a plain tuple of coefficients c_0..c_D:
 ints for the zeta series, Fractions for the logarithmic ones.
 
@@ -29,13 +40,14 @@ it with truncated-series values along rays toward the boundary.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Sequence
 
 from .arith import ExactnessError, ord_p
-from .counting import OrbitTable
+from .counting import OrbitTable, fix_terms
 from .series import log_one_minus
 
 __all__ = [
@@ -78,24 +90,46 @@ def xi_series(table: OrbitTable, degree: int) -> tuple[Fraction, ...]:
 
 
 def zeta_series(table: OrbitTable, degree: int) -> tuple[int, ...]:
-    """Exact zeta coefficients via the exponential recurrence.
+    """Exact zeta coefficients c_0..c_degree from n*c_n = sum F_k c_{n-k}.
 
+    Maps with a term form run the per-term running sums of the module
+    docstring, O(degree * terms) shifts and adds.  Each sum U_i only needs
+    its value m_i steps back, so it keeps a window of its last m_i values.
+    Custom orbit data runs the convolution over ``table.fix_counts``.
     Every coefficient must come out a non-negative integer (the orbit
     product forces this for genuine orbit data); anything else is a defect.
     """
     _check_degree(table, degree)
-    fix = table.fix_counts
-    coeffs = [0] * (degree + 1)
-    coeffs[0] = 1
+    form = fix_terms(table.spec, degree)
+    coeffs = [1]
+    if form is None:
+        fix = table.fix_counts
+        for n in range(1, degree + 1):
+            _append_coefficient(coeffs, sum(map(operator.mul, fix[:n], reversed(coeffs))), n)
+        return tuple(coeffs)
+    den, terms = form
+    windows = [[0] * m for _, _, m in terms]
     for n in range(1, degree + 1):
-        acc = sum(fix[k - 1] * coeffs[n - k] for k in range(1, n + 1))
-        c, remainder = divmod(acc, n)
-        if remainder:
-            raise ExactnessError(f"zeta coefficient at degree {n} is not an integer")
-        if c < 0:
-            raise ExactnessError(f"negative zeta coefficient {c} at degree {n}")
-        coeffs[n] = c
+        acc = 0
+        for (w, s, m), window in zip(terms, windows):
+            if n >= m:
+                slot = n % m  # holds U[n - m]
+                u = (coeffs[n - m] + window[slot]) << s
+                window[slot] = u
+                acc += w * u
+        _append_coefficient(coeffs, acc, n * den)
     return tuple(coeffs)
+
+
+def _append_coefficient(coeffs: list[int], scaled: int, divisor: int) -> None:
+    """Append c_n = scaled/divisor, where n = len(coeffs), or raise."""
+    n = len(coeffs)
+    c, remainder = divmod(scaled, divisor)
+    if remainder:
+        raise ExactnessError(f"zeta coefficient at degree {n} is not an integer")
+    if c < 0:
+        raise ExactnessError(f"negative zeta coefficient {c} at degree {n}")
+    coeffs.append(c)
 
 
 def orbit_product_series(table: OrbitTable, degree: int) -> tuple[int, ...]:

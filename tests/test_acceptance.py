@@ -12,7 +12,7 @@ import pytest
 
 from orbitkit import asymptotics, verify
 from orbitkit.asymptotics import delta_gap, ratio_series
-from orbitkit.counting import CIRCLE_DOUBLING, THREE_ADIC_EXTENSION, build_table
+from orbitkit.counting import CIRCLE_DOUBLING, THREE_ADIC_EXTENSION, build_table, fix_terms
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +104,13 @@ def test_criterion_13_fix_ratio_witnesses(checks):
     _assert_passed(checks, 13, {"fix-ratio-witnesses": "n<=200, witnesses > 2.2 and < 1.0"})
 
 
+def test_criterion_14_fix_term_form(checks):
+    # the term form that drives zeta_series, against the tables' fix counts
+    _assert_passed(checks, 14, {
+        "fix-term-form": "n<=2000 for f and g, n<=500 for k=2, n<=200 for k=3",
+    })
+
+
 def test_every_check_passes_at_the_acceptance_window(checks):
     assert list(checks) == list(verify.CHECKS)
     failed = [(r.name, r.detail) for r in checks.values() if not r.passed]
@@ -115,6 +122,19 @@ def test_broken_check_fails_its_criterion(checks, monkeypatch):
     broken = {**checks, "padic-closed-form": verify.CHECKS["padic-closed-form"](5000)}
     with pytest.raises(AssertionError, match="padic-closed-form FAIL"):
         test_criterion_01_padic_closed_form_vs_brute_force(broken)
+
+
+def test_broken_term_form_fails_its_criterion(checks, monkeypatch):
+    def top_level_dropped(spec, n_max):
+        den, terms = fix_terms(spec, n_max)
+        return den, terms[:-2]
+
+    monkeypatch.setattr(verify, "fix_terms", top_level_dropped)
+    result = verify.CHECKS["fix-term-form"](2000)
+    assert result.detail == "3-adic-extension at n=1458"  # 2*3**6, the dropped level
+    broken = {**checks, "fix-term-form": result}
+    with pytest.raises(AssertionError, match="fix-term-form FAIL"):
+        test_criterion_14_fix_term_form(broken)
 
 
 def test_run_checks_builds_each_ratio_series_once(monkeypatch):

@@ -330,11 +330,15 @@ def test_verify_fault_injection_fails(monkeypatch, capsys):
     assert any(row[1] == "FAIL" for row in rows)
 
 
+# Orbit counts of the pinned custom-data zeta case, written to a file per run.
+PINNED_ORBITS = [(37 * n * n + 11) % 997 for n in range(1, 201)]
+
+
 @pytest.mark.parametrize("argv, sha256", [
     (("verify", "--max", "100"),
-     "86bd3dfab8e0c118411cfa27d3a4e8076b501b492a5ffb4bcfb952b0b89dc485"),
+     "c5abe16c6bcfebfb833eb7433430060f52ae345525c64e8f80b7f7981c491ca8"),
     (("verify", "--max", "2000"),
-     "e1fcca489d63d0e043d45c2915a8f69305c102f0bb6ffea4ef188db05c13cf15"),
+     "f99173af0c6916ff669ff1f61f1bb154dadc6798f42f18ab56e96559d2b104bd"),
     (("zeta", "coeffs", "--map", "f", "--degree", "500"),
      "a9b612ca435dd39016a3bffd9fd385fb5ae3f7d17eb2d823cff49bcdd7f877cc"),
     (("zeta", "coeffs", "--map", "f", "--degree", "500", "--format", "json"),
@@ -354,8 +358,18 @@ def test_verify_fault_injection_fails(monkeypatch, capsys):
     (("zeta", "boundary", "--angle", "1/3", "--radii", "0.49,0.499", "--terms", "6",
       "--degree", "300"),
      "241dcc5252c94605853ebdcda679fb6f3397b7078c4ad33fbdf4aef13b0072c2"),
+    (("zeta", "coeffs", "--map", "f", "--degree", "5000"),
+     "f8399e08eb4048f1404895e64752408adde7c3ae90e21e34a9d63e93a88e7698"),
+    (("zeta", "coeffs", "--map", "g", "--degree", "5000"),
+     "9b84e4bd3c56cd9c6292d80bbc5b1906b254ae65773bc275e3abc244ecd6db07"),
+    (("zeta", "coeffs", "--map", "g2", "--degree", "5000"),
+     "980390fba419877142f09a1bb6402fd1763b37f35f8d0cbbd531cebc71adb1a9"),
+    (("zeta", "coeffs", "--map", "<orbits>", "--degree", "2000"),
+     "533c3739f8c14e57c05ef52c820d7c6f578d14f3aea4a848f5db768ce20d2219"),
 ], ids=lambda value: value[-1] if isinstance(value, tuple) else None)
-def test_verify_output_bytes_pinned(capsys, argv, sha256):
-    code, out, _ = run_cli(capsys, *argv)
+def test_verify_output_bytes_pinned(capsys, tmp_path, argv, sha256):
+    path = tmp_path / "orbits.txt"
+    path.write_text("".join(f"{c}\n" for c in PINNED_ORBITS), encoding="utf-8")
+    code, out, _ = run_cli(capsys, *(str(path) if a == "<orbits>" else a for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256

@@ -8,6 +8,7 @@ from orbitkit.counting import (
     build_table,
     custom_orbits,
     fix_count,
+    fix_terms,
     iterate,
     iterate_square_identity,
     orbit_count_iterate,
@@ -97,6 +98,30 @@ def test_fix_count_custom_zero_extends():
 def test_fix_count_rejects_zero():
     with pytest.raises(ValueError):
         fix_count(CIRCLE_DOUBLING, 0)
+
+
+def test_fix_terms_examples():
+    assert fix_terms(CIRCLE_DOUBLING, 50) == (1, ((1, 1, 1), (-1, 0, 1)))
+    # 2*3**1 <= 17 < 2*3**2: one level beyond j = 0, over den = 9
+    assert fix_terms(THREE_ADIC_EXTENSION, 17) == (9, (
+        (9, 1, 1), (-9, 0, 1), (-6, 2, 2), (6, 0, 2), (-2, 6, 6), (2, 0, 6),
+    ))
+    assert fix_terms(THREE_ADIC_EXTENSION, 1) == fix_terms(THREE_ADIC_EXTENSION, 5)
+    # the square of g: 4**n - 1
+    assert fix_terms(iterate(CIRCLE_DOUBLING, 2), 50) == (1, ((1, 2, 1), (-1, 0, 1)))
+    # f cubed reads f's form at 3*n_max = 15; the level m = 6 becomes m = 2
+    den, terms = fix_terms(iterate(THREE_ADIC_EXTENSION, 3), 5)
+    assert den == 9 and terms[-2:] == ((-2, 6, 2), (2, 0, 2))
+    # the deepest level 2*3**J reaches n_max itself
+    for n_max in (2, 6, 18, 54, 162, 486):
+        den, terms = fix_terms(THREE_ADIC_EXTENSION, n_max)
+        assert terms[-1] == (2, 0, n_max)
+        total = sum(w * 2 ** (s * n_max // m) for w, s, m in terms if n_max % m == 0)
+        assert total == den * fix_count(THREE_ADIC_EXTENSION, n_max)
+    assert fix_terms(custom_orbits((1, 3)), 10) is None
+    assert fix_terms(iterate(custom_orbits((1, 3)), 2), 10) is None
+    with pytest.raises(ValueError):
+        fix_terms(CIRCLE_DOUBLING, -1)
 
 
 def test_map_spec_validation():

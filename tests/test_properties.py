@@ -11,8 +11,12 @@ from hypothesis import strategies as st
 
 from orbitkit.cli import main
 from orbitkit.counting import (
+    CIRCLE_DOUBLING,
+    THREE_ADIC_EXTENSION,
     build_table,
     custom_orbits,
+    fix_count,
+    fix_terms,
     iterate,
     iterate_square_identity,
     orbit_count_iterate,
@@ -53,6 +57,29 @@ def test_iterate_routes_agree(counts):
         assert tuple(orbit_count_iterate(base, k, n) for n in range(1, n_max + 1)) == expected
     expected = build_table(iterate(spec, 2), n_max).orbit_counts
     assert tuple(iterate_square_identity(base, n) for n in range(1, n_max + 1)) == expected
+
+
+closed_form_maps = st.builds(
+    iterate,
+    st.sampled_from((THREE_ADIC_EXTENSION, CIRCLE_DOUBLING)),
+    st.integers(min_value=1, max_value=4),
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(closed_form_maps, st.integers(min_value=1, max_value=300))
+def test_term_form_equals_fix_count(spec, n_max):
+    den, terms = fix_terms(spec, n_max)
+    for n in range(1, n_max + 1):
+        total = sum(w * 2 ** (s * n // m) for w, s, m in terms if n % m == 0)
+        assert total == den * fix_count(spec, n)
+
+
+@settings(deadline=None, max_examples=30)
+@given(closed_form_maps, st.integers(min_value=0, max_value=200))
+def test_term_route_equals_orbit_product(spec, degree):
+    table = build_table(spec, max(degree, 1))
+    assert zeta_series(table, degree) == orbit_product_series(table, degree)
 
 
 # Sizes stay small so that every accepted command line runs in milliseconds.

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from orbitkit import counting, zeta
 from orbitkit.arith import ExactnessError
+from orbitkit.cli import main
 from orbitkit.counting import (
     CIRCLE_DOUBLING,
     THREE_ADIC_EXTENSION,
@@ -99,6 +101,36 @@ def test_zeta_hard_error_on_corrupt_table():
     )
     with pytest.raises(ExactnessError):
         zeta_series(negative, 1)
+
+
+def _first_weight_off_by_one(spec, n_max):
+    den, ((w, s, m), *rest) = counting.fix_terms(spec, n_max)
+    return den, ((w + 1, s, m), *rest)
+
+
+def _top_level_dropped(spec, n_max):
+    den, terms = counting.fix_terms(spec, n_max)
+    return den, terms[:-2]
+
+
+@pytest.mark.parametrize("broken", [_first_weight_off_by_one, _top_level_dropped])
+def test_broken_term_form_of_f_is_hard_error(monkeypatch, broken):
+    monkeypatch.setattr(zeta, "fix_terms", broken)
+    with pytest.raises(ExactnessError):
+        zeta_series(build_table(THREE_ADIC_EXTENSION, 400), 400)
+
+
+def test_broken_term_form_of_g_fails_verify(monkeypatch, capsys):
+    def broken(spec, n_max):
+        if spec == CIRCLE_DOUBLING:
+            return _first_weight_off_by_one(spec, n_max)
+        return counting.fix_terms(spec, n_max)
+
+    # g's den is 1, so the wrong weight still divides: only the oracle sees it
+    monkeypatch.setattr(zeta, "fix_terms", broken)
+    assert main(["verify", "--max", "400"]) == 2
+    failed = [line for line in capsys.readouterr().out.splitlines() if ",FAIL," in line]
+    assert failed == ["zeta-two-routes,FAIL,\"degree 400, maps f and g\",g series differ"]
 
 
 def test_xi1_direct_examples():
