@@ -8,10 +8,11 @@ exactly n (``least``), and the number of closed orbits of length n
     fix(n)   = sum of least(d) over divisors d of n,
     least(n) = n * orbits(n),
 
-with the inverse of the first relation given by Möbius inversion.  The maps
+with the first relation inverted by a sieve over multiples.  The maps
 supported here are the circle-doubling map (fix(n) = 2**n - 1), its 3-adic
 isometric extension (fix(n) = (2**n - 1) * |2**n - 1|_3, an exact integer),
-iterates of either, and user-supplied orbit-count data.
+iterates of either, and user-supplied orbit-count data.  A table is a plain
+value: ``build_table`` keeps nothing between calls.
 
 Every closed-form map also has a term form (``fix_terms``): its fix counts
 are a short sum of gated geometric terms,
@@ -201,7 +202,7 @@ def fix_terms(spec: MapSpec, n_max: int) -> tuple[int, tuple[tuple[int, int, int
 
 @dataclass(frozen=True)
 class OrbitTable:
-    """The three count sequences for one map, cached up to ``n_max``.
+    """The three count sequences for one map, for n = 1..``n_max``.
 
     Tuples are indexed from 0 for n = 1; use ``fix``/``least``/``orbits``
     for 1-based access.  A built table is immutable and safe to share.
@@ -234,51 +235,35 @@ class OrbitTable:
             yield i + 1, self.fix_counts[i], self.least_counts[i], self.orbit_counts[i]
 
 
-class _SequenceCache:
-    """Incrementally grown fix/least/orbit sequences for one spec."""
-
-    __slots__ = ("fix", "least", "orbits")
-
-    def __init__(self) -> None:
-        self.fix: list[int] = []
-        self.least: list[int] = []
-        self.orbits: list[int] = []
-
-    def extend_to(self, spec: MapSpec, n_max: int) -> None:
-        for n in range(len(self.fix) + 1, n_max + 1):
-            f = fix_count(spec, n)
-            least = sum(mobius(n // d) * self.fix[d - 1] for d in divisors(n) if d < n)
-            least += f
-            if least < 0:
-                raise ExactnessError(f"negative least-period count {least} at n={n}")
-            orbit, remainder = divmod(least, n)
-            if remainder:
-                raise ExactnessError(f"{n} does not divide least-period count {least}")
-            self.fix.append(f)
-            self.least.append(least)
-            self.orbits.append(orbit)
-
-
-_TABLE_CACHE: dict[MapSpec, _SequenceCache] = {}
-
-
 def build_table(spec: MapSpec, n_max: int) -> OrbitTable:
-    """Compute fix/least/orbit counts for n = 1..n_max.
+    """Compute fix/least/orbit counts for n = 1..n_max, as a fresh table.
 
-    fix comes from ``fix_count``, least by Möbius inversion of the divisor
-    sum, and orbits by the exact division least(n)/n.  Results are memoized
-    per spec, so growing a table reuses earlier entries.
+    fix comes from ``fix_count``.  least inverts the divisor sum in one
+    sieve pass: the count at m starts at fix(m), and once least(n) is final
+    it is subtracted at every multiple m of n.  orbits is the exact
+    division least(n)/n.
     """
     if n_max < 1:
         raise ValueError(f"build_table requires n_max >= 1, got {n_max}")
-    cache = _TABLE_CACHE.setdefault(spec, _SequenceCache())
-    cache.extend_to(spec, n_max)
+    fix = [0] + [fix_count(spec, n) for n in range(1, n_max + 1)]
+    least = fix.copy()
+    orbits = []
+    for n in range(1, n_max + 1):
+        count = least[n]  # final: every proper divisor of n is below n
+        if count < 0:
+            raise ExactnessError(f"negative least-period count {count} at n={n}")
+        orbit, remainder = divmod(count, n)
+        if remainder:
+            raise ExactnessError(f"{n} does not divide least-period count {count}")
+        orbits.append(orbit)
+        for m in range(2 * n, n_max + 1, n):
+            least[m] -= count
     return OrbitTable(
         spec=spec,
         n_max=n_max,
-        fix_counts=tuple(cache.fix[:n_max]),
-        least_counts=tuple(cache.least[:n_max]),
-        orbit_counts=tuple(cache.orbits[:n_max]),
+        fix_counts=tuple(fix[1:]),
+        least_counts=tuple(least[1:]),
+        orbit_counts=tuple(orbits),
     )
 
 

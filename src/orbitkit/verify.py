@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable
 
 from . import asymptotics, zeta
-from .arith import Dyadic, divisors, mobius, ord_p, padic_abs
+from .arith import Dyadic, ExactnessError, divisors, mobius, ord_p, padic_abs
 from .counting import (
     CIRCLE_DOUBLING,
     THREE_ADIC_EXTENSION,
@@ -70,17 +70,26 @@ class CheckResult:
 CHECKS: dict[str, Callable[[int], CheckResult]] = {}
 
 
+@functools.lru_cache(maxsize=2)
+def _table(spec, max_n: int):
+    """f's or g's table at ``max_n``; smaller windows read a prefix of it."""
+    return build_table(spec, max_n)
+
+
 def _check(name: str):
     """Register a check under ``name``.
 
     The decorated function returns ``(passed, params)`` or
     ``(passed, params, detail)``; the registered check wraps that in a
-    ``CheckResult`` named ``name``.
+    ``CheckResult`` named ``name``; an ``ExactnessError`` is a FAIL.
     """
 
     def register(fn):
         def check(max_n: int) -> CheckResult:
-            return CheckResult(name, *fn(max_n))
+            try:
+                return CheckResult(name, *fn(max_n))
+            except ExactnessError as exc:
+                return CheckResult(name, False, "", f"ExactnessError: {exc}")
 
         CHECKS[name] = check
         return check
@@ -140,7 +149,7 @@ def _check_even_divisibility(max_n: int) -> tuple:
 @_check("inversion-roundtrip")
 def _check_inversion_roundtrip(max_n: int) -> tuple:
     for spec, label in ((THREE_ADIC_EXTENSION, "f"), (CIRCLE_DOUBLING, "g")):
-        table = build_table(spec, max_n)
+        table = _table(spec, max_n)
         for n in range(1, max_n + 1):
             rebuilt = sum(table.least_counts[d - 1] for d in divisors(n))
             if rebuilt != table.fix_counts[n - 1]:
@@ -153,8 +162,8 @@ def _check_inversion_roundtrip(max_n: int) -> tuple:
 
 @_check("orbit-domination")
 def _check_orbit_domination(max_n: int) -> tuple:
-    tf = build_table(THREE_ADIC_EXTENSION, max_n)
-    tg = build_table(CIRCLE_DOUBLING, max_n)
+    tf = _table(THREE_ADIC_EXTENSION, max_n)
+    tg = _table(CIRCLE_DOUBLING, max_n)
     for n in range(1, max_n + 1):
         if tf.orbit_counts[n - 1] > tg.orbit_counts[n - 1]:
             return False, f"n<={max_n}", f"fails at {n}"
@@ -209,7 +218,7 @@ def _check_fix_term_form(max_n: int) -> tuple:
     for base in (THREE_ADIC_EXTENSION, CIRCLE_DOUBLING):
         for spec, top in ((base, max_n), (iterate(base, 2), k2), (iterate(base, 3), k3)):
             den, terms = fix_terms(spec, top)
-            table = build_table(spec, top)
+            table = _table(spec, top) if spec == base else build_table(spec, top)
             for n in range(1, top + 1):
                 total = sum(w << (s * n // m) for w, s, m in terms if n % m == 0)
                 if total != den * table.fix_counts[n - 1]:
@@ -221,7 +230,7 @@ def _check_fix_term_form(max_n: int) -> tuple:
 def _check_killed_orbits(max_n: int) -> tuple:
     if max_n < 6:
         return True, "n in (2, 6)", _VACUOUS
-    table = build_table(THREE_ADIC_EXTENSION, 6)
+    table = _table(THREE_ADIC_EXTENSION, max_n)
     ok = table.orbits(2) == 0 and table.orbits(6) == 0
     detail = "" if ok else f"orbits(2)={table.orbits(2)}, orbits(6)={table.orbits(6)}"
     return ok, "n in (2, 6)", detail
@@ -229,8 +238,8 @@ def _check_killed_orbits(max_n: int) -> tuple:
 
 @_check("pi-domination")
 def _check_pi_domination(max_n: int) -> tuple:
-    tf = build_table(THREE_ADIC_EXTENSION, max_n)
-    tg = build_table(CIRCLE_DOUBLING, max_n)
+    tf = _table(THREE_ADIC_EXTENSION, max_n)
+    tg = _table(CIRCLE_DOUBLING, max_n)
     total_f = total_g = 0
     for X in range(1, max_n + 1):
         total_f += tf.orbit_counts[X - 1]
@@ -245,7 +254,7 @@ def _ratio_window(max_n: int):
     """The f ratio series, built once for the two checks that read it."""
     if max_n <= asymptotics.DEFAULT_BURN_IN:
         return None
-    table = build_table(THREE_ADIC_EXTENSION, max_n)
+    table = _table(THREE_ADIC_EXTENSION, max_n)
     return asymptotics.ratio_series(table, max_n, asymptotics.DEFAULT_BURN_IN)
 
 
@@ -284,7 +293,7 @@ def _check_doubling_ratio(max_n: int) -> tuple:
     params = f"64<=X<={max_n}, |ratio-1| < 0.02"
     if max_n <= asymptotics.DEFAULT_BURN_IN:
         return True, params, _VACUOUS
-    table = build_table(CIRCLE_DOUBLING, max_n)
+    table = _table(CIRCLE_DOUBLING, max_n)
     points = asymptotics.ratio_series(table, max_n, asymptotics.DEFAULT_BURN_IN)
     worst = max(abs(p.ratio - 1) for p in points)
     ok = worst < asymptotics.RATIO_BAND_TOLERANCE
@@ -306,7 +315,7 @@ def _check_merten_sandwich(max_n: int) -> tuple:
     params = f"16<=X<={max_n}, 0.5*ln X - 2 <= sum <= ln X + 2"
     if max_n < 16:
         return True, params, _VACUOUS
-    table = build_table(THREE_ADIC_EXTENSION, max_n)
+    table = _table(THREE_ADIC_EXTENSION, max_n)
     slack = asymptotics.MERTEN_SLACK
     lows, highs = [], []
     for X, dev_full, dev_half in _merten_bounds(table, max_n):
@@ -325,7 +334,7 @@ def _check_merten_doubling(max_n: int) -> tuple:
     params = f"16<=X<={max_n}, |sum - ln X| <= 2"
     if max_n < 16:
         return True, params, _VACUOUS
-    table = build_table(CIRCLE_DOUBLING, max_n)
+    table = _table(CIRCLE_DOUBLING, max_n)
     worst = Dyadic(0, 0)
     for X, dev_full, _ in _merten_bounds(table, max_n):
         if abs(dev_full) > worst:
@@ -338,8 +347,8 @@ def _check_merten_doubling(max_n: int) -> tuple:
 @_check("delta-gap-bound")
 def _check_delta_gap(max_n: int) -> tuple:
     params = f"X<={max_n}; rescaled band [0.3, 1.5] for even X>=64"
-    tf = build_table(THREE_ADIC_EXTENSION, max_n)
-    tg = build_table(CIRCLE_DOUBLING, max_n)
+    tf = _table(THREE_ADIC_EXTENSION, max_n)
+    tg = _table(CIRCLE_DOUBLING, max_n)
     gaps = asymptotics.delta_gap(tf, tg, max_n)
     low, high = Fraction(3, 10), Fraction(3, 2)
     for X, (gap, even_bound) in enumerate(gaps, start=1):
@@ -356,10 +365,10 @@ def _check_delta_gap(max_n: int) -> tuple:
 def _check_zeta_oracle(max_n: int) -> tuple:
     degree = min(max_n, 400)
     params = f"degree {degree}, maps f and g"
-    table_f = build_table(THREE_ADIC_EXTENSION, max(degree, 1))
+    table_f = _table(THREE_ADIC_EXTENSION, max_n)
     if zeta_series(table_f, degree) != orbit_product_series(table_f, degree):
         return False, params, "f series differ"
-    table_g = build_table(CIRCLE_DOUBLING, max(degree, 1))
+    table_g = _table(CIRCLE_DOUBLING, max_n)
     series_g = zeta_series(table_g, degree)
     if series_g != orbit_product_series(table_g, degree):
         return False, params, "g series differ"
@@ -385,7 +394,7 @@ def _check_decomposition(max_n: int) -> tuple:
     params = f"degree {degree}"
     if degree < 2:
         return True, params, _VACUOUS
-    table = build_table(THREE_ADIC_EXTENSION, degree)
+    table = _table(THREE_ADIC_EXTENSION, max_n)
     return xi_series(table, degree) == xi_from_closed_parts(degree), params
 
 
@@ -395,7 +404,7 @@ def _check_coefficient_growth(max_n: int) -> tuple:
     params = f"200<=n<={top}, |log2(c_n)/n - 1| <= 0.05"
     if top < 200:
         return True, params, _VACUOUS
-    table = build_table(THREE_ADIC_EXTENSION, top)
+    table = _table(THREE_ADIC_EXTENSION, max_n)
     coeffs = zeta_series(table, top)
     for n in range(200, top + 1):
         rate = math.log2(coeffs[n]) / n
@@ -410,7 +419,7 @@ def _check_fix_ratio_witnesses(max_n: int) -> tuple:
     params = f"n<={top}, witnesses > 2.2 and < 1.0"
     if top < 6:
         return True, params, _VACUOUS
-    table = build_table(THREE_ADIC_EXTENSION, top)
+    table = _table(THREE_ADIC_EXTENSION, max_n)
     above = below = None
     for n in range(1, top):
         ratio = Fraction(table.fix_counts[n], table.fix_counts[n - 1])
@@ -488,4 +497,8 @@ def run_checks(max_n: int) -> list[CheckResult]:
     """Run the full invariant suite with windows scaled to ``max_n``."""
     if max_n < 1:
         raise ValueError(f"verification max must be >= 1, got {max_n}")
-    return [check(max_n) for check in CHECKS.values()]
+    try:
+        return [check(max_n) for check in CHECKS.values()]
+    finally:  # f's and g's tables are built once per call and not kept
+        _table.cache_clear()
+        _ratio_window.cache_clear()

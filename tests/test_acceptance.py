@@ -8,6 +8,9 @@ for zeta.  Each test prints one PASS line per check on success (run pytest
 with -s to see them); a failed assert is the FAIL line.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from orbitkit import asymptotics, verify
@@ -148,6 +151,25 @@ def test_run_checks_builds_each_ratio_series_once(monkeypatch):
     monkeypatch.setattr(asymptotics, "ratio_series", counted)
     verify.run_checks(200)
     assert sorted(built) == ["3-adic-extension", "circle-doubling"]
+
+
+def test_run_checks_builds_f_and_g_once_and_keeps_none(monkeypatch):
+    built, alive = [], []
+    original = verify.build_table
+
+    def recorded(spec, n_max):
+        table = original(spec, n_max)
+        built.append((spec, n_max))
+        alive.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(verify, "build_table", recorded)
+    results = verify.run_checks(300)
+    assert all(r.passed for r in results)
+    assert built.count((THREE_ADIC_EXTENSION, 300)) == 1
+    assert built.count((CIRCLE_DOUBLING, 300)) == 1
+    gc.collect()
+    assert [ref for ref in alive if ref() is not None] == []
 
 
 def test_pi_sum_spot_values():

@@ -247,6 +247,12 @@ def test_zeta_boundary_validation(capsys):
         capsys, "zeta", "boundary", "--angle", "nope", "--radii", "0.1"
     )
     assert code == 1
+    code, out, err = run_cli(
+        capsys, "zeta", "boundary", "--angle", "1/3", "--radii", "0.1", "--terms", "650"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "orbitkit: error: --terms must lie in 0..100, got 650\n"
 
 
 def test_json_output(capsys):
@@ -328,6 +334,26 @@ def test_verify_fault_injection_fails(monkeypatch, capsys):
     assert code == 2
     _, rows = csv_rows(out)
     assert any(row[1] == "FAIL" for row in rows)
+
+
+def test_verify_exactness_error_is_a_fail_row(monkeypatch, capsys):
+    import orbitkit.counting as counting
+    import orbitkit.zeta as zeta
+
+    def top_level_of_f_dropped(spec, n_max):
+        den, terms = counting.fix_terms(spec, n_max)
+        return (den, terms[:-2]) if spec == counting.THREE_ADIC_EXTENSION else (den, terms)
+
+    monkeypatch.setattr(zeta, "fix_terms", top_level_of_f_dropped)
+    code, out, _ = run_cli(capsys, "verify", "--max", "400")
+    assert code == 2
+    _, rows = csv_rows(out)
+    assert len(rows) == 28
+    error = "ExactnessError: zeta coefficient at degree 162 is not an integer"
+    assert [row for row in rows if row[1] == "FAIL"] == [
+        ["zeta-two-routes", "FAIL", "", error],
+        ["coefficient-growth", "FAIL", "", error],
+    ]
 
 
 # Orbit counts of the pinned custom-data zeta case, written to a file per run.

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from orbitkit import counting
 from orbitkit.arith import ExactnessError, divisors, ord_p
 from orbitkit.counting import (
     CIRCLE_DOUBLING,
@@ -202,12 +208,38 @@ def test_build_table_rejects_empty():
         build_table(CIRCLE_DOUBLING, 0)
 
 
-def test_build_table_memoization_consistency():
+def test_build_table_prefix_consistency():
     small = build_table(CIRCLE_DOUBLING, 10)
     large = build_table(CIRCLE_DOUBLING, 20)
     again = build_table(CIRCLE_DOUBLING, 10)
     assert small == again
     assert large.fix_counts[:10] == small.fix_counts
+
+
+def test_build_table_from_two_threads():
+    # A fresh interpreter, so that no table built earlier in this process
+    # can decide the outcome.
+    code = """
+import threading
+from orbitkit.counting import CIRCLE_DOUBLING, build_table
+results = [None, None]
+def build(i):
+    results[i] = build_table(CIRCLE_DOUBLING, 4000)
+threads = [threading.Thread(target=build, args=(i,)) for i in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=30)
+    assert not t.is_alive(), "thread did not finish"
+alone = build_table(CIRCLE_DOUBLING, 4000)
+assert results == [alone, alone], "thread tables differ"
+"""
+    src = str(Path(counting.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
 
 
 def test_build_table_inexactness_is_hard_error(monkeypatch):
