@@ -4,10 +4,11 @@ pi(X) counts all closed orbits of length at most X; ``ratio_series``
 reports it with the normalized ratio X*pi(X)/2**(X+1).  For the doubling
 map pi(X) grows like 2**(X+1)/X, so the ratio tends to 1; for the 3-adic
 extension it only oscillates inside [1/3, 1].  ``delta_gap`` returns the
-gap pi_g(X) - pi_f(X) for every X up to a cutoff, with the even-length
-orbit count that bounds it, in one running-sum pass.  ``merten_series``
-forms the weighted sums sum_{n<=X} orbits(n)/2**n, which track log X for
+gap pi_g(X) - pi_f(X) for every X in the range of its two tables, with
+the even-length orbit count that bounds it, in one running-sum pass.
+``merten_series`` forms the weighted sums sum_{n<=X} orbits(n)/2**n, which track log X for
 the doubling map and sit between (1/2) log X and log X for the extension.
+Every series runs to X = n_max, the end of the table it is given.
 
 The ratios and the sums are exact rationals with a power-of-two
 denominator, so they are carried as ``Dyadic`` values: an integer
@@ -84,27 +85,22 @@ class MertenPoint:
     normalized: "mpmath.mpf | None"
 
 
-def ratio_series(
-    table: OrbitTable, X_max: int, burn_in: int = DEFAULT_BURN_IN
-) -> list[RatioPoint]:
-    """Exact ratio points for X = burn_in..X_max with running extrema.
+def ratio_series(table: OrbitTable, burn_in: int = DEFAULT_BURN_IN) -> list[RatioPoint]:
+    """Exact ratio points for X = burn_in..n_max with running extrema.
 
     The burn-in discards small-X transients (the ratio is 1/4 at X = 1);
     extrema are tracked over the reported window only.
     """
-    if burn_in < 1:
-        raise ValueError(f"burn_in must be >= 1, got {burn_in}")
-    if not burn_in < X_max <= table.n_max:
+    if not 1 <= burn_in < table.n_max:
         raise ValueError(
-            f"need burn_in < X_max <= n_max, got burn_in={burn_in}, "
-            f"X_max={X_max}, n_max={table.n_max}"
+            f"need 1 <= burn_in < n_max, got burn_in={burn_in}, n_max={table.n_max}"
         )
     points: list[RatioPoint] = []
     running = 0
     lo: Dyadic | None = None
     hi: Dyadic | None = None
-    for X in range(1, X_max + 1):
-        running += table.orbit_counts[X - 1]
+    for X, orbits in enumerate(table.orbit_counts, start=1):
+        running += orbits
         if X < burn_in:
             continue
         ratio = Dyadic(X * running, X + 1)
@@ -116,26 +112,24 @@ def ratio_series(
     return points
 
 
-def delta_gap(
-    table_f: OrbitTable, table_g: OrbitTable, X_max: int
-) -> list[tuple[int, int]]:
+def delta_gap(table_f: OrbitTable, table_g: OrbitTable) -> list[tuple[int, int]]:
     """Orbit-count gaps pi_g(X) - pi_f(X) with their even-length upper bounds.
 
-    Returns one ``(gap, even_bound)`` pair for each X = 1..X_max, where
+    Returns one ``(gap, even_bound)`` pair for each X = 1..n_max, where
     ``even_bound`` sums the second table's orbit counts over even n <= X.
-    The gap is guaranteed non-negative when the first map's orbit counts
-    are dominated by the second's (true for the 3-adic extension vs. the
-    doubling map); a negative gap is reported as a defect.  gap <= even_bound
-    additionally requires the odd-length counts to agree, as they do for
-    that pair.
+    The two tables must cover the same range; unequal ranges raise
+    ValueError.  The gap is guaranteed non-negative when the first map's
+    orbit counts are dominated by the second's (true for the 3-adic
+    extension vs. the doubling map); a negative gap is reported as a
+    defect.  gap <= even_bound additionally requires the odd-length counts
+    to agree, as they do for that pair.
     """
-    if not 1 <= X_max <= table_f.n_max or X_max > table_g.n_max:
-        raise ValueError(f"X_max={X_max} outside joint table range")
     pairs: list[tuple[int, int]] = []
     gap = even_bound = 0
-    for X in range(1, X_max + 1):
-        orbits_g = table_g.orbit_counts[X - 1]
-        gap += orbits_g - table_f.orbit_counts[X - 1]
+    for X, (orbits_f, orbits_g) in enumerate(
+        zip(table_f.orbit_counts, table_g.orbit_counts, strict=True), start=1
+    ):
+        gap += orbits_g - orbits_f
         if gap < 0:
             raise ExactnessError(f"negative orbit-count gap {gap} at X={X}")
         if X % 2 == 0:
@@ -145,18 +139,16 @@ def delta_gap(
 
 
 def merten_series(
-    table: OrbitTable, X_max: int, precision_bits: int = DEFAULT_PRECISION_BITS
+    table: OrbitTable, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> list[MertenPoint]:
-    """Exact weighted partial sums with ln X comparison columns."""
-    if not 1 <= X_max <= table.n_max:
-        raise ValueError(f"X_max={X_max} outside table range 1..{table.n_max}")
+    """Exact weighted partial sums with ln X comparison columns, X = 1..n_max."""
     if precision_bits < 60:
         raise ValueError(f"precision must be >= 60 bits, got {precision_bits}")
     points: list[MertenPoint] = []
     numerator = 0
     with mpmath.workprec(precision_bits):
-        for X in range(1, X_max + 1):
-            numerator = 2 * numerator + table.orbit_counts[X - 1]
+        for X, orbits in enumerate(table.orbit_counts, start=1):
+            numerator = 2 * numerator + orbits
             log_x = mpmath.log(X)
             normalized = mpmath.mpf((numerator, -X)) / log_x if X >= 2 else None
             points.append(MertenPoint(X=X, sum=Dyadic(numerator, X), log_x=log_x,

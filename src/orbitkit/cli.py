@@ -40,13 +40,7 @@ from .counting import (
     custom_orbits,
     iterate,
 )
-from .output import (
-    OutputConfig,
-    format_fraction,
-    format_fraction_decimal,
-    format_real,
-    write_table,
-)
+from .output import format_fraction, format_fraction_decimal, format_real, write_table
 from .verify import run_checks
 from .zeta import radial_scan, xi1_closed_form, xi1_direct, zeta_series
 
@@ -113,10 +107,6 @@ def _require_entropy_log2(spec: MapSpec, command: str) -> None:
         )
 
 
-def _output_config(args: argparse.Namespace) -> OutputConfig:
-    return OutputConfig(format=args.format, digits=args.digits, path=args.output)
-
-
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--digits", type=int, default=12,
@@ -143,7 +133,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         (str(n), str(fix), str(least), str(orbits))
         for n, fix, least, orbits in table.rows()
     )
-    write_table(_output_config(args), meta,
+    write_table(args.format, args.output, meta,
                 ("n", "fix_count", "least_count", "orbit_count"), rows)
     return EXIT_OK
 
@@ -153,8 +143,7 @@ def _cmd_pnt(args: argparse.Namespace) -> int:
     spec = _resolve_map(args.map)
     _require_entropy_log2(spec, "pnt")
     table = build_table(spec, args.max)
-    points = ratio_series(table, args.max, args.burn_in)
-    config = _output_config(args)
+    points = ratio_series(table, args.burn_in)
     band_low = Fraction(1, 3) - RATIO_BAND_TOLERANCE
     band_high = Fraction(1) + RATIO_BAND_TOLERANCE
     clusters = cluster_ratios([p.ratio for p in points])
@@ -163,13 +152,13 @@ def _cmd_pnt(args: argparse.Namespace) -> int:
         "map": spec.label,
         "max": args.max,
         "burn_in": args.burn_in,
-        "digits": config.digits,
+        "digits": args.digits,
         "band": f"[{format_fraction(band_low)}, {format_fraction(band_high)}]",
         "ratio_clusters": "; ".join(f"{mean:.4f} x{count}" for mean, count in clusters),
     }
-    write_table(config, meta,
+    write_table(args.format, args.output, meta,
                 ("X", "pi", "ratio", "ratio_decimal", "running_min", "running_max"),
-                _pnt_rows(points, config.digits))
+                _pnt_rows(points, args.digits))
     return EXIT_OK
 
 
@@ -191,13 +180,13 @@ def _cmd_merten(args: argparse.Namespace) -> int:
     _require_entropy_log2(spec, "merten")
     bits = _precision_bits()
     table = build_table(spec, args.max)
-    points = merten_series(table, args.max, bits)
-    config = _output_config(args)
+    points = merten_series(table, bits)
+    digits = args.digits
     meta = {
         "command": "merten",
         "map": spec.label,
         "max": args.max,
-        "digits": config.digits,
+        "digits": digits,
         "precision_bits": bits,
         "slack": str(MERTEN_SLACK),
     }
@@ -205,13 +194,13 @@ def _cmd_merten(args: argparse.Namespace) -> int:
         (
             str(p.X),
             format_fraction(p.sum),
-            format_fraction_decimal(p.sum, config.digits),
-            format_real(p.log_x, config.digits),
-            "" if p.normalized is None else format_real(p.normalized, config.digits),
+            format_fraction_decimal(p.sum, digits),
+            format_real(p.log_x, digits),
+            "" if p.normalized is None else format_real(p.normalized, digits),
         )
         for p in points
     )
-    write_table(config, meta,
+    write_table(args.format, args.output, meta,
                 ("X", "sum", "sum_decimal", "log_x", "normalized"), rows)
     return EXIT_OK
 
@@ -223,7 +212,7 @@ def _cmd_zeta_coeffs(args: argparse.Namespace) -> int:
     coeffs = zeta_series(table, args.degree)
     meta = {"command": "zeta coeffs", "map": spec.label, "degree": args.degree}
     rows = ((str(n), str(c)) for n, c in enumerate(coeffs))
-    write_table(_output_config(args), meta, ("n", "coefficient"), rows)
+    write_table(args.format, args.output, meta, ("n", "coefficient"), rows)
     return EXIT_OK
 
 
@@ -234,7 +223,7 @@ def _cmd_zeta_xi1_check(args: argparse.Namespace) -> int:
     verified = direct == closed
     meta = {"command": "zeta xi1-check", "degree": args.degree}
     rows = [(str(args.degree), "PASS" if verified else "FAIL")]
-    write_table(_output_config(args), meta, ("degree_verified", "status"), rows)
+    write_table(args.format, args.output, meta, ("degree_verified", "status"), rows)
     return EXIT_OK if verified else EXIT_VERIFY
 
 
@@ -252,37 +241,33 @@ def _cmd_zeta_boundary(args: argparse.Namespace) -> int:
     # Past 100 levels no printed digit changes; near 650, 2*3**j leaves float range.
     _check_range("--terms", args.terms, 0, 100)
     _check_range("--degree", args.degree, 1, 10**4)
-    spec = _resolve_map(args.map)
-    if spec != THREE_ADIC_EXTENSION:
-        raise ValueError(
-            f"zeta boundary prints the 3-adic extension's boundary product, "
-            f"so it takes only --map f, got {spec.label}"
-        )
-    table = build_table(spec, args.degree)
-    rows_data = radial_scan(table, turns.numerator, turns.denominator,
-                            radii, args.terms, args.degree)
-    config = _output_config(args)
+    # The boundary product is the 3-adic extension's, so the scan reads f's table.
+    table = build_table(THREE_ADIC_EXTENSION, args.degree)
+    scan = radial_scan(table, turns, radii, args.terms)
+    digits = args.digits
     meta = {
         "command": "zeta boundary",
-        "map": spec.label,
+        "map": THREE_ADIC_EXTENSION.label,
         "angle_turns": format_fraction(turns),
         "terms": args.terms,
         "degree": args.degree,
-        "digits": config.digits,
+        "digits": digits,
     }
+    angle_num, angle_den = str(turns.numerator), str(turns.denominator)
+    terms, degree = str(args.terms), str(args.degree)
     rows = (
         (
-            format_real(row.radius, config.digits),
-            str(row.angle_num),
-            str(row.angle_den),
-            format_real(row.product_modulus, config.digits),
-            format_real(row.series_modulus, config.digits),
-            str(row.terms),
-            str(row.degree),
+            format_real(row.radius, digits),
+            angle_num,
+            angle_den,
+            format_real(row.product_modulus, digits),
+            format_real(row.series_modulus, digits),
+            terms,
+            degree,
         )
-        for row in rows_data
+        for row in scan
     )
-    write_table(config, meta,
+    write_table(args.format, args.output, meta,
                 ("radius", "angle_num", "angle_den", "product_modulus",
                  "series_modulus", "terms", "degree"),
                 rows)
@@ -298,7 +283,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         (r.name, "PASS" if r.passed else "FAIL", r.params, r.detail)
         for r in results
     ]
-    write_table(_output_config(args), meta,
+    write_table(args.format, args.output, meta,
                 ("check", "status", "params", "detail"), rows)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
@@ -354,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="product levels, 0..100 (default 10)")
     p_boundary.add_argument("--degree", type=int, default=2000,
                             help="series truncation for the series column (default 2000)")
-    p_boundary.add_argument("--map", default="f", metavar="MAP",
-                            help="f, the only map with a boundary product (default f)")
     _add_output_options(p_boundary)
     p_boundary.set_defaults(func=_cmd_zeta_boundary)
 

@@ -8,11 +8,13 @@ exactly n (``least``), and the number of closed orbits of length n
     fix(n)   = sum of least(d) over divisors d of n,
     least(n) = n * orbits(n),
 
-with the first relation inverted by a sieve over multiples.  The maps
-supported here are the circle-doubling map (fix(n) = 2**n - 1), its 3-adic
-isometric extension (fix(n) = (2**n - 1) * |2**n - 1|_3, an exact integer),
-iterates of either, and user-supplied orbit-count data.  A table is a plain
-value: ``build_table`` keeps nothing between calls.
+with the first relation inverted by a sieve over multiples.  So only two
+of them are independent: a table keeps fix and orbits, and reads least as
+n * orbits.  The maps supported here are the circle-doubling map
+(fix(n) = 2**n - 1), its 3-adic isometric extension
+(fix(n) = (2**n - 1) * |2**n - 1|_3, an exact integer), iterates of either,
+and user-supplied orbit-count data.  A table is a plain value:
+``build_table`` keeps nothing between calls.
 
 Every closed-form map also has a term form (``fix_terms``): its fix counts
 are a short sum of gated geometric terms,
@@ -202,46 +204,32 @@ def fix_terms(spec: MapSpec, n_max: int) -> tuple[int, tuple[tuple[int, int, int
 
 @dataclass(frozen=True)
 class OrbitTable:
-    """The three count sequences for one map, for n = 1..``n_max``.
+    """Fix and orbit counts for one map, for n = 1..``n_max``.
 
-    Tuples are indexed from 0 for n = 1; use ``fix``/``least``/``orbits``
-    for 1-based access.  A built table is immutable and safe to share.
+    Tuples are indexed from 0 for n = 1.  The least-period count is
+    n * orbits(n), derived in ``rows``.  ``n_max`` is the one statement of
+    the table's range: the computations on a table run to its end.  A
+    built table is immutable and safe to share.
     """
 
     spec: MapSpec
     n_max: int
     fix_counts: tuple[int, ...]
-    least_counts: tuple[int, ...]
     orbit_counts: tuple[int, ...]
 
-    def _check_range(self, n: int) -> None:
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"index {n} outside table range 1..{self.n_max}")
-
-    def fix(self, n: int) -> int:
-        self._check_range(n)
-        return self.fix_counts[n - 1]
-
-    def least(self, n: int) -> int:
-        self._check_range(n)
-        return self.least_counts[n - 1]
-
-    def orbits(self, n: int) -> int:
-        self._check_range(n)
-        return self.orbit_counts[n - 1]
-
     def rows(self) -> Iterator[tuple[int, int, int, int]]:
-        for i in range(self.n_max):
-            yield i + 1, self.fix_counts[i], self.least_counts[i], self.orbit_counts[i]
+        """(n, fix, least, orbits) for n = 1..n_max."""
+        for n, (fix, orbits) in enumerate(zip(self.fix_counts, self.orbit_counts), start=1):
+            yield n, fix, n * orbits, orbits
 
 
 def build_table(spec: MapSpec, n_max: int) -> OrbitTable:
-    """Compute fix/least/orbit counts for n = 1..n_max, as a fresh table.
+    """Compute fix and orbit counts for n = 1..n_max, as a fresh table.
 
     fix comes from ``fix_count``.  least inverts the divisor sum in one
     sieve pass: the count at m starts at fix(m), and once least(n) is final
     it is subtracted at every multiple m of n.  orbits is the exact
-    division least(n)/n.
+    division least(n)/n; the least counts themselves are not kept.
     """
     if n_max < 1:
         raise ValueError(f"build_table requires n_max >= 1, got {n_max}")
@@ -258,13 +246,8 @@ def build_table(spec: MapSpec, n_max: int) -> OrbitTable:
         orbits.append(orbit)
         for m in range(2 * n, n_max + 1, n):
             least[m] -= count
-    return OrbitTable(
-        spec=spec,
-        n_max=n_max,
-        fix_counts=tuple(fix[1:]),
-        least_counts=tuple(least[1:]),
-        orbit_counts=tuple(orbits),
-    )
+    return OrbitTable(spec=spec, n_max=n_max, fix_counts=tuple(fix[1:]),
+                      orbit_counts=tuple(orbits))
 
 
 def orbit_count_iterate(base: OrbitTable, k: int, n: int) -> int:
@@ -288,7 +271,7 @@ def orbit_count_iterate(base: OrbitTable, k: int, n: int) -> int:
         )
     total = 0
     for d in divisors(n):
-        inner = sum(dp * base.orbits(dp) for dp in divisors(d * k))
+        inner = sum(dp * base.orbit_counts[dp - 1] for dp in divisors(d * k))
         total += mobius(n // d) * inner
     orbit, remainder = divmod(total, n)
     if remainder:
@@ -308,7 +291,7 @@ def iterate_square_identity(base: OrbitTable, n: int) -> int:
         raise ValueError(f"iterate_square_identity requires n >= 1, got {n}")
     if 2 * n > base.n_max:
         raise ValueError(f"base table covers 1..{base.n_max}, need {2 * n}")
-    doubled = 2 * base.orbits(2 * n)
+    doubled = 2 * base.orbit_counts[2 * n - 1]
     if n % 2 == 1:
-        return doubled + base.orbits(n)
+        return doubled + base.orbit_counts[n - 1]
     return doubled

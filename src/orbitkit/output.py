@@ -17,7 +17,6 @@ import contextlib
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -26,25 +25,11 @@ import mpmath
 from .arith import Dyadic
 
 __all__ = [
-    "OutputConfig",
     "format_fraction",
     "format_fraction_decimal",
     "format_real",
     "write_table",
 ]
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    format: str = "csv"
-    digits: int = 12
-    path: "str | None" = None
-
-    def __post_init__(self) -> None:
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.format!r}")
-        if self.digits < 1:
-            raise ValueError(f"digits must be >= 1, got {self.digits}")
 
 
 def format_fraction(value: "Fraction | Dyadic") -> str:
@@ -83,22 +68,24 @@ def format_real(value: Any, digits: int) -> str:
 
 
 def write_table(
-    config: OutputConfig,
+    fmt: str,
+    path: "str | None",
     meta: Mapping[str, Any],
     header: Sequence[str],
     rows: Iterable[Sequence[str]],
 ) -> None:
-    """Write one result table to the configured destination, row by row.
+    """Write one result table as ``fmt`` ("csv" or "json") to ``path``,
+    or to stdout when ``path`` is None.
 
     CSV rows go out as they are pulled from ``rows``; JSON needs its row
     objects in hand before ``json.dump`` can encode them.
     """
-    if config.path is None:
+    if path is None:
         destination = contextlib.nullcontext(sys.stdout)
     else:
-        destination = open(config.path, "w", encoding="utf-8")
+        destination = open(path, "w", encoding="utf-8")
     with destination as handle:
-        if config.format == "csv":
+        if fmt == "csv":
             for key, value in meta.items():
                 handle.write(f"# {key}={value}\n")
             writer = csv.writer(handle, lineterminator="\n")

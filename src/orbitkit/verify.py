@@ -15,8 +15,8 @@ so every criterion has this one implementation.
 
 from __future__ import annotations
 
-import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -69,11 +69,25 @@ class CheckResult:
 
 CHECKS: dict[str, Callable[[int], CheckResult]] = {}
 
+# What the checks of one ``run_checks`` call share: f's and g's tables and
+# f's ratio series.  None outside such a call, so a check called on its own
+# builds what it reads and leaves nothing behind.
+_SHARED: ContextVar["dict | None"] = ContextVar("verify_shared", default=None)
 
-@functools.lru_cache(maxsize=2)
+
+def _once(key, build: Callable):
+    """``build()``, kept for the rest of the current ``run_checks`` call."""
+    shared = _SHARED.get()
+    if shared is None:
+        return build()
+    if key not in shared:
+        shared[key] = build()
+    return shared[key]
+
+
 def _table(spec, max_n: int):
     """f's or g's table at ``max_n``; smaller windows read a prefix of it."""
-    return build_table(spec, max_n)
+    return _once((spec, max_n), lambda: build_table(spec, max_n))
 
 
 def _check(name: str):
@@ -149,14 +163,12 @@ def _check_even_divisibility(max_n: int) -> tuple:
 @_check("inversion-roundtrip")
 def _check_inversion_roundtrip(max_n: int) -> tuple:
     for spec, label in ((THREE_ADIC_EXTENSION, "f"), (CIRCLE_DOUBLING, "g")):
+        # build_table raises ExactnessError where n does not divide least(n)
         table = _table(spec, max_n)
         for n in range(1, max_n + 1):
-            rebuilt = sum(table.least_counts[d - 1] for d in divisors(n))
+            rebuilt = sum(d * table.orbit_counts[d - 1] for d in divisors(n))
             if rebuilt != table.fix_counts[n - 1]:
                 return False, f"n<={max_n}", f"{label} at n={n}"
-            if table.least_counts[n - 1] % n != 0:
-                return (False, f"n<={max_n}",
-                        f"{label}: n does not divide least count at n={n}")
     return True, f"n<={max_n}, maps f and g"
 
 
@@ -231,8 +243,9 @@ def _check_killed_orbits(max_n: int) -> tuple:
     if max_n < 6:
         return True, "n in (2, 6)", _VACUOUS
     table = _table(THREE_ADIC_EXTENSION, max_n)
-    ok = table.orbits(2) == 0 and table.orbits(6) == 0
-    detail = "" if ok else f"orbits(2)={table.orbits(2)}, orbits(6)={table.orbits(6)}"
+    orbits_2, orbits_6 = table.orbit_counts[1], table.orbit_counts[5]
+    ok = orbits_2 == 0 and orbits_6 == 0
+    detail = "" if ok else f"orbits(2)={orbits_2}, orbits(6)={orbits_6}"
     return ok, "n in (2, 6)", detail
 
 
@@ -249,13 +262,12 @@ def _check_pi_domination(max_n: int) -> tuple:
     return True, f"X<={max_n}"
 
 
-@functools.lru_cache(maxsize=1)
 def _ratio_window(max_n: int):
     """The f ratio series, built once for the two checks that read it."""
     if max_n <= asymptotics.DEFAULT_BURN_IN:
         return None
     table = _table(THREE_ADIC_EXTENSION, max_n)
-    return asymptotics.ratio_series(table, max_n, asymptotics.DEFAULT_BURN_IN)
+    return _once("ratio", lambda: asymptotics.ratio_series(table))
 
 
 @_check("extension-ratio-band")
@@ -278,7 +290,9 @@ def _check_ratio_band(max_n: int) -> tuple:
 def _check_ratio_clusters(max_n: int) -> tuple:
     params = f"64<=X<={max_n}"
     points = _ratio_window(max_n)
-    _ratio_window.cache_clear()  # the last reader: free the series before later checks
+    shared = _SHARED.get()
+    if shared is not None:  # the last reader: free the series before later checks
+        shared.pop("ratio", None)
     if points is None:
         return True, params, _VACUOUS
     clusters = asymptotics.cluster_ratios([p.ratio for p in points])
@@ -294,15 +308,15 @@ def _check_doubling_ratio(max_n: int) -> tuple:
     if max_n <= asymptotics.DEFAULT_BURN_IN:
         return True, params, _VACUOUS
     table = _table(CIRCLE_DOUBLING, max_n)
-    points = asymptotics.ratio_series(table, max_n, asymptotics.DEFAULT_BURN_IN)
+    points = asymptotics.ratio_series(table)
     worst = max(abs(p.ratio - 1) for p in points)
     ok = worst < asymptotics.RATIO_BAND_TOLERANCE
     return ok, params, f"max |ratio-1| = {float(worst):.6f}"
 
 
-def _merten_bounds(table, max_n: int):
-    """(X, sum - ln X, sum - ln X / 2) for 16 <= X <= max_n, all exact."""
-    for p in asymptotics.merten_series(table, max_n):
+def _merten_bounds(table):
+    """(X, sum - ln X, sum - ln X / 2) for 16 <= X <= n_max, all exact."""
+    for p in asymptotics.merten_series(table):
         if p.X < 16:
             continue
         log_x = Dyadic.from_mpf(p.log_x)
@@ -318,7 +332,7 @@ def _check_merten_sandwich(max_n: int) -> tuple:
     table = _table(THREE_ADIC_EXTENSION, max_n)
     slack = asymptotics.MERTEN_SLACK
     lows, highs = [], []
-    for X, dev_full, dev_half in _merten_bounds(table, max_n):
+    for X, dev_full, dev_half in _merten_bounds(table):
         if dev_half < -slack or dev_full > slack:
             return False, params, f"fails at X={X}"
         lows.append(dev_half)
@@ -336,7 +350,7 @@ def _check_merten_doubling(max_n: int) -> tuple:
         return True, params, _VACUOUS
     table = _table(CIRCLE_DOUBLING, max_n)
     worst = Dyadic(0, 0)
-    for X, dev_full, _ in _merten_bounds(table, max_n):
+    for X, dev_full, _ in _merten_bounds(table):
         if abs(dev_full) > worst:
             worst = abs(dev_full)
         if abs(dev_full) > asymptotics.MERTEN_SLACK:
@@ -349,7 +363,7 @@ def _check_delta_gap(max_n: int) -> tuple:
     params = f"X<={max_n}; rescaled band [0.3, 1.5] for even X>=64"
     tf = _table(THREE_ADIC_EXTENSION, max_n)
     tg = _table(CIRCLE_DOUBLING, max_n)
-    gaps = asymptotics.delta_gap(tf, tg, max_n)
+    gaps = asymptotics.delta_gap(tf, tg)
     low, high = Fraction(3, 10), Fraction(3, 2)
     for X, (gap, even_bound) in enumerate(gaps, start=1):
         if gap > even_bound:
@@ -449,7 +463,7 @@ def _check_custom_example(max_n: int) -> tuple:
             return False, params, f"b at n={n}"
         if expected_a >= expected_b:
             return False, params, f"fix dominance at n={n}"
-    ok = table_a.orbits(2) > table_b.orbits(2)
+    ok = table_a.orbit_counts[1] > table_b.orbit_counts[1]
     return ok, params, "" if ok else "orbit counts unexpectedly dominated"
 
 
@@ -488,7 +502,7 @@ def _check_interior_agreement(max_n: int) -> tuple:
         return True, params, _VACUOUS
     table = build_table(THREE_ADIC_EXTENSION, _INTERIOR_DEGREE)
     product = modulus_product(complex(_INTERIOR_Z), _INTERIOR_TERMS)
-    series = zeta.series_modulus(table, complex(_INTERIOR_Z), _INTERIOR_DEGREE)
+    series = zeta.series_modulus(table, complex(_INTERIOR_Z))
     diff = abs(product - series)
     return diff <= _INTERIOR_TOLERANCE, params, f"diff {diff:.2e}"
 
@@ -497,8 +511,8 @@ def run_checks(max_n: int) -> list[CheckResult]:
     """Run the full invariant suite with windows scaled to ``max_n``."""
     if max_n < 1:
         raise ValueError(f"verification max must be >= 1, got {max_n}")
+    token = _SHARED.set({})  # f's and g's tables are built once per call and not kept
     try:
         return [check(max_n) for check in CHECKS.values()]
-    finally:  # f's and g's tables are built once per call and not kept
-        _table.cache_clear()
-        _ratio_window.cache_clear()
+    finally:
+        _SHARED.reset(token)

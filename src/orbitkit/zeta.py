@@ -34,7 +34,8 @@ series both ways.  The closed form yields a product expression for
 |zeta(z)| whose factors vanish at the points (1/2)e^(2*pi*i*j/3**r), dense
 on the circle |z| = 1/2; ``modulus_product`` evaluates it (exactly zero at
 those points when given exact polar coordinates) and ``radial_scan`` pairs
-it with truncated-series values along rays toward the boundary.
+it with values of the series truncated at the table's end, along rays
+toward the boundary.
 """
 
 from __future__ import annotations
@@ -290,76 +291,56 @@ def modulus_product(z: "complex | BoundaryPoint", terms: int) -> float:
     return value
 
 
-def xi_partial_value(table: OrbitTable, z: complex, degree: int) -> complex:
+def xi_partial_value(table: OrbitTable, z: complex) -> complex:
     """Partial sum of the zeta exponent at a point, in double precision.
 
-    Terms are accumulated as (2z)**n * (F_n/2**n)/n, which keeps every
-    intermediate bounded for |z| <= 1/2 even though F_n itself grows like
-    2**n.
+    The sum runs over the whole table, n = 1..n_max.  Terms are accumulated
+    as (2z)**n * (F_n/2**n)/n, which keeps every intermediate bounded for
+    |z| <= 1/2 even though F_n itself grows like 2**n.
     """
-    _check_degree(table, degree)
     w = 2.0 * complex(z)
     w_pow = 1.0 + 0.0j
     acc = 0.0 + 0.0j
-    for n in range(1, degree + 1):
+    for n, fix in enumerate(table.fix_counts, start=1):
         w_pow *= w
-        scaled = table.fix_counts[n - 1] / (1 << n)  # exact int ratio, one rounding
+        scaled = fix / (1 << n)  # exact int ratio, one rounding
         acc += w_pow * (scaled / n)
     return acc
 
 
-def series_modulus(table: OrbitTable, z: complex, degree: int) -> float:
-    """|exp(partial zeta exponent)| at a point; pairs with the product."""
-    return math.exp(xi_partial_value(table, z, degree).real)
+def series_modulus(table: OrbitTable, z: complex) -> float:
+    """|exp(partial zeta exponent)| at a point, over the whole table; pairs
+    with the product."""
+    return math.exp(xi_partial_value(table, z).real)
 
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One record of a radial boundary scan, with its truncation settings."""
+    """One point of a radial boundary scan: both |zeta| values at a radius."""
 
     radius: float
-    angle_num: int
-    angle_den: int
     product_modulus: float
     series_modulus: float
-    terms: int
-    degree: int
 
 
 def radial_scan(
-    table: OrbitTable,
-    angle_num: int,
-    angle_den: int,
-    radii: Sequence[float],
-    terms: int,
-    degree: int,
+    table: OrbitTable, turns: Fraction, radii: Sequence[float], terms: int
 ) -> list[ScanRow]:
-    """Evaluate both |zeta| routes along the ray at angle 2*pi*num/den.
+    """Evaluate both |zeta| routes along the ray at angle 2*pi*turns.
 
-    Denominators that are powers of 3 point at boundary zeros; any positive
-    denominator is accepted.  Radii must lie strictly inside (0, 1/2): the
+    Denominators of ``turns`` that are powers of 3 point at boundary zeros;
+    any rational is accepted.  The product keeps ``terms`` levels, the
+    series the whole table.  Radii must lie strictly inside (0, 1/2): the
     product has its exact zeros and its pole on the rim itself.
     """
-    if angle_den < 1:
-        raise ValueError(f"angle denominator must be >= 1, got {angle_den}")
     for r in radii:
         if not 0.0 < r < 0.5:
             raise ValueError(f"scan radius must lie in (0, 1/2), got {r}")
-    turns = Fraction(angle_num, angle_den)
     angle = 2.0 * math.pi * float(turns % 1)
     direction = complex(math.cos(angle), math.sin(angle))
     rows = []
     for r in radii:
         z = r * direction
-        rows.append(
-            ScanRow(
-                radius=r,
-                angle_num=turns.numerator,
-                angle_den=turns.denominator,
-                product_modulus=modulus_product(z, terms),
-                series_modulus=series_modulus(table, z, degree),
-                terms=terms,
-                degree=degree,
-            )
-        )
+        rows.append(ScanRow(radius=r, product_modulus=modulus_product(z, terms),
+                            series_modulus=series_modulus(table, z)))
     return rows

@@ -44,6 +44,24 @@ def test_criterion_02_inversion_roundtrip_and_divisibility(checks):
     _assert_passed(checks, 2, {"inversion-roundtrip": "n<=2000, maps f and g"})
 
 
+def test_inversion_roundtrip_reports_divisibility(monkeypatch):
+    import orbitkit.counting as counting
+
+    original = counting.fix_count
+
+    def fix_of_f_off_at_5(spec, n):
+        # fix(5) = 32 makes least(5) = 31, which 5 does not divide
+        return original(spec, n) + (spec == THREE_ADIC_EXTENSION and n == 5)
+
+    monkeypatch.setattr(counting, "fix_count", fix_of_f_off_at_5)
+    result = verify.CHECKS["inversion-roundtrip"](300)
+    assert not result.passed
+    assert result.detail == "ExactnessError: 5 does not divide least-period count 31"
+    broken = {"inversion-roundtrip": result}
+    with pytest.raises(AssertionError, match="inversion-roundtrip FAIL"):
+        test_criterion_02_inversion_roundtrip_and_divisibility(broken)
+
+
 def test_criterion_03_domination_and_divisor_sum_bound(checks):
     _assert_passed(checks, 3, {
         "orbit-domination": "n<=2000",
@@ -172,10 +190,41 @@ def test_run_checks_builds_f_and_g_once_and_keeps_none(monkeypatch):
     assert [ref for ref in alive if ref() is not None] == []
 
 
+def test_direct_check_calls_keep_nothing_for_run_checks(monkeypatch):
+    built, alive = [], []
+    original_build, original_ratio = verify.build_table, asymptotics.ratio_series
+
+    def recorded_build(spec, n_max):
+        table = original_build(spec, n_max)
+        built.append((spec, n_max))
+        alive.append(weakref.ref(table))
+        return table
+
+    def recorded_ratio(table, *args):
+        points = original_ratio(table, *args)
+        alive.append(weakref.ref(points[0]))
+        return points
+
+    def assert_nothing_alive():
+        gc.collect()
+        assert [ref for ref in alive if ref() is not None] == []
+
+    monkeypatch.setattr(verify, "build_table", recorded_build)
+    monkeypatch.setattr(asymptotics, "ratio_series", recorded_ratio)
+    assert verify.CHECKS["fix-term-form"](300).passed
+    assert verify.CHECKS["extension-ratio-band"](300).passed
+    assert_nothing_alive()
+    built.clear()
+    assert all(r.passed for r in verify.run_checks(300))
+    assert built.count((THREE_ADIC_EXTENSION, 300)) == 1
+    assert built.count((CIRCLE_DOUBLING, 300)) == 1
+    assert_nothing_alive()
+
+
 def test_pi_sum_spot_values():
     # anchors the aggregate counts used across the criteria
     table_f = build_table(THREE_ADIC_EXTENSION, 6)
     table_g = build_table(CIRCLE_DOUBLING, 6)
-    assert ratio_series(table_f, 6, burn_in=5)[-1].pi == 10
-    assert ratio_series(table_g, 6, burn_in=5)[-1].pi == 22
-    assert delta_gap(table_f, table_g, 6)[-1] == (12, 13)
+    assert ratio_series(table_f, burn_in=5)[-1].pi == 10
+    assert ratio_series(table_g, burn_in=5)[-1].pi == 22
+    assert delta_gap(table_f, table_g)[-1] == (12, 13)

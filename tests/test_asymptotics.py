@@ -35,14 +35,24 @@ def tg():
     return build_table(CIRCLE_DOUBLING, 64)
 
 
-def test_pi_sum_examples(tf, tg):
+@pytest.fixture(scope="module")
+def tf6():
+    return build_table(THREE_ADIC_EXTENSION, 6)
+
+
+@pytest.fixture(scope="module")
+def tg6():
+    return build_table(CIRCLE_DOUBLING, 6)
+
+
+def test_pi_sum_examples(tf6, tg6):
     # pi(X), the number of closed orbits of length <= X, for X = 1..6
-    assert [p.pi for p in ratio_series(tf, 6, burn_in=1)] == [1, 1, 3, 4, 10, 10]
-    assert [p.pi for p in ratio_series(tg, 6, burn_in=1)] == [1, 2, 4, 7, 13, 22]
+    assert [p.pi for p in ratio_series(tf6, burn_in=1)] == [1, 1, 3, 4, 10, 10]
+    assert [p.pi for p in ratio_series(tg6, burn_in=1)] == [1, 2, 4, 7, 13, 22]
 
 
-def test_ratio_series_values(tf):
-    points = ratio_series(tf, 6, burn_in=1)
+def test_ratio_series_values(tf6):
+    points = ratio_series(tf6, burn_in=1)
     assert [p.X for p in points] == [1, 2, 3, 4, 5, 6]
     assert points[0].ratio == Fraction(1, 4)
     assert points[-1].pi == 10
@@ -58,8 +68,8 @@ def test_ratio_series_values(tf):
     ]
 
 
-def test_ratio_series_running_extrema(tf):
-    points = ratio_series(tf, 6, burn_in=3)
+def test_ratio_series_running_extrema(tf6):
+    points = ratio_series(tf6, burn_in=3)
     assert points[0].running_min == points[0].running_max == Fraction(9, 16)
     final = points[-1]
     assert final.running_min == Fraction(15, 32)
@@ -68,24 +78,23 @@ def test_ratio_series_running_extrema(tf):
         assert p.running_min <= p.ratio <= p.running_max
 
 
-def test_ratio_series_validation(tf):
+def test_ratio_series_validation(tf6):
     with pytest.raises(ValueError):
-        ratio_series(tf, 6, burn_in=6)
+        ratio_series(tf6, burn_in=6)
     with pytest.raises(ValueError):
-        ratio_series(tf, 65, burn_in=1)
-    with pytest.raises(ValueError):
-        ratio_series(tf, 6, burn_in=0)
+        ratio_series(tf6, burn_in=0)
 
 
-def test_delta_gap_examples(tf, tg):
+def test_delta_gap_examples(tf6, tg6):
     expected = [(0, 0), (1, 1), (1, 1), (3, 4), (3, 4), (12, 13)]
-    assert delta_gap(tf, tg, 6) == expected
-    assert delta_gap(tf, tg, 3) == expected[:3]
-    assert delta_gap(tf, tg, 1) == [(0, 0)]
+    assert delta_gap(tf6, tg6) == expected
+    for X in (3, 1):
+        tables = build_table(THREE_ADIC_EXTENSION, X), build_table(CIRCLE_DOUBLING, X)
+        assert delta_gap(*tables) == expected[:X]
 
 
 def test_delta_gap_bound_holds(tf, tg):
-    for X, (gap, even_bound) in enumerate(delta_gap(tf, tg, 64), start=1):
+    for X, (gap, even_bound) in enumerate(delta_gap(tf, tg), start=1):
         assert gap == sum(tg.orbit_counts[:X]) - sum(tf.orbit_counts[:X])
         assert even_bound == sum(tg.orbit_counts[1:X:2])
         assert 0 <= gap <= even_bound
@@ -95,34 +104,34 @@ def test_delta_gap_negative_is_hard_error():
     bigger = build_table(custom_orbits((2,)), 1)
     smaller = build_table(custom_orbits((1,)), 1)
     with pytest.raises(ExactnessError):
-        delta_gap(bigger, smaller, 1)
+        delta_gap(bigger, smaller)
 
 
-def test_delta_gap_range(tf, tg):
+def test_delta_gap_unequal_ranges(tf, tg, tf6, tg6):
     with pytest.raises(ValueError):
-        delta_gap(tf, tg, 0)
+        delta_gap(tf, tg6)
     with pytest.raises(ValueError):
-        delta_gap(tf, tg, 65)
+        delta_gap(tf6, tg)
 
 
-def test_merten_examples(tf, tg):
-    assert [p.sum for p in merten_series(tf, 3)] == [
+def test_merten_examples():
+    assert [p.sum for p in merten_series(build_table(THREE_ADIC_EXTENSION, 3))] == [
         Fraction(1, 2),
         Fraction(1, 2),
         Fraction(3, 4),
     ]
-    assert merten_series(tg, 3)[-1].sum == Fraction(1)
-    assert merten_series(tf, 1)[-1].sum == Fraction(1, 2)
+    assert merten_series(build_table(CIRCLE_DOUBLING, 3))[-1].sum == Fraction(1)
+    assert merten_series(build_table(THREE_ADIC_EXTENSION, 1))[-1].sum == Fraction(1, 2)
 
 
 def test_merten_denominator_is_power_of_two(tf):
-    for p in merten_series(tf, 40):
+    for p in merten_series(tf):
         assert isinstance(p.sum, Dyadic)
         assert p.sum.shift == p.X
 
 
 def test_merten_normalized_matches_sum(tf):
-    points = merten_series(tf, 32)
+    points = merten_series(tf)
     assert points[0].normalized is None
     assert points[0].log_x == 0
     for p in points[1:]:
@@ -133,21 +142,15 @@ def test_merten_normalized_matches_sum(tf):
         assert abs(normalized * log_x - total) < Fraction(1, 10**15)
 
 
-def test_merten_precision_control(tf):
-    coarse = merten_series(tf, 8, precision_bits=64)
-    fine = merten_series(tf, 8, precision_bits=128)
+def test_merten_precision_control():
+    table = build_table(THREE_ADIC_EXTENSION, 8)
+    coarse = merten_series(table, precision_bits=64)
+    fine = merten_series(table, precision_bits=128)
     assert coarse[-1].sum == fine[-1].sum
     diff = abs(exact(coarse[-1].log_x) - exact(fine[-1].log_x))
     assert diff < Fraction(1, 2**60)
     with pytest.raises(ValueError):
-        merten_series(tf, 8, precision_bits=53)
-
-
-def test_merten_range(tf):
-    with pytest.raises(ValueError):
-        merten_series(tf, 0)
-    with pytest.raises(ValueError):
-        merten_series(tf, 65)
+        merten_series(table, precision_bits=53)
 
 
 def test_cluster_ratios():
@@ -169,7 +172,7 @@ maps = pytest.mark.parametrize("spec", [THREE_ADIC_EXTENSION, CIRCLE_DOUBLING],
 @pytest.mark.parametrize("burn_in", [1, 64])
 def test_ratio_series_against_fraction_oracle(spec, burn_in):
     table = build_table(spec, 300)
-    points = ratio_series(table, 300, burn_in)
+    points = ratio_series(table, burn_in)
     assert [p.X for p in points] == list(range(burn_in, 301))
     ratios = []
     for p in points:
@@ -186,7 +189,7 @@ def test_merten_series_against_fraction_oracle(spec):
     table = build_table(spec, 300)
     total = Fraction(0)
     with mpmath.workprec(64):
-        for p in merten_series(table, 300):
+        for p in merten_series(table):
             total += Fraction(table.orbit_counts[p.X - 1], 2**p.X)
             assert p.sum == total
             assert p.log_x == mpmath.log(p.X)

@@ -10,7 +10,7 @@ import pytest
 
 import orbitkit
 from orbitkit.cli import main
-from orbitkit.output import OutputConfig, write_table
+from orbitkit.output import write_table
 
 
 def run_cli(capsys, *argv):
@@ -107,9 +107,6 @@ def test_custom_orbit_file_blank_line(tmp_path, capsys):
     ("pnt", "--map", "g2", "--max", "8000"),
     ("pnt", "--map", "f2", "--max", "100"),
     ("merten", "--map", "g2", "--max", "8000"),
-    ("zeta", "boundary", "--angle", "1/3", "--radii", "0.49",
-     "--map", "g2", "--degree", "2000"),
-    ("zeta", "boundary", "--angle", "1/3", "--radii", "0.49", "--map", "g"),
 ])
 def test_map_specific_formulas_refuse_other_maps(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -300,7 +297,7 @@ def test_write_table_writes_csv_rows_as_it_pulls_them(monkeypatch):
             written_before_pull.append(sys.stdout.tell())
             yield str(n), str(n * n)
 
-    write_table(OutputConfig(), {"command": "squares"}, ("n", "square"), rows())
+    write_table("csv", None, {"command": "squares"}, ("n", "square"), rows())
     first, second, third = written_before_pull
     assert 0 < first < second < third
     assert sys.stdout.getvalue() == "# command=squares\nn,square\n0,0\n1,1\n2,4\n"
