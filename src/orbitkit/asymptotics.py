@@ -8,7 +8,9 @@ gap pi_g(X) - pi_f(X) for every X in the range of its two tables, with
 the even-length orbit count that bounds it, in one running-sum pass.
 ``merten_series`` forms the weighted sums sum_{n<=X} orbits(n)/2**n, which track log X for
 the doubling map and sit between (1/2) log X and log X for the extension.
-Every series runs to X = n_max, the end of the table it is given.
+Every series runs to X = n_max, the end of the table it is given.  The
+ratio and the Merten sums normalise by 2**X, so both refuse (ValueError) a
+table whose map's entropy is not log 2: iterates and custom orbit data.
 
 The ratios and the sums are exact rationals with a power-of-two
 denominator, so they are carried as ``Dyadic`` values: an integer
@@ -41,6 +43,7 @@ __all__ = [
     "DEFAULT_PRECISION_BITS",
     "DEFAULT_BURN_IN",
     "RATIO_BAND_TOLERANCE",
+    "RATIO_BAND",
     "MERTEN_SLACK",
 ]
 
@@ -48,6 +51,8 @@ __all__ = [
 # finite-X effects, not values taken from any asymptotic statement; they are
 # defined once here and reported in CLI output metadata.
 RATIO_BAND_TOLERANCE = Fraction(2, 100)
+# The extension's ratio band [1/3, 1], widened by the tolerance on each side.
+RATIO_BAND = (Fraction(1, 3) - RATIO_BAND_TOLERANCE, 1 + RATIO_BAND_TOLERANCE)
 MERTEN_SLACK = Fraction(2)
 
 DEFAULT_PRECISION_BITS = 64
@@ -85,12 +90,20 @@ class MertenPoint:
     normalized: "mpmath.mpf | None"
 
 
+def _require_entropy_log2(table: OrbitTable, function: str) -> None:
+    if table.spec.entropy_base != 2:
+        raise ValueError(f"{function} normalises by 2**X, which fits only maps of "
+                         f"entropy log 2 (f, g), got {table.spec.label}")
+
+
 def ratio_series(table: OrbitTable, burn_in: int = DEFAULT_BURN_IN) -> list[RatioPoint]:
     """Exact ratio points for X = burn_in..n_max with running extrema.
 
     The burn-in discards small-X transients (the ratio is 1/4 at X = 1);
-    extrema are tracked over the reported window only.
+    extrema are tracked over the reported window only.  A table of a map
+    whose entropy is not log 2 raises ValueError.
     """
+    _require_entropy_log2(table, "ratio_series")
     if not 1 <= burn_in < table.n_max:
         raise ValueError(
             f"need 1 <= burn_in < n_max, got burn_in={burn_in}, n_max={table.n_max}"
@@ -141,7 +154,9 @@ def delta_gap(table_f: OrbitTable, table_g: OrbitTable) -> list[tuple[int, int]]
 def merten_series(
     table: OrbitTable, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> list[MertenPoint]:
-    """Exact weighted partial sums with ln X comparison columns, X = 1..n_max."""
+    """Exact weighted partial sums with ln X comparison columns, X = 1..n_max,
+    for a map of entropy log 2; any other map's table raises ValueError."""
+    _require_entropy_log2(table, "merten_series")
     if precision_bits < 60:
         raise ValueError(f"precision must be >= 60 bits, got {precision_bits}")
     points: list[MertenPoint] = []

@@ -26,7 +26,7 @@ from .asymptotics import (
     DEFAULT_BURN_IN,
     DEFAULT_PRECISION_BITS,
     MERTEN_SLACK,
-    RATIO_BAND_TOLERANCE,
+    RATIO_BAND,
     RatioPoint,
     cluster_ratios,
     merten_series,
@@ -98,15 +98,6 @@ def _resolve_map(name: str) -> MapSpec:
     return custom_orbits(counts)
 
 
-def _require_entropy_log2(spec: MapSpec, command: str) -> None:
-    """Refuse maps that the normalisation by 2**X does not fit."""
-    if spec.entropy_base != 2:
-        raise ValueError(
-            f"{command} normalises by 2**X, which fits only maps of entropy "
-            f"log 2 (f, g), got {spec.label}"
-        )
-
-
 def _add_output_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--digits", type=int, default=12,
@@ -141,11 +132,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_pnt(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
-    _require_entropy_log2(spec, "pnt")
     table = build_table(spec, args.max)
     points = ratio_series(table, args.burn_in)
-    band_low = Fraction(1, 3) - RATIO_BAND_TOLERANCE
-    band_high = Fraction(1) + RATIO_BAND_TOLERANCE
     clusters = cluster_ratios([p.ratio for p in points])
     meta = {
         "command": "pnt",
@@ -153,7 +141,7 @@ def _cmd_pnt(args: argparse.Namespace) -> int:
         "max": args.max,
         "burn_in": args.burn_in,
         "digits": args.digits,
-        "band": f"[{format_fraction(band_low)}, {format_fraction(band_high)}]",
+        "band": f"[{', '.join(map(format_fraction, RATIO_BAND))}]",
         "ratio_clusters": "; ".join(f"{mean:.4f} x{count}" for mean, count in clusters),
     }
     write_table(args.format, args.output, meta,
@@ -177,7 +165,6 @@ def _pnt_rows(points: list[RatioPoint], digits: int):
 def _cmd_merten(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
-    _require_entropy_log2(spec, "merten")
     bits = _precision_bits()
     table = build_table(spec, args.max)
     points = merten_series(table, bits)

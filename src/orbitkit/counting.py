@@ -112,8 +112,6 @@ THREE_ADIC_EXTENSION = MapSpec(_EXTENSION)
 
 def iterate(base: MapSpec, k: int) -> MapSpec:
     """The k-th iterate of ``base`` (k = 1 returns ``base`` itself)."""
-    if k < 1:
-        raise ValueError(f"iterate power must be >= 1, got {k}")
     if k == 1:
         return base
     return MapSpec(_ITERATE, base=base, power=k)
@@ -207,15 +205,18 @@ class OrbitTable:
     """Fix and orbit counts for one map, for n = 1..``n_max``.
 
     Tuples are indexed from 0 for n = 1.  The least-period count is
-    n * orbits(n), derived in ``rows``.  ``n_max`` is the one statement of
-    the table's range: the computations on a table run to its end.  A
-    built table is immutable and safe to share.
+    n * orbits(n), derived in ``rows``.  ``n_max`` is the length of the fix
+    counts, the one statement of the table's range: the computations on a
+    table run to its end.  A built table is immutable and safe to share.
     """
 
     spec: MapSpec
-    n_max: int
     fix_counts: tuple[int, ...]
     orbit_counts: tuple[int, ...]
+
+    @property
+    def n_max(self) -> int:
+        return len(self.fix_counts)
 
     def rows(self) -> Iterator[tuple[int, int, int, int]]:
         """(n, fix, least, orbits) for n = 1..n_max."""
@@ -246,8 +247,7 @@ def build_table(spec: MapSpec, n_max: int) -> OrbitTable:
         orbits.append(orbit)
         for m in range(2 * n, n_max + 1, n):
             least[m] -= count
-    return OrbitTable(spec=spec, n_max=n_max, fix_counts=tuple(fix[1:]),
-                      orbit_counts=tuple(orbits))
+    return OrbitTable(spec=spec, fix_counts=tuple(fix[1:]), orbit_counts=tuple(orbits))
 
 
 def orbit_count_iterate(base: OrbitTable, k: int, n: int) -> int:

@@ -196,8 +196,6 @@ def _check_divisor_sum_bound(max_n: int) -> tuple:
 def _check_iterate_double_sum(max_n: int) -> tuple:
     top = min(max_n, 200)
     params = f"n<={top}, k in (2,3), bases f and g"
-    if top < 1:
-        return True, params, _VACUOUS
     for spec in (CIRCLE_DOUBLING, THREE_ADIC_EXTENSION):
         for k in (2, 3):
             base = build_table(spec, top * k)
@@ -212,8 +210,6 @@ def _check_iterate_double_sum(max_n: int) -> tuple:
 def _check_square_identity(max_n: int) -> tuple:
     top = min(max_n, 500)
     params = f"n<={top}, bases f and g"
-    if top < 1:
-        return True, params, _VACUOUS
     for spec in (CIRCLE_DOUBLING, THREE_ADIC_EXTENSION):
         base = build_table(spec, 2 * top)
         direct = build_table(iterate(spec, 2), top)
@@ -276,8 +272,7 @@ def _check_ratio_band(max_n: int) -> tuple:
     points = _ratio_window(max_n)
     if points is None:
         return True, params, _VACUOUS
-    low = Fraction(1, 3) - asymptotics.RATIO_BAND_TOLERANCE
-    high = Fraction(1) + asymptotics.RATIO_BAND_TOLERANCE
+    low, high = asymptotics.RATIO_BAND
     for p in points:
         if not low <= p.ratio <= high:
             return False, params, f"ratio {float(p.ratio):.6f} at X={p.X}"
@@ -434,12 +429,12 @@ def _check_fix_ratio_witnesses(max_n: int) -> tuple:
     if top < 6:
         return True, params, _VACUOUS
     table = _table(THREE_ADIC_EXTENSION, max_n)
+    fix = table.fix_counts
     above = below = None
     for n in range(1, top):
-        ratio = Fraction(table.fix_counts[n], table.fix_counts[n - 1])
-        if above is None and ratio > Fraction(11, 5):
+        if above is None and 5 * fix[n] > 11 * fix[n - 1]:  # fix[n]/fix[n-1] > 11/5
             above = n
-        if below is None and ratio < 1:
+        if below is None and fix[n] < fix[n - 1]:
             below = n
     ok = above is not None and below is not None
     detail = f"ratio > 2.2 at n={above}, ratio < 1 at n={below}" if ok else "missing witness"
@@ -482,8 +477,7 @@ def _check_boundary_zeros(max_n: int) -> tuple:
 def _check_boundary_decrease(max_n: int) -> tuple:
     params = f"ray 2pi/3, radii {_DECREASE_RADII}, terms {_DECREASE_TERMS}"
     values = [
-        modulus_product(r * complex(math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)),
-                        _DECREASE_TERMS)
+        modulus_product(BoundaryPoint(Fraction(r), Fraction(1, 3)), _DECREASE_TERMS)
         for r in _DECREASE_RADII
     ]
     decreasing = all(a > b for a, b in zip(values, values[1:]))

@@ -34,7 +34,7 @@ series both ways.  The closed form yields a product expression for
 |zeta(z)| whose factors vanish at the points (1/2)e^(2*pi*i*j/3**r), dense
 on the circle |z| = 1/2; ``modulus_product`` evaluates it (exactly zero at
 those points when given exact polar coordinates) and ``radial_scan`` pairs
-it with values of the series truncated at the table's end, along rays
+it with values of the series over the extension's table, along rays
 toward the boundary.
 """
 
@@ -48,7 +48,7 @@ from math import comb
 from typing import Sequence
 
 from .arith import ExactnessError, ord_p
-from .counting import OrbitTable, fix_terms
+from .counting import THREE_ADIC_EXTENSION, OrbitTable, fix_terms
 from .series import log_one_minus
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "BoundaryPoint",
     "ScanRow",
     "modulus_product",
-    "xi_partial_value",
     "series_modulus",
     "radial_scan",
 ]
@@ -224,6 +223,7 @@ class BoundaryPoint:
             raise ValueError(f"radius must lie in (0, 1/2], got {self.radius}")
 
     def to_complex(self) -> complex:
+        """The point as a complex double: the package's one polar conversion."""
         angle = 2.0 * math.pi * float(self.turns % 1)
         return float(self.radius) * complex(math.cos(angle), math.sin(angle))
 
@@ -291,12 +291,13 @@ def modulus_product(z: "complex | BoundaryPoint", terms: int) -> float:
     return value
 
 
-def xi_partial_value(table: OrbitTable, z: complex) -> complex:
-    """Partial sum of the zeta exponent at a point, in double precision.
+def series_modulus(table: OrbitTable, z: complex) -> float:
+    """|zeta(z)| as |exp| of the zeta exponent summed over the whole table.
 
-    The sum runs over the whole table, n = 1..n_max.  Terms are accumulated
-    as (2z)**n * (F_n/2**n)/n, which keeps every intermediate bounded for
-    |z| <= 1/2 even though F_n itself grows like 2**n.
+    The sum runs over n = 1..n_max in double precision; it pairs with the
+    product.  Terms are accumulated as (2z)**n * (F_n/2**n)/n, which keeps
+    every intermediate bounded for |z| <= 1/2 even though F_n itself grows
+    like 2**n.
     """
     w = 2.0 * complex(z)
     w_pow = 1.0 + 0.0j
@@ -305,13 +306,7 @@ def xi_partial_value(table: OrbitTable, z: complex) -> complex:
         w_pow *= w
         scaled = fix / (1 << n)  # exact int ratio, one rounding
         acc += w_pow * (scaled / n)
-    return acc
-
-
-def series_modulus(table: OrbitTable, z: complex) -> float:
-    """|exp(partial zeta exponent)| at a point, over the whole table; pairs
-    with the product."""
-    return math.exp(xi_partial_value(table, z).real)
+    return math.exp(acc.real)
 
 
 @dataclass(frozen=True)
@@ -328,19 +323,23 @@ def radial_scan(
 ) -> list[ScanRow]:
     """Evaluate both |zeta| routes along the ray at angle 2*pi*turns.
 
-    Denominators of ``turns`` that are powers of 3 point at boundary zeros;
-    any rational is accepted.  The product keeps ``terms`` levels, the
-    series the whole table.  Radii must lie strictly inside (0, 1/2): the
-    product has its exact zeros and its pole on the rim itself.
+    The boundary product is the 3-adic extension's: any other map's table
+    raises ValueError.  Denominators of ``turns`` that are powers of 3 point
+    at boundary zeros; any rational is accepted.  Each radius r is the
+    exact point ``BoundaryPoint(Fraction(r), turns)``; the product keeps
+    ``terms`` levels, the series reads the whole table at its
+    ``to_complex()``.  Radii must lie strictly inside (0, 1/2): the product
+    has its exact zeros and its pole on the rim itself.
     """
+    if table.spec != THREE_ADIC_EXTENSION:
+        raise ValueError("radial_scan's boundary product fits only the 3-adic "
+                         f"extension, got {table.spec.label}")
     for r in radii:
         if not 0.0 < r < 0.5:
             raise ValueError(f"scan radius must lie in (0, 1/2), got {r}")
-    angle = 2.0 * math.pi * float(turns % 1)
-    direction = complex(math.cos(angle), math.sin(angle))
     rows = []
     for r in radii:
-        z = r * direction
-        rows.append(ScanRow(radius=r, product_modulus=modulus_product(z, terms),
-                            series_modulus=series_modulus(table, z)))
+        point = BoundaryPoint(Fraction(r), turns)
+        rows.append(ScanRow(radius=r, product_modulus=modulus_product(point, terms),
+                            series_modulus=series_modulus(table, point.to_complex())))
     return rows

@@ -16,6 +16,7 @@ from orbitkit.counting import (
     THREE_ADIC_EXTENSION,
     build_table,
     custom_orbits,
+    iterate,
 )
 
 
@@ -83,6 +84,17 @@ def test_ratio_series_validation(tf6):
         ratio_series(tf6, burn_in=6)
     with pytest.raises(ValueError):
         ratio_series(tf6, burn_in=0)
+
+
+@pytest.mark.parametrize("spec", [iterate(CIRCLE_DOUBLING, 2), iterate(THREE_ADIC_EXTENSION, 2),
+                                  custom_orbits((1, 3, 0))], ids=lambda spec: spec.label)
+def test_series_refuse_maps_of_other_entropy(spec):
+    # The normalisation by 2**X fits only entropy log 2; g2's ratio would
+    # read about 8.5e29 at X = 100 and this custom table's 1.6e-28.
+    table = build_table(spec, 100)
+    for series in (ratio_series, merten_series):
+        with pytest.raises(ValueError, match="only maps of entropy log 2"):
+            series(table)
 
 
 def test_delta_gap_examples(tf6, tg6):

@@ -289,7 +289,6 @@ def test_orbit_count_iterate_range_errors():
 def test_orbit_count_iterate_negative_is_hard_error():
     corrupt = OrbitTable(
         spec=custom_orbits((7, 7, 7)),
-        n_max=2,
         fix_counts=(1, 1),
         orbit_counts=(-1, 0),
     )

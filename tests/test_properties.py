@@ -9,6 +9,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitkit.asymptotics import merten_series, ratio_series
 from orbitkit.cli import main
 from orbitkit.counting import (
     CIRCLE_DOUBLING,
@@ -81,6 +82,20 @@ def test_term_form_equals_fix_count(spec, n_max):
 def test_term_route_equals_orbit_product(spec, degree):
     table = build_table(spec, max(degree, 1))
     assert zeta_series(table, degree) == orbit_product_series(table, degree)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(closed_form_maps, orbit_data.map(custom_orbits)))
+def test_normalised_series_take_exactly_entropy_log2(spec):
+    table = build_table(spec, 8)
+    for series in (lambda t: ratio_series(t, 1), merten_series):
+        try:
+            series(table)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == (spec.entropy_base == 2)
 
 
 # Sizes stay small so that every accepted command line runs in milliseconds.

@@ -85,7 +85,6 @@ def test_zeta_coefficients_nonnegative_integers(tf):
 def test_zeta_hard_error_on_corrupt_table():
     corrupt = OrbitTable(
         spec=custom_orbits((5, 5)),
-        n_max=2,
         fix_counts=(2, 1),
         orbit_counts=(2, 0),
     )
@@ -93,7 +92,6 @@ def test_zeta_hard_error_on_corrupt_table():
         zeta_series(corrupt, 2)
     negative = OrbitTable(
         spec=custom_orbits((4, 4)),
-        n_max=1,
         fix_counts=(-2,),
         orbit_counts=(-2,),
     )
@@ -240,6 +238,29 @@ def test_scan_validation(tf):
         radial_scan(tf, Fraction(1, 3), [0.5], 6)
     with pytest.raises(ValueError):
         radial_scan(tf, Fraction(1, 3), [0.0], 6)
+
+
+@pytest.mark.parametrize("spec", [CIRCLE_DOUBLING, custom_orbits((1, 3, 0))],
+                         ids=lambda spec: spec.label)
+def test_scan_refuses_tables_of_other_maps(spec):
+    # The boundary product is the 3-adic extension's; g's series beside it
+    # would pair two different functions.
+    with pytest.raises(ValueError, match="3-adic extension"):
+        radial_scan(build_table(spec, 200), Fraction(1, 3), [0.25], 6)
+
+
+@pytest.mark.parametrize("turns", ["1/3", "2/9", "-5/7", "1/2", "37/100"])
+def test_exact_point_off_the_rim_is_its_complex_value(tf, turns):
+    turns = Fraction(turns)
+    radii = (0.1, 0.49, 0.4999)
+    for terms in (0, 10, 100):
+        rows = radial_scan(tf, turns, radii, terms)
+        for r, row in zip(radii, rows, strict=True):
+            point = BoundaryPoint(Fraction(r), turns)
+            z = point.to_complex()
+            assert modulus_product(point, terms) == modulus_product(z, terms)
+            assert row.product_modulus == modulus_product(z, terms)
+            assert row.series_modulus == series_modulus(tf, z)
 
 
 def test_series_modulus_matches_direct_sum(tg):
