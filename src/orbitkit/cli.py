@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -318,6 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_xi1.set_defaults(func=_cmd_zeta_xi1_check)
 
     p_boundary = zeta_sub.add_parser("boundary", help="radial |zeta| scan")
+    # argparse reads an argument that starts with "-" as an option unless it
+    # matches this negative-number pattern; the default one knows no "-N/D",
+    # so "--angle -5/7" would lose its value.
+    p_boundary._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
     p_boundary.add_argument("--angle", required=True,
                             help="angle as a fraction of a full turn, e.g. 1/3")
     p_boundary.add_argument("--radii", required=True,

@@ -10,11 +10,12 @@ exactly n (``least``), and the number of closed orbits of length n
 
 with the first relation inverted by a sieve over multiples.  So only two
 of them are independent: a table keeps fix and orbits, and reads least as
-n * orbits.  The maps supported here are the circle-doubling map
-(fix(n) = 2**n - 1), its 3-adic isometric extension
-(fix(n) = (2**n - 1) * |2**n - 1|_3, an exact integer), iterates of either,
-and user-supplied orbit-count data.  A table is a plain value:
-``build_table`` keeps nothing between calls.
+n * orbits.  A map is a base kind and a power.  The base is the
+circle-doubling map (fix(n) = 2**n - 1), its 3-adic isometric extension
+(fix(n) = (2**n - 1) * |2**n - 1|_3, an exact integer) or user-supplied
+orbit-count data; the p-th iterate T^p reads its base at n*p, since
+fix(T^p, n) = fix(T, n*p).  A table is a plain value: ``build_table``
+keeps nothing between calls.
 
 Every closed-form map also has a term form (``fix_terms``): its fix counts
 are a short sum of gated geometric terms,
@@ -27,7 +28,7 @@ valid for n up to a given bound.  The zeta recurrence runs on this form;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
 from typing import Iterator, Sequence
 
@@ -50,71 +51,59 @@ __all__ = [
 
 _DOUBLING = "circle-doubling"
 _EXTENSION = "3-adic-extension"
-_ITERATE = "iterate"
 _CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
 class MapSpec:
-    """Which dynamical system a computation refers to.
+    """Which dynamical system a computation refers to: the ``power``-th
+    iterate of the base map ``kind``.
 
-    ``kind`` selects the variant; ``base``/``power`` describe an iterate,
-    and ``counts`` holds explicit orbit counts for a custom system (the
-    sequence is zero-extended past its end).
+    ``kind`` is circle-doubling, 3-adic-extension or custom; ``counts``
+    holds the orbit counts of a custom base map (the sequence is
+    zero-extended past its end).
     """
 
     kind: str
-    base: "MapSpec | None" = None
     power: int = 1
     counts: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if self.kind not in (_DOUBLING, _EXTENSION, _ITERATE, _CUSTOM):
+        if self.kind not in (_DOUBLING, _EXTENSION, _CUSTOM):
             raise ValueError(f"unknown map kind {self.kind!r}")
-        if self.kind == _ITERATE:
-            if self.base is None:
-                raise ValueError("iterate spec requires a base map")
-            if self.power < 1:
-                raise ValueError(f"iterate power must be >= 1, got {self.power}")
-        if self.kind == _CUSTOM:
-            if any(c < 0 for c in self.counts):
-                raise ValueError("custom orbit counts must be non-negative")
+        if self.power < 1:
+            raise ValueError(f"iterate power must be >= 1, got {self.power}")
+        if any(c < 0 for c in self.counts):
+            raise ValueError("custom orbit counts must be non-negative")
 
     @property
     def entropy_base(self) -> int | None:
         """Integer b with topological entropy log(b), when known.
 
         Both the doubling map and its 3-adic extension have entropy log 2;
-        the k-th iterate multiplies entropy by k.  Custom orbit data carries
+        the p-th iterate multiplies entropy by p.  Custom orbit data carries
         no entropy information.
         """
-        if self.kind in (_DOUBLING, _EXTENSION):
-            return 2
-        if self.kind == _ITERATE:
-            assert self.base is not None
-            b = self.base.entropy_base
-            return None if b is None else b**self.power
-        return None
+        if self.kind == _CUSTOM:
+            return None
+        return 2**self.power
 
     @property
     def label(self) -> str:
-        if self.kind == _ITERATE:
-            assert self.base is not None
-            return f"{self.base.label}^{self.power}"
-        if self.kind == _CUSTOM:
-            return f"custom[{len(self.counts)}]"
-        return self.kind
+        base = f"custom[{len(self.counts)}]" if self.kind == _CUSTOM else self.kind
+        return base if self.power == 1 else f"{base}^{self.power}"
 
 
 CIRCLE_DOUBLING = MapSpec(_DOUBLING)
 THREE_ADIC_EXTENSION = MapSpec(_EXTENSION)
 
 
-def iterate(base: MapSpec, k: int) -> MapSpec:
-    """The k-th iterate of ``base`` (k = 1 returns ``base`` itself)."""
+def iterate(spec: MapSpec, k: int) -> MapSpec:
+    """The k-th iterate of ``spec``: the same base map at ``k`` times its
+    power, so iterates compose (k = 1 returns ``spec`` itself)."""
     if k == 1:
-        return base
-    return MapSpec(_ITERATE, base=base, power=k)
+        return spec
+    return replace(spec, power=spec.power * k)
 
 
 def custom_orbits(counts: Sequence[int]) -> MapSpec:
@@ -139,11 +128,13 @@ def padic_factor(n: int) -> int:
 def fix_count(spec: MapSpec, n: int) -> int:
     """Number of points fixed by the n-th iterate of the given map.
 
+    The map's own power multiplies n once; the base kind then decides.
     Exact integer arithmetic throughout: for the 3-adic extension the
     power of 3 is divided out of 2**n - 1, never multiplied in as a float.
     """
     if n < 1:
         raise ValueError(f"fix_count requires n >= 1, got {n}")
+    n *= spec.power
     if spec.kind == _DOUBLING:
         return (1 << n) - 1
     if spec.kind == _EXTENSION:
@@ -153,9 +144,6 @@ def fix_count(spec: MapSpec, n: int) -> int:
         if remainder:
             raise ExactnessError(f"3**{valuation} does not divide 2**{n} - 1")
         return quotient
-    if spec.kind == _ITERATE:
-        assert spec.base is not None
-        return fix_count(spec.base, n * spec.power)
     # custom: fix(n) = sum of d * orbits(d) over divisors d of n
     counts = spec.counts
     return sum(d * counts[d - 1] for d in divisors(n) if d <= len(counts))
@@ -168,36 +156,31 @@ def fix_terms(spec: MapSpec, n_max: int) -> tuple[int, tuple[tuple[int, int, int
     m | n.  The doubling map is 2**n - 1.  For the 3-adic extension the
     factor 3**(-1-ord_3(n)) of even n splits over the levels j = 0..J with
     2*3**j | n, where 2*3**J <= n_max is the deepest level in range.  The
-    p-th iterate reads the base form at n*p.  Custom orbit data has no
-    closed form: the result is None.
+    p-th iterate reads the base form, built for n <= n_max*p, at n*p: each
+    term becomes (w, s*p/g, m/g) with g = gcd(m, p), the identity at p = 1.
+    Custom orbit data has no closed form: the result is None.
     """
     if n_max < 0:
         raise ValueError(f"fix_terms requires n_max >= 0, got {n_max}")
+    if spec.kind == _CUSTOM:
+        return None
+    p = spec.power
     if spec.kind == _DOUBLING:
-        return 1, ((1, 1, 1), (-1, 0, 1))
-    if spec.kind == _EXTENSION:
+        den, terms = 1, [(1, 1, 1), (-1, 0, 1)]
+    else:
         depth = 0
-        while 2 * 3 ** (depth + 1) <= n_max:
+        while 2 * 3 ** (depth + 1) <= n_max * p:
             depth += 1
         den = 3 ** (depth + 1)
         terms = [(den, 1, 1), (-den, 0, 1)]
         for j in range(depth + 1):
             m, w = 2 * 3**j, 2 * 3 ** (depth - j)
             terms += [(-w, m, m), (w, 0, m)]
-        return den, tuple(terms)
-    if spec.kind == _ITERATE:
-        assert spec.base is not None
-        p = spec.power
-        form = fix_terms(spec.base, n_max * p)
-        if form is None:
-            return None
-        den, terms = form
-        mapped = []
-        for w, s, m in terms:
-            g = gcd(m, p)  # m | n*p exactly when m/g | n
-            mapped.append((w, s * p // g, m // g))
-        return den, tuple(mapped)
-    return None
+    mapped = []
+    for w, s, m in terms:
+        g = gcd(m, p)  # m | n*p exactly when m/g | n
+        mapped.append((w, s * p // g, m // g))
+    return den, tuple(mapped)
 
 
 @dataclass(frozen=True)

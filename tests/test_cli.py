@@ -235,6 +235,15 @@ def test_zeta_boundary_scan(capsys):
     assert rows[0][1] == "1" and rows[0][2] == "3"
 
 
+def test_zeta_boundary_negative_angle_as_separate_word(capsys):
+    tail = ("--radii", "0.1,0.49", "--terms", "3", "--degree", "50")
+    code, joined, _ = run_cli(capsys, "zeta", "boundary", "--angle=-5/7", *tail)
+    assert code == 0
+    code, separate, err = run_cli(capsys, "zeta", "boundary", "--angle", "-5/7", *tail)
+    assert (code, err) == (0, "")
+    assert separate == joined
+
+
 def test_zeta_boundary_validation(capsys):
     code, _, err = run_cli(
         capsys, "zeta", "boundary", "--angle", "1/3", "--radii", "0.6"
@@ -387,6 +396,12 @@ PINNED_ORBITS = [(37 * n * n + 11) % 997 for n in range(1, 201)]
      "9b84e4bd3c56cd9c6292d80bbc5b1906b254ae65773bc275e3abc244ecd6db07"),
     (("zeta", "coeffs", "--map", "g2", "--degree", "5000"),
      "980390fba419877142f09a1bb6402fd1763b37f35f8d0cbbd531cebc71adb1a9"),
+    (("table", "--map", "f2", "--max", "300"),
+     "a8e59e6230e8f9035a3c7eef4cc56a5c12535cadc56ece81955df6dd38f915bf"),
+    (("table", "--map", "g2", "--max", "300"),
+     "fcd814c5ab4bf9da1dd701fb57f4ef5ebf1c97ba8f6d468e54d5d6c02b4e8d71"),
+    (("zeta", "coeffs", "--map", "f2", "--degree", "1500"),
+     "32770745f5772dc0029638252b6eb0229875cf49f5691cb5992e0de6656b12c8"),
     (("zeta", "coeffs", "--map", "<orbits>", "--degree", "2000"),
      "533c3739f8c14e57c05ef52c820d7c6f578d14f3aea4a848f5db768ce20d2219"),
 ], ids=lambda value: value[-1] if isinstance(value, tuple) else None)

@@ -89,6 +89,8 @@ def test_fix_count_square_iterate_closed_form():
 
 def test_fix_count_nested_iterates():
     nested = iterate(iterate(CIRCLE_DOUBLING, 2), 3)
+    assert nested == iterate(CIRCLE_DOUBLING, 6)
+    assert nested.label == "circle-doubling^6"
     for n in range(1, 20):
         assert fix_count(nested, n) == fix_count(CIRCLE_DOUBLING, 6 * n)
 

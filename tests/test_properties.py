@@ -68,6 +68,23 @@ closed_form_maps = st.builds(
 )
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    st.one_of(st.sampled_from((THREE_ADIC_EXTENSION, CIRCLE_DOUBLING)),
+              orbit_data.map(custom_orbits)),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=100),
+)
+def test_nested_iterates_compose(base, j, k, n_max):
+    nested, direct = iterate(iterate(base, j), k), iterate(base, j * k)
+    assert nested == direct
+    assert fix_terms(nested, n_max) == fix_terms(direct, n_max)
+    assert nested.entropy_base == direct.entropy_base
+    for n in range(1, 6):
+        assert fix_count(nested, n) == fix_count(base, n * j * k)
+
+
 @settings(deadline=None, max_examples=30)
 @given(closed_form_maps, st.integers(min_value=1, max_value=300))
 def test_term_form_equals_fix_count(spec, n_max):
