@@ -1,18 +1,24 @@
 """Exact number-theoretic primitives: divisors, the Möbius function,
-p-adic valuations and absolute values, and the dyadic rationals that the
-power-of-two normalised sums are kept in.
+p-adic valuations and absolute values, the dyadic rationals that the
+power-of-two normalised sums are kept in, and the decimal context in which
+big counts are computed a second time for rendering.
 
 Everything is plain integer arithmetic on Python ints plus
-``fractions.Fraction``, so results are exact at any size.
+``fractions.Fraction``, so results are exact at any size.  The one
+exception is ``EXACT_DECIMAL``: ``decimal.Decimal`` integers in it are exact
+too, and their decimal strings take time linear in their digits, where
+``str`` of an int takes quadratic time.
 """
 
 from __future__ import annotations
 
+import decimal
 import operator
 from fractions import Fraction
 from math import isqrt
 
 __all__ = [
+    "EXACT_DECIMAL",
     "Dyadic",
     "ExactnessError",
     "divisors",
@@ -20,6 +26,16 @@ __all__ = [
     "ord_p",
     "padic_abs",
 ]
+
+
+# Every digit kept and every rounding trapped: an operation whose result does
+# not fit raises instead of rounding.  Enter it with decimal.localcontext,
+# which works on a copy, so its flags are never shared.
+EXACT_DECIMAL = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+           decimal.DivisionByZero, decimal.Overflow],
+)
 
 
 class ExactnessError(ArithmeticError):

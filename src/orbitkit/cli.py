@@ -12,6 +12,11 @@ in CSV or JSON.  Subcommands:
 Exit status: 0 on success, 1 on a validation error, 2 on a verification
 failure.  The environment variable ORBITKIT_PRECISION_BITS (default 64,
 range 60..10000) sets the working precision for real-valued columns.
+
+The big integers of ``table``, ``pnt`` and ``merten`` are rendered from
+exact ``Decimal`` twins of the int counts and sums, built beside them in
+``EXACT_DECIMAL``, in which every command runs: their strings take time
+linear in the digits, where ``str`` of an int takes quadratic time.
 """
 
 from __future__ import annotations
@@ -20,14 +25,17 @@ import argparse
 import os
 import re
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import __version__
+from .arith import EXACT_DECIMAL
 from .asymptotics import (
     DEFAULT_BURN_IN,
     DEFAULT_PRECISION_BITS,
     MERTEN_SLACK,
     RATIO_BAND,
+    MertenPoint,
     RatioPoint,
     cluster_ratios,
     merten_series,
@@ -41,13 +49,21 @@ from .counting import (
     custom_orbits,
     iterate,
 )
-from .output import format_fraction, format_fraction_decimal, format_real, write_table
+from .output import (
+    format_dyadic,
+    format_fraction,
+    format_fraction_decimal,
+    format_real,
+    write_table,
+)
 from .verify import run_checks
 from .zeta import radial_scan, xi1_closed_form, xi1_direct, zeta_series
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
+
+_ANGLE_DIGITS = 100
 
 _NAMED_MAPS = {
     "f": THREE_ADIC_EXTENSION,
@@ -117,7 +133,7 @@ def _add_map_option(parser: argparse.ArgumentParser) -> None:
 def _cmd_table(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
-    table = build_table(spec, args.max)
+    table = build_table(spec, args.max, Decimal)
     meta = {"command": "table", "map": spec.label, "max": args.max}
     if spec.entropy_base is not None:
         meta["entropy"] = f"log({spec.entropy_base})"
@@ -133,8 +149,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_pnt(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
-    table = build_table(spec, args.max)
-    points = ratio_series(table, args.burn_in)
+    points = ratio_series(build_table(spec, args.max), args.burn_in)
     clusters = cluster_ratios([p.ratio for p in points])
     meta = {
         "command": "pnt",
@@ -147,19 +162,26 @@ def _cmd_pnt(args: argparse.Namespace) -> int:
     }
     write_table(args.format, args.output, meta,
                 ("X", "pi", "ratio", "ratio_decimal", "running_min", "running_max"),
-                _pnt_rows(points, args.digits))
+                _pnt_rows(points, build_table(spec, args.max, Decimal).orbit_counts,
+                          args.digits))
     return EXIT_OK
 
 
-def _pnt_rows(points: list[RatioPoint], digits: int):
-    """pnt's rows; a running extremum is rendered only at the X that reaches it."""
-    for p in points:
-        ratio = format_fraction(p.ratio)
+def _pnt_rows(points: list[RatioPoint], orbit_counts: "tuple[Decimal, ...]", digits: int):
+    """pnt's rows.  pi is the running sum of the Decimal orbit counts, and
+    the ratio X*pi/2**(X+1) is rendered from it and a doubled power of two;
+    a running extremum is rendered only at the X that reaches it."""
+    first = points[0].X
+    pi, power = sum(orbit_counts[:first - 1], Decimal(0)), Decimal(2) ** first
+    for p, orbits in zip(points, orbit_counts[first - 1:], strict=True):
+        pi += orbits
+        power += power  # 2**(X+1)
+        ratio = format_dyadic(p.ratio, p.X * pi, power)
         if p.running_min == p.ratio:
             running_min = ratio
         if p.running_max == p.ratio:
             running_max = ratio
-        yield (str(p.X), str(p.pi), ratio, format_fraction_decimal(p.ratio, digits),
+        yield (str(p.X), str(pi), ratio, format_fraction_decimal(p.ratio, digits),
                running_min, running_max)
 
 
@@ -167,8 +189,7 @@ def _cmd_merten(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
     bits = _precision_bits()
-    table = build_table(spec, args.max)
-    points = merten_series(table, bits)
+    points = merten_series(build_table(spec, args.max), bits)
     digits = args.digits
     meta = {
         "command": "merten",
@@ -178,19 +199,28 @@ def _cmd_merten(args: argparse.Namespace) -> int:
         "precision_bits": bits,
         "slack": str(MERTEN_SLACK),
     }
-    rows = (
-        (
+    write_table(args.format, args.output, meta,
+                ("X", "sum", "sum_decimal", "log_x", "normalized"),
+                _merten_rows(points, build_table(spec, args.max, Decimal).orbit_counts,
+                             digits))
+    return EXIT_OK
+
+
+def _merten_rows(points: list[MertenPoint], orbit_counts: "tuple[Decimal, ...]",
+                 digits: int):
+    """merten's rows.  The sum N_X/2**X is rendered from the Decimal
+    numerator N_X = 2*N_(X-1) + orbits(X) and a doubled power of two."""
+    numerator, power = Decimal(0), Decimal(1)
+    for p, orbits in zip(points, orbit_counts, strict=True):
+        numerator += numerator + orbits
+        power += power  # 2**X
+        yield (
             str(p.X),
-            format_fraction(p.sum),
+            format_dyadic(p.sum, numerator, power),
             format_fraction_decimal(p.sum, digits),
             format_real(p.log_x, digits),
             "" if p.normalized is None else format_real(p.normalized, digits),
         )
-        for p in points
-    )
-    write_table(args.format, args.output, meta,
-                ("X", "sum", "sum_decimal", "log_x", "normalized"), rows)
-    return EXIT_OK
 
 
 def _cmd_zeta_coeffs(args: argparse.Namespace) -> int:
@@ -215,11 +245,24 @@ def _cmd_zeta_xi1_check(args: argparse.Namespace) -> int:
     return EXIT_OK if verified else EXIT_VERIFY
 
 
+def _parse_angle(text: str) -> Fraction:
+    """--angle as an exact fraction of a turn: NUM/DEN or a decimal.
+
+    The digits are checked before ``Fraction`` sees them: an exponent lets
+    a short argument ("1e999999999") stand for an integer of any size, and
+    every row prints the angle's numerator and denominator.
+    """
+    if "e" not in text.lower() and sum(c.isdigit() for c in text) <= _ANGLE_DIGITS:
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"--angle must be a rational like 1/3 or 0.25, with at most "
+                     f"{_ANGLE_DIGITS} digits and no exponent, got {text!r}")
+
+
 def _cmd_zeta_boundary(args: argparse.Namespace) -> int:
-    try:
-        turns = Fraction(args.angle)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"--angle must be a rational like 1/3, got {args.angle!r}") from exc
+    turns = _parse_angle(args.angle)
     try:
         radii = [float(part) for part in args.radii.split(",") if part]
     except ValueError as exc:
@@ -357,7 +400,8 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         # Every subcommand takes --digits; bound it before any work is done.
         _check_range("--digits", args.digits, 1, 1000)
-        return args.func(args)
+        with localcontext(EXACT_DECIMAL):
+            return args.func(args)
     except ValueError as exc:
         print(f"orbitkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

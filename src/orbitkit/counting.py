@@ -17,6 +17,12 @@ orbit-count data; the p-th iterate T^p reads its base at n*p, since
 fix(T^p, n) = fix(T, n*p).  A table is a plain value: ``build_table``
 keeps nothing between calls.
 
+The counts of a table are ints: zeta, the asymptotics and verify compute
+with them.  The same sieve also builds them as ``decimal.Decimal``
+integers, whose decimal strings take time linear in their digits (``str``
+of an int takes quadratic time), so the CLI renders its big columns from
+that twin.
+
 Every closed-form map also has a term form (``fix_terms``): its fix counts
 are a short sum of gated geometric terms,
 
@@ -29,10 +35,11 @@ valid for n up to a given bound.  The zeta recurrence runs on this form;
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from decimal import Decimal, localcontext
 from math import gcd
 from typing import Iterator, Sequence
 
-from .arith import ExactnessError, divisors, mobius, ord_p
+from .arith import EXACT_DECIMAL, ExactnessError, divisors, mobius, ord_p
 
 __all__ = [
     "MapSpec",
@@ -144,9 +151,13 @@ def fix_count(spec: MapSpec, n: int) -> int:
         if remainder:
             raise ExactnessError(f"3**{valuation} does not divide 2**{n} - 1")
         return quotient
-    # custom: fix(n) = sum of d * orbits(d) over divisors d of n
-    counts = spec.counts
-    return sum(d * counts[d - 1] for d in divisors(n) if d <= len(counts))
+    return _divisor_sum(spec.counts, n)
+
+
+def _divisor_sum(counts: Sequence, n: int, zero=0):
+    """Custom data's fix(n): the sum of d * orbits(d) over the divisors d
+    of n, with orbits(d) = counts[d-1] (zero past the end of the data)."""
+    return sum((d * counts[d - 1] for d in divisors(n) if d <= len(counts)), zero)
 
 
 def fix_terms(spec: MapSpec, n_max: int) -> tuple[int, tuple[tuple[int, int, int], ...]] | None:
@@ -191,46 +202,84 @@ class OrbitTable:
     n * orbits(n), derived in ``rows``.  ``n_max`` is the length of the fix
     counts, the one statement of the table's range: the computations on a
     table run to its end.  A built table is immutable and safe to share.
+    The counts are ints, or ``Decimal`` integers in a table built for
+    rendering (see ``build_table``).
     """
 
     spec: MapSpec
-    fix_counts: tuple[int, ...]
-    orbit_counts: tuple[int, ...]
+    fix_counts: "tuple[int, ...] | tuple[Decimal, ...]"
+    orbit_counts: "tuple[int, ...] | tuple[Decimal, ...]"
 
     @property
     def n_max(self) -> int:
         return len(self.fix_counts)
 
-    def rows(self) -> Iterator[tuple[int, int, int, int]]:
+    def rows(self) -> Iterator[tuple]:
         """(n, fix, least, orbits) for n = 1..n_max."""
         for n, (fix, orbits) in enumerate(zip(self.fix_counts, self.orbit_counts), start=1):
-            yield n, fix, n * orbits, orbits
+            with localcontext(EXACT_DECIMAL):  # a Decimal product must not round
+                least = n * orbits
+            yield n, fix, least, orbits
 
 
-def build_table(spec: MapSpec, n_max: int) -> OrbitTable:
-    """Compute fix and orbit counts for n = 1..n_max, as a fresh table.
+def build_table(spec: MapSpec, n_max: int, number: type = int) -> OrbitTable:
+    """Compute fix and orbit counts for n = 1..n_max, as a fresh table
+    whose counts are ``number`` values: int, or ``Decimal`` for rendering.
 
-    fix comes from ``fix_count``.  least inverts the divisor sum in one
-    sieve pass: the count at m starts at fix(m), and once least(n) is final
-    it is subtracted at every multiple m of n.  orbits is the exact
-    division least(n)/n; the least counts themselves are not kept.
+    The int fix counts come from ``fix_count``; the Decimal ones by
+    repeated doubling (``_decimal_fix_counts``).  One sieve pass over either
+    type inverts the divisor sum: the count at m starts at fix(m), and once
+    least(n) is final it is subtracted at every multiple m of n and replaced
+    by orbits(n), its exact division by n.  Decimal arithmetic runs in
+    ``EXACT_DECIMAL``, so it rounds nothing.
     """
     if n_max < 1:
         raise ValueError(f"build_table requires n_max >= 1, got {n_max}")
-    fix = [0] + [fix_count(spec, n) for n in range(1, n_max + 1)]
-    least = fix.copy()
-    orbits = []
-    for n in range(1, n_max + 1):
-        count = least[n]  # final: every proper divisor of n is below n
-        if count < 0:
-            raise ExactnessError(f"negative least-period count {count} at n={n}")
-        orbit, remainder = divmod(count, n)
-        if remainder:
-            raise ExactnessError(f"{n} does not divide least-period count {count}")
-        orbits.append(orbit)
-        for m in range(2 * n, n_max + 1, n):
-            least[m] -= count
-    return OrbitTable(spec=spec, fix_counts=tuple(fix[1:]), orbit_counts=tuple(orbits))
+    if number not in (int, Decimal):
+        raise ValueError(f"build_table counts in int or Decimal, got {number!r}")
+    with localcontext(EXACT_DECIMAL):
+        if number is int:
+            fix = [fix_count(spec, n) for n in range(1, n_max + 1)]
+        else:
+            fix = _decimal_fix_counts(spec, n_max)
+        counts = fix.copy()  # least(n) until n's turn, then orbits(n)
+        for n in range(1, n_max + 1):
+            count = counts[n - 1]  # final: every proper divisor of n is below n
+            if count < 0:
+                raise ExactnessError(f"negative least-period count {count} at n={n}")
+            orbit, remainder = divmod(count, n)
+            if remainder:
+                raise ExactnessError(f"{n} does not divide least-period count {count}")
+            counts[n - 1] = orbit
+            for i in range(2 * n - 1, n_max, n):
+                counts[i] -= count
+    return OrbitTable(spec=spec, fix_counts=tuple(fix), orbit_counts=tuple(counts))
+
+
+def _decimal_fix_counts(spec: MapSpec, n_max: int) -> list[Decimal]:
+    """fix(n) for n = 1..n_max as ``Decimal`` integers, in the caller's
+    exact context.
+
+    2**(n*p) comes from its predecessor by one multiplication by 2**p, and
+    the extension's count is 2**(n*p) - 1 divided exactly by
+    3**padic_factor(n*p): each step is linear in the digits.  Custom data
+    is converted once, count by count, and summed over divisors as Decimals.
+    """
+    if spec.kind == _CUSTOM:
+        counts = [Decimal(c) for c in spec.counts]
+        return [_divisor_sum(counts, n, Decimal(0)) for n in range(1, n_max + 1)]
+    p = spec.power
+    step, power, fix = Decimal(1 << p), Decimal(1), []
+    for n in range(p, n_max * p + 1, p):
+        power *= step
+        count = power - 1
+        if spec.kind == _EXTENSION:
+            valuation = padic_factor(n)
+            count, remainder = divmod(count, 3**valuation)
+            if remainder:
+                raise ExactnessError(f"3**{valuation} does not divide 2**{n} - 1")
+        fix.append(count)
+    return fix
 
 
 def orbit_count_iterate(base: OrbitTable, k: int, n: int) -> int:

@@ -5,10 +5,14 @@ strings, exact rationals are "numerator/denominator" in lowest terms, and
 reals are fixed-point strings with a configurable number of decimal places.
 Every fixed-point string comes from one dyadic formatter: the dyadic sums
 and ratios directly, floats and mpmath reals through their exact
-mantissa-and-exponent values.  CSV output starts with '#'-prefixed metadata
-lines (truncation and tolerance parameters) followed by the column header;
-JSON carries the same metadata under a "meta" key.  Identical invocations
-produce byte-identical output.
+mantissa-and-exponent values.  Big integers and the terms of big dyadic
+rationals are rendered from exact ``Decimal`` twins where the caller has
+them, in time linear in their digits; ``str`` of an int, quadratic in its
+digits, stays the reference they are tested against.  CSV output starts
+with '#'-prefixed metadata lines (truncation and tolerance parameters)
+followed by the column header; JSON carries the same metadata under a
+"meta" key.  Both formats write each row as it is pulled, so no table is
+held whole.  Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import contextlib
 import csv
 import json
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -25,6 +30,7 @@ import mpmath
 from .arith import Dyadic
 
 __all__ = [
+    "format_dyadic",
     "format_fraction",
     "format_fraction_decimal",
     "format_real",
@@ -32,14 +38,31 @@ __all__ = [
 ]
 
 
+def _common_twos(value: Dyadic) -> int:
+    """The factors of two that a dyadic's numerator and 2**shift share: the
+    whole reduction to lowest terms, with no gcd."""
+    numerator, shift = value.numerator, value.shift
+    return min(shift, (numerator & -numerator).bit_length() - 1) if numerator else shift
+
+
 def format_fraction(value: "Fraction | Dyadic") -> str:
     """"numerator/denominator" in lowest terms."""
     if isinstance(value, Dyadic):
-        # A dyadic reduces by its common factors of two alone: no gcd.
-        numerator, shift = value.numerator, value.shift
-        common = min(shift, (numerator & -numerator).bit_length() - 1) if numerator else shift
-        return f"{numerator >> common}/{1 << (shift - common)}"
+        common = _common_twos(value)
+        return f"{value.numerator >> common}/{1 << (value.shift - common)}"
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_dyadic(value: Dyadic, numerator: Decimal, power: Decimal) -> str:
+    """``format_fraction(value)`` from exact ``Decimal`` twins of
+    ``value.numerator`` (``numerator``) and of 2**``value.shift``
+    (``power``), in time linear in their digits.
+
+    Both twins are divided by the power of two they share, read off the int
+    numerator.  Call it in ``EXACT_DECIMAL``.
+    """
+    divisor = 1 << _common_twos(value)
+    return f"{numerator // divisor}/{power // divisor}"
 
 
 def format_fraction_decimal(value: Dyadic, digits: int) -> str:
@@ -77,8 +100,12 @@ def write_table(
     """Write one result table as ``fmt`` ("csv" or "json") to ``path``,
     or to stdout when ``path`` is None.
 
-    CSV rows go out as they are pulled from ``rows``; JSON needs its row
-    objects in hand before ``json.dump`` can encode them.
+    Both formats write each row as it is pulled from ``rows``.  A CSV row
+    none of whose fields holds a delimiter, a quote or a line break is its
+    fields joined by commas, each copied once; any other row goes through
+    ``csv.writer``, which quotes it.  JSON is the bytes of ``json.dump`` of
+    {"meta": ..., "rows": [...]} with indent 2, written one row object at a
+    time.
     """
     if path is None:
         destination = contextlib.nullcontext(sys.stdout)
@@ -88,13 +115,35 @@ def write_table(
         if fmt == "csv":
             for key, value in meta.items():
                 handle.write(f"# {key}={value}\n")
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+            _write_csv_rows(handle, header, rows)
         else:
-            payload = {
-                "meta": {k: str(v) for k, v in meta.items()},
-                "rows": [dict(zip(header, row)) for row in rows],
-            }
-            json.dump(payload, handle, indent=2)
+            _write_json(handle, meta, header, rows)
+
+
+def _write_csv_rows(handle, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        line = ",".join(row)
+        # Only a field with a delimiter, a quote or a line break, or a row of
+        # one empty field ('' would read as no field), can need csv.writer.
+        if (line and line.count(",") == len(row) - 1
+                and '"' not in line and "\r" not in line and "\n" not in line):
+            handle.write(line)
             handle.write("\n")
+        else:
+            writer.writerow(row)
+
+
+def _write_json(handle, meta: Mapping[str, Any], header: Sequence[str],
+                rows: Iterable[Sequence[str]]) -> None:
+    # json.dump(payload, indent=2) nests "meta" one level deep and each row
+    # object two: re-indenting each object's own dump gives the same bytes.
+    # A JSON string escapes its line breaks, so every newline is layout.
+    meta_text = json.dumps({k: str(v) for k, v in meta.items()}, indent=2)
+    handle.write('{\n  "meta": ' + meta_text.replace("\n", "\n  ") + ',\n  "rows": [')
+    count = 0
+    for count, row in enumerate(rows, start=1):
+        row_text = json.dumps(dict(zip(header, row)), indent=2).replace("\n", "\n    ")
+        handle.write(("\n    " if count == 1 else ",\n    ") + row_text)
+    handle.write("\n  ]\n}\n" if count else "]\n}\n")

@@ -1,10 +1,12 @@
+import decimal
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from orbitkit.arith import Dyadic, divisors, mobius, ord_p, padic_abs
+from orbitkit.arith import EXACT_DECIMAL, Dyadic, divisors, mobius, ord_p, padic_abs
 
 
 def naive_divisors(n):
@@ -164,3 +166,15 @@ def test_dyadic_from_mpf_exact():
     assert Dyadic.from_mpf(mpmath.mpf(0)) == 0
     with pytest.raises(ValueError):
         Dyadic.from_mpf(mpmath.inf)
+
+
+def test_exact_decimal_context_keeps_every_digit_and_raises_on_rounding():
+    # The default context keeps 28 digits and rounds the rest away silently.
+    assert Decimal(2) ** 200 != 2**200
+    with localcontext(EXACT_DECIMAL):
+        assert Decimal(2) ** 200 == 2**200
+        assert divmod(Decimal(3) ** 500 - 1, 2) == (Decimal((3**500 - 1) // 2), 0)
+        with pytest.raises(decimal.Inexact):
+            Decimal("2.5").to_integral_exact()
+        with pytest.raises(decimal.Rounded):
+            Decimal("1.20").quantize(Decimal("0.1"))

@@ -4,13 +4,22 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import orbitkit
+from orbitkit.asymptotics import merten_series, ratio_series
 from orbitkit.cli import main
-from orbitkit.output import write_table
+from orbitkit.counting import (
+    CIRCLE_DOUBLING,
+    THREE_ADIC_EXTENSION,
+    build_table,
+    custom_orbits,
+    iterate,
+)
+from orbitkit.output import format_fraction, write_table
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +253,19 @@ def test_zeta_boundary_negative_angle_as_separate_word(capsys):
     assert separate == joined
 
 
+def test_zeta_boundary_angle_digits_are_bounded_before_any_work(capsys):
+    tail = ("--radii", "0.1", "--terms", "2", "--degree", "20")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "zeta", "boundary", "--angle", "1e999999999", *tail)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err == ("orbitkit: error: --angle must be a rational like 1/3 or 0.25, with at "
+                   "most 100 digits and no exponent, got '1e999999999'\n")
+    for angle, status in (("1/" + "3" * 99, 0), ("1/" + "3" * 100, 1), ("2.5E-1", 1),
+                          ("0.25", 0)):
+        assert run_cli(capsys, "zeta", "boundary", "--angle", angle, *tail)[0] == status
+
+
 def test_zeta_boundary_validation(capsys):
     code, _, err = run_cli(
         capsys, "zeta", "boundary", "--angle", "1/3", "--radii", "0.6"
@@ -312,6 +334,24 @@ def test_write_table_writes_csv_rows_as_it_pulls_them(monkeypatch):
     assert sys.stdout.getvalue() == "# command=squares\nn,square\n0,0\n1,1\n2,4\n"
 
 
+def test_write_table_writes_json_rows_as_it_pulls_them(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    written_before_pull = []
+
+    def rows():
+        for n in range(3):
+            written_before_pull.append(sys.stdout.tell())
+            yield str(n), str(n * n)
+
+    write_table("json", None, {"command": "squares"}, ("n", "square"), rows())
+    first, second, third = written_before_pull
+    assert 0 < first < second < third
+    assert json.loads(sys.stdout.getvalue()) == {
+        "meta": {"command": "squares"},
+        "rows": [{"n": str(n), "square": str(n * n)} for n in range(3)],
+    }
+
+
 def test_byte_identical_reruns(capsys):
     _, first, _ = run_cli(capsys, "merten", "--map", "f", "--max", "10")
     _, second, _ = run_cli(capsys, "merten", "--map", "f", "--max", "10")
@@ -362,6 +402,74 @@ def test_verify_exactness_error_is_a_fail_row(monkeypatch, capsys):
     ]
 
 
+# Custom data for the decimal-route oracles: zeros, small counts and counts
+# of a few hundred digits.
+ORACLE_ORBITS = [0, 0, 5] + [(37 * n * n + 11) % 997 * 10 ** (n % 7 * 60) for n in range(300)]
+
+
+def unlimited_str(value):
+    """str(value) past CPython's 4300-digit cap, which the CLI lifts too."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("name", ["f", "g", "f2", "g2", "<orbits>"])
+def test_table_columns_match_str_of_int(capsys, tmp_path, name):
+    spec = {"f": THREE_ADIC_EXTENSION, "g": CIRCLE_DOUBLING,
+            "f2": iterate(THREE_ADIC_EXTENSION, 2), "g2": iterate(CIRCLE_DOUBLING, 2),
+            "<orbits>": custom_orbits(ORACLE_ORBITS)}[name]
+    path = tmp_path / "orbits.txt"
+    path.write_text("".join(f"{c}\n" for c in ORACLE_ORBITS), encoding="utf-8")
+    code, out, _ = run_cli(capsys, "table", "--map", str(path) if name == "<orbits>" else name,
+                           "--max", "2000")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows == [[str(v) for v in row] for row in build_table(spec, 2000).rows()]
+
+
+def test_table_g2_row_8000_is_4_to_the_8000_minus_1(tmp_path, capsys):
+    target = tmp_path / "g2.csv"
+    code, _, _ = run_cli(capsys, "table", "--map", "g2", "--max", "8000",
+                         "--output", str(target))
+    assert code == 0
+    with open(target, "rb") as handle:
+        handle.seek(-30000, os.SEEK_END)
+        last = handle.read().decode("ascii").splitlines()[-1]
+    n, fix, _, _ = last.split(",")
+    assert (n, fix) == ("8000", unlimited_str(4**8000 - 1))
+
+
+@pytest.mark.parametrize("spec, name, burn_in", [
+    (THREE_ADIC_EXTENSION, "f", "1"), (THREE_ADIC_EXTENSION, "f", "64"),
+    (CIRCLE_DOUBLING, "g", "1"), (CIRCLE_DOUBLING, "g", "64"),
+])
+def test_pnt_columns_match_str_and_format_fraction(capsys, spec, name, burn_in):
+    code, out, _ = run_cli(capsys, "pnt", "--map", name, "--max", "2000", "--burn-in", burn_in)
+    assert code == 0
+    _, rows = csv_rows(out)
+    points = ratio_series(build_table(spec, 2000), int(burn_in))
+    assert [(X, pi, ratio, lo, hi) for X, pi, ratio, _, lo, hi in rows] == [
+        (str(p.X), str(p.pi), format_fraction(p.ratio), format_fraction(p.running_min),
+         format_fraction(p.running_max))
+        for p in points
+    ]
+
+
+@pytest.mark.parametrize("spec, name", [(THREE_ADIC_EXTENSION, "f"), (CIRCLE_DOUBLING, "g")])
+def test_merten_sum_matches_format_fraction(capsys, spec, name):
+    code, out, _ = run_cli(capsys, "merten", "--map", name, "--max", "2000")
+    assert code == 0
+    _, rows = csv_rows(out)
+    points = merten_series(build_table(spec, 2000))
+    assert [(row[0], row[1]) for row in rows] == [
+        (str(p.X), format_fraction(p.sum)) for p in points
+    ]
+
+
 # Orbit counts of the pinned custom-data zeta case, written to a file per run.
 PINNED_ORBITS = [(37 * n * n + 11) % 997 for n in range(1, 201)]
 
@@ -390,6 +498,12 @@ PINNED_ORBITS = [(37 * n * n + 11) % 997 for n in range(1, 201)]
     (("zeta", "boundary", "--angle", "1/3", "--radii", "0.49,0.499", "--terms", "6",
       "--degree", "300"),
      "241dcc5252c94605853ebdcda679fb6f3397b7078c4ad33fbdf4aef13b0072c2"),
+    (("zeta", "boundary", "--angle", "2/9", "--radii", "0.1,0.49,0.499", "--terms", "6",
+      "--degree", "300"),
+     "f3d2c7592724645a0e4631d43c9d624a3f3cb8948eaf721644b4b70e8f08c729"),
+    (("zeta", "boundary", "--angle", "-5/7", "--radii", "0.1,0.49,0.499", "--terms", "6",
+      "--degree", "300"),
+     "99606ad6d342b193bc92382669829bb48e9acd33a010c9e9ce400a24f9b0b587"),
     (("zeta", "coeffs", "--map", "f", "--degree", "5000"),
      "f8399e08eb4048f1404895e64752408adde7c3ae90e21e34a9d63e93a88e7698"),
     (("zeta", "coeffs", "--map", "g", "--degree", "5000"),

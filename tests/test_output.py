@@ -1,11 +1,23 @@
+import csv
+import io
+import json
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from orbitkit.arith import Dyadic
-from orbitkit.output import format_fraction, format_fraction_decimal, format_real
+from orbitkit.arith import EXACT_DECIMAL, Dyadic
+from orbitkit.output import (
+    format_dyadic,
+    format_fraction,
+    format_fraction_decimal,
+    format_real,
+    write_table,
+)
 
 
 def fraction_decimal(value, digits):
@@ -22,9 +34,13 @@ def test_dyadic_formats_match_fraction_formats():
     cases = [Dyadic(0, 0), Dyadic(0, 9), Dyadic(5, 0), Dyadic(-3, 1), Dyadic(1, 1),
              Dyadic(-1, 1), Dyadic(24, 6), Dyadic(5, 13)]
     cases += [Dyadic(rng.randint(-(2**70), 2**70), rng.randint(0, 80)) for _ in range(2000)]
+    cases += [Dyadic(3 << 200, 300), Dyadic(5 << 300, 250)]  # more twos than one word holds
     for value in cases:
         exact = Fraction(value.numerator, 2**value.shift)
         assert format_fraction(value) == f"{exact.numerator}/{exact.denominator}"
+        with localcontext(EXACT_DECIMAL):
+            twins = Decimal(value.numerator), Decimal(2**value.shift)
+            assert format_dyadic(value, *twins) == format_fraction(value)
         for digits in (1, 4, 12, 30):
             assert format_fraction_decimal(value, digits) == fraction_decimal(exact, digits)
 
@@ -54,3 +70,51 @@ def test_format_real_renders_mpf_at_the_current_working_precision():
     man, exp = third.man_exp
     with mpmath.workprec(100):
         assert format_real(third, 40) == fraction_decimal(Fraction(man, 2**-exp), 40)
+
+
+# Fields with every character csv.writer treats specially, spaces, empty
+# strings and non-ASCII text.
+fields = st.text(alphabet=st.sampled_from(',"\r\n \'a1-/#éЖ€😀\t'), max_size=6) | st.text(max_size=4)
+tables = st.tuples(
+    st.dictionaries(st.text(max_size=4), st.text(max_size=4) | st.integers(), max_size=3),
+    st.lists(st.text(max_size=4), min_size=1, max_size=4),
+    st.lists(st.lists(fields, max_size=5), max_size=6),
+)
+
+
+def written(fmt, meta, header, rows):
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("sys.stdout", out)
+        write_table(fmt, None, meta, header, iter(rows))
+    return out.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(tables)
+def test_csv_rows_are_the_bytes_of_csv_writer(table):
+    meta, header, rows = table
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    head = "".join(f"# {key}={value}\n" for key, value in meta.items())
+    assert written("csv", meta, header, rows) == head + expected.getvalue()
+
+
+@settings(deadline=None, max_examples=300)
+@given(tables)
+def test_json_rows_are_the_bytes_of_json_dump(table):
+    meta, header, rows = table
+    payload = {"meta": {k: str(v) for k, v in meta.items()},
+               "rows": [dict(zip(header, row)) for row in rows]}
+    expected = io.StringIO()
+    json.dump(payload, expected, indent=2)
+    assert written("json", meta, header, rows) == expected.getvalue() + "\n"
+
+
+def test_json_edge_cases_are_the_bytes_of_json_dump():
+    for meta, rows in (({}, []), ({}, [("1",)]), ({"k": 1}, []), ({"k": 1}, [()])):
+        expected = json.dumps({"meta": {k: str(v) for k, v in meta.items()},
+                               "rows": [dict(zip(("n",), row)) for row in rows]}, indent=2)
+        assert written("json", meta, ("n",), rows) == expected + "\n"

@@ -4,6 +4,8 @@ the CLI's exit-status contract, checked on arbitrary command lines."""
 import contextlib
 import io
 import os
+import sys
+from decimal import Decimal
 from unittest import mock
 
 from hypothesis import given, settings
@@ -36,6 +38,25 @@ def test_mobius_round_trip(counts):
     rows = list(table.rows())
     for n, fix, _, _ in rows:
         assert fix == sum(rows[d - 1][2] for d in range(1, n + 1) if n % d == 0)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.lists(st.sampled_from((0, 1, 7)) | st.integers(min_value=0), min_size=1, max_size=30),
+       st.integers(min_value=10**4300, max_value=10**4400), st.integers(min_value=0))
+def test_decimal_table_renders_as_str_of_the_int_table(counts, big, where):
+    # One count past CPython's 4300-digit str() cap; zeros, so that no "-0"
+    # can hide in a column that should read "0".
+    counts[where % len(counts)] = big
+    spec = custom_orbits(counts)
+    n_max = 2 * len(counts)
+    decimals = build_table(spec, n_max, Decimal)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [tuple(map(str, row)) for row in build_table(spec, n_max).rows()]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [tuple(map(str, row)) for row in decimals.rows()] == expected
 
 
 @settings(deadline=None)
