@@ -20,18 +20,22 @@ is X*pi(X) over 2**(X+1), and running extrema compare by shifting one
 numerator, so no step pays for a gcd.  Conversion to high-precision reals
 (mpmath, at least 60 significant bits, default 64) happens only for
 rendering and for comparison against ln X: mpf((N_X, -X)) rounds the exact
-sum once, correctly.
+sum once, correctly.  ``merten_series`` is the only function here that
+needs mpmath, and it imports it on its first call, so loading this module
+does not load mpmath.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
+from typing import TYPE_CHECKING
 
 from .arith import Dyadic, ExactnessError
 from .counting import OrbitTable
+
+if TYPE_CHECKING:
+    import mpmath
 
 __all__ = [
     "RatioPoint",
@@ -159,6 +163,8 @@ def merten_series(
     _require_entropy_log2(table, "merten_series")
     if precision_bits < 60:
         raise ValueError(f"precision must be >= 60 bits, got {precision_bits}")
+    import mpmath
+
     points: list[MertenPoint] = []
     numerator = 0
     with mpmath.workprec(precision_bits):

@@ -17,6 +17,10 @@ The big integers of ``table``, ``pnt`` and ``merten`` are rendered from
 exact ``Decimal`` twins of the int counts and sums, built beside them in
 ``EXACT_DECIMAL``, in which every command runs: their strings take time
 linear in the digits, where ``str`` of an int takes quadratic time.
+
+A command loads only what it runs: mpmath is imported by ``merten`` (its
+ln X columns) and ``verify`` (its Merten checks), and the check suite in
+``orbitkit.verify`` only by ``verify``.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .arith import EXACT_DECIMAL
@@ -56,8 +61,10 @@ from .output import (
     format_real,
     write_table,
 )
-from .verify import run_checks
 from .zeta import radial_scan, xi1_closed_form, xi1_direct, zeta_series
+
+if TYPE_CHECKING:
+    from .verify import CheckResult
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -303,6 +310,14 @@ def _cmd_zeta_boundary(args: argparse.Namespace) -> int:
                  "series_modulus", "terms", "degree"),
                 rows)
     return EXIT_OK
+
+
+def run_checks(max_n: int) -> list[CheckResult]:
+    """``verify.run_checks``, importing the check suite on its first call, so
+    that no other command compiles it."""
+    from . import verify
+
+    return verify.run_checks(max_n)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

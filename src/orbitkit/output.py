@@ -5,14 +5,16 @@ strings, exact rationals are "numerator/denominator" in lowest terms, and
 reals are fixed-point strings with a configurable number of decimal places.
 Every fixed-point string comes from one dyadic formatter: the dyadic sums
 and ratios directly, floats and mpmath reals through their exact
-mantissa-and-exponent values.  Big integers and the terms of big dyadic
-rationals are rendered from exact ``Decimal`` twins where the caller has
-them, in time linear in their digits; ``str`` of an int, quadratic in its
-digits, stays the reference they are tested against.  CSV output starts
-with '#'-prefixed metadata lines (truncation and tolerance parameters)
-followed by the column header; JSON carries the same metadata under a
-"meta" key.  Both formats write each row as it is pulled, so no table is
-held whole.  Identical invocations produce byte-identical output.
+mantissa-and-exponent values; mpmath is imported only when an mpmath real
+is rendered (``merten``'s ln X columns).  Big integers and the terms of
+big dyadic rationals are rendered from exact ``Decimal`` twins where the
+caller has them, in time linear in their digits; ``str`` of an int,
+quadratic in its digits, stays the reference they are tested against.
+CSV output starts with '#'-prefixed metadata lines (truncation and
+tolerance parameters) followed by the column header; JSON carries the
+same metadata under a "meta" key.  Both formats write each row as it is
+pulled, so no table is held whole.  Identical invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,9 +25,8 @@ import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Mapping, Sequence
-
-import mpmath
 
 from .arith import Dyadic
 
@@ -78,11 +79,17 @@ def format_fraction_decimal(value: Dyadic, digits: int) -> str:
 
 
 def format_real(value: Any, digits: int) -> str:
-    """Fixed-point decimal of a float or mpmath real, via its exact value."""
+    """Fixed-point decimal of a float or mpmath real, via its exact value.
+
+    Floats are tested first; mpmath is imported only for a value that is
+    not one, so rendering floats never loads it.
+    """
     if isinstance(value, float):
         numerator, denominator = value.as_integer_ratio()
         return format_fraction_decimal(Dyadic(numerator, denominator.bit_length() - 1),
                                        digits)
+    import mpmath
+
     if isinstance(value, mpmath.mpf):
         # mpf(value) first rounds to mpmath's current working precision, which
         # is 53 bits outside a workprec block, whatever precision made value.
@@ -105,7 +112,7 @@ def write_table(
     fields joined by commas, each copied once; any other row goes through
     ``csv.writer``, which quotes it.  JSON is the bytes of ``json.dump`` of
     {"meta": ..., "rows": [...]} with indent 2, written one row object at a
-    time.
+    time; every row field must be a ``str``.
     """
     if path is None:
         destination = contextlib.nullcontext(sys.stdout)
@@ -138,12 +145,19 @@ def _write_csv_rows(handle, header: Sequence[str], rows: Iterable[Sequence[str]]
 def _write_json(handle, meta: Mapping[str, Any], header: Sequence[str],
                 rows: Iterable[Sequence[str]]) -> None:
     # json.dump(payload, indent=2) nests "meta" one level deep and each row
-    # object two: re-indenting each object's own dump gives the same bytes.
-    # A JSON string escapes its line breaks, so every newline is layout.
+    # object two.  Re-indenting meta's own dump gives its bytes: a JSON
+    # string escapes its line breaks, so every newline is layout.
     meta_text = json.dumps({k: str(v) for k, v in meta.items()}, indent=2)
     handle.write('{\n  "meta": ' + meta_text.replace("\n", "\n  ") + ',\n  "rows": [')
+    # A row object of strings is a template: a '"key": ' prefix per column,
+    # then each value through the C string encoder json.dump itself uses
+    # (its indenting encoder is pure Python).  dict() keeps json.dump's view
+    # of a header that repeats a key.
+    prefixes = {key: "\n      " + encode_basestring_ascii(key) + ": " for key in header}
     count = 0
     for count, row in enumerate(rows, start=1):
-        row_text = json.dumps(dict(zip(header, row)), indent=2).replace("\n", "\n    ")
-        handle.write(("\n    " if count == 1 else ",\n    ") + row_text)
+        body = ",".join([prefixes[key] + encode_basestring_ascii(value)
+                         for key, value in dict(zip(header, row)).items()])
+        handle.write(("\n    {" if count == 1 else ",\n    {")
+                     + (body + "\n    }" if body else "}"))
     handle.write("\n  ]\n}\n" if count else "]\n}\n")

@@ -299,13 +299,22 @@ def series_modulus(table: OrbitTable, z: complex) -> float:
     every intermediate bounded for |z| <= 1/2 even though F_n itself grows
     like 2**n.
     """
+    return _exp_series_modulus(_scaled_fix_terms(table), z)
+
+
+def _scaled_fix_terms(table: OrbitTable) -> list[float]:
+    """(F_n/2**n)/n for n = 1..n_max: the series' coefficients in 2z."""
+    # fix / 2**n is an exact int ratio, rounded once.
+    return [fix / (1 << n) / n for n, fix in enumerate(table.fix_counts, start=1)]
+
+
+def _exp_series_modulus(terms: list[float], z: complex) -> float:
     w = 2.0 * complex(z)
     w_pow = 1.0 + 0.0j
     acc = 0.0 + 0.0j
-    for n, fix in enumerate(table.fix_counts, start=1):
+    for term in terms:
         w_pow *= w
-        scaled = fix / (1 << n)  # exact int ratio, one rounding
-        acc += w_pow * (scaled / n)
+        acc += w_pow * term
     return math.exp(acc.real)
 
 
@@ -328,8 +337,9 @@ def radial_scan(
     at boundary zeros; any rational is accepted.  Each radius r is the
     exact point ``BoundaryPoint(Fraction(r), turns)``; the product keeps
     ``terms`` levels, the series reads the whole table at its
-    ``to_complex()``.  Radii must lie strictly inside (0, 1/2): the product
-    has its exact zeros and its pole on the rim itself.
+    ``to_complex()``, with the same float operations as ``series_modulus``.
+    Radii must lie strictly inside (0, 1/2): the product has its exact
+    zeros and its pole on the rim itself.
     """
     if table.spec != THREE_ADIC_EXTENSION:
         raise ValueError("radial_scan's boundary product fits only the 3-adic "
@@ -337,9 +347,11 @@ def radial_scan(
     for r in radii:
         if not 0.0 < r < 0.5:
             raise ValueError(f"scan radius must lie in (0, 1/2), got {r}")
+    # The series' coefficients do not depend on the radius: scale them once.
+    scaled = _scaled_fix_terms(table)
     rows = []
     for r in radii:
         point = BoundaryPoint(Fraction(r), turns)
         rows.append(ScanRow(radius=r, product_modulus=modulus_product(point, terms),
-                            series_modulus=series_modulus(table, point.to_complex())))
+                            series_modulus=_exp_series_modulus(scaled, point.to_complex())))
     return rows

@@ -188,14 +188,47 @@ def test_bad_precision_env(monkeypatch, capsys):
      "ORBITKIT_PRECISION_BITS must lie in 60..10000, got 100000000"),
 ])
 def test_oversized_precision_is_refused_at_once(argv, env, message):
-    src = str(Path(orbitkit.__file__).resolve().parents[1])
-    env = {**os.environ, **env,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-m", "orbitkit.cli", *argv], env=env,
-                            capture_output=True, text=True, timeout=10)
+    result = subprocess.run([sys.executable, "-m", "orbitkit.cli", *argv],
+                            env=subprocess_env(env), capture_output=True, text=True,
+                            timeout=10)
     assert result.returncode == 1
     assert result.stdout == ""
     assert result.stderr == f"orbitkit: error: {message}\n"
+
+
+def subprocess_env(extra=None):
+    """The environment of a fresh interpreter that imports this orbitkit."""
+    src = str(Path(orbitkit.__file__).resolve().parents[1])
+    return {**os.environ, **(extra or {}),
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+FOOTPRINT_SCRIPT = """
+import contextlib, io, json, sys
+from orbitkit.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([code, sorted({"mpmath", "orbitkit.verify"} & set(sys.modules))]))
+"""
+
+
+def test_commands_load_mpmath_and_the_check_suite_only_when_they_run_them():
+    light = [["--version"], ["table", "--map", "f", "--max", "50"],
+             ["pnt", "--map", "f", "--max", "100", "--format", "json"],
+             ["zeta", "coeffs", "--map", "f", "--degree", "50"],
+             ["zeta", "xi1-check", "--degree", "50"],
+             ["zeta", "boundary", "--angle", "1/3", "--radii", "0.1,0.49", "--degree", "100"]]
+    heavy = [["merten", "--map", "f", "--max", "20"], ["verify", "--max", "30"]]
+    result = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT,
+                             json.dumps(light + heavy)],
+                            env=subprocess_env(), capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    seen = [json.loads(line) for line in result.stdout.splitlines()]
+    # Each light command leaves both unloaded; then merten loads mpmath, and
+    # verify the suite.
+    assert seen == [[0, []]] * len(light) + [[0, ["mpmath"]],
+                                             [0, ["mpmath", "orbitkit.verify"]]]
 
 
 @pytest.mark.parametrize("digits", ["0", "1001"])

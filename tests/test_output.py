@@ -73,11 +73,13 @@ def test_format_real_renders_mpf_at_the_current_working_precision():
 
 
 # Fields with every character csv.writer treats specially, spaces, empty
-# strings and non-ASCII text.
-fields = st.text(alphabet=st.sampled_from(',"\r\n \'a1-/#éЖ€😀\t'), max_size=6) | st.text(max_size=4)
+# strings, the characters JSON escapes (quote, backslash, controls) and
+# non-ASCII text.
+fields = st.text(alphabet=st.sampled_from(',"\\\r\n \'a1-/#éЖ€😀\t\x00\x1f\x7f\u2028'),
+                 max_size=6) | st.text(max_size=4)
 tables = st.tuples(
     st.dictionaries(st.text(max_size=4), st.text(max_size=4) | st.integers(), max_size=3),
-    st.lists(st.text(max_size=4), min_size=1, max_size=4),
+    st.lists(fields, min_size=1, max_size=4),
     st.lists(st.lists(fields, max_size=5), max_size=6),
 )
 
@@ -114,7 +116,17 @@ def test_json_rows_are_the_bytes_of_json_dump(table):
 
 
 def test_json_edge_cases_are_the_bytes_of_json_dump():
-    for meta, rows in (({}, []), ({}, [("1",)]), ({"k": 1}, []), ({"k": 1}, [()])):
+    cases = [({}, ("n",), []), ({}, ("n",), [("1",)]), ({"k": 1}, ("n",), []),
+             ({"k": 1}, ("n",), [()]),
+             # escapes, controls and non-ASCII in keys and values
+             ({"q": 'a"b'}, ('k"ey', "back\\slash", "\u00e9\u2028"),
+              [('say "hi"', "C:\\dir\\", "\x00\x01\x1f\x7f\b\f\n\r\t"),
+               ("\u00e9\u0416\u20ac", "\U0001f600", "\ud800"), ("", "", "")]),
+             # a repeated key keeps its first place and its last value
+             ({}, ("a", "b", "a"), [("1", "2", "3"), ("1", "2"), ("1",)]),
+             # rows shorter and longer than the header
+             ({}, ("a", "b"), [("1",), ("1", "2", "3")])]
+    for meta, header, rows in cases:
         expected = json.dumps({"meta": {k: str(v) for k, v in meta.items()},
-                               "rows": [dict(zip(("n",), row)) for row in rows]}, indent=2)
-        assert written("json", meta, ("n",), rows) == expected + "\n"
+                               "rows": [dict(zip(header, row)) for row in rows]}, indent=2)
+        assert written("json", meta, header, rows) == expected + "\n"

@@ -263,6 +263,20 @@ def test_exact_point_off_the_rim_is_its_complex_value(tf, turns):
             assert row.series_modulus == series_modulus(tf, z)
 
 
+@pytest.mark.parametrize("degree", [1, 7, 150, 3000])
+def test_scan_series_column_is_series_modulus(degree):
+    # radial_scan scales the table's fix counts once for all its radii;
+    # each row must still be the very float series_modulus gives.
+    table = build_table(THREE_ADIC_EXTENSION, degree)
+    radii = (0.001, 0.1, 0.25, 0.3, 0.49, 0.4999)
+    for turns in ("0", "1/3", "2/9", "-5/7", "1/2", "37/100", "1/1000"):
+        turns = Fraction(turns)
+        rows = radial_scan(table, turns, radii, 6)
+        for r, row in zip(radii, rows, strict=True):
+            z = BoundaryPoint(Fraction(r), turns).to_complex()
+            assert row.series_modulus == series_modulus(table, z)
+
+
 def test_series_modulus_matches_direct_sum(tg):
     # doubling map at real z: exponent sum has the closed value
     # sum (2^n - 1) z^n / n = log((1-z)/(1-2z)) as the degree grows
