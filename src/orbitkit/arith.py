@@ -146,16 +146,6 @@ class Dyadic:
         self.numerator = numerator
         self.shift = shift
 
-    @classmethod
-    def from_mpf(cls, value) -> "Dyadic":
-        """The exact value ``man * 2**exp`` of a finite mpmath real."""
-        sign, man, exp, _ = value._mpf_
-        if not man and exp:
-            raise ValueError("cannot convert a non-finite value to a Dyadic")
-        if sign:
-            man = -man
-        return cls(man << exp, 0) if exp >= 0 else cls(man, -exp)
-
     def _common_numerators(self, other: object) -> "tuple[int, int] | None":
         """Numerators of self and ``other`` over one common denominator."""
         if isinstance(other, Dyadic):

@@ -17,25 +17,21 @@ denominator, so they are carried as ``Dyadic`` values: an integer
 numerator over an implicit 2**shift, never reduced.  The Merten numerator
 N_X over 2**X grows by N_X = 2*N_{X-1} + orbits(X), the ratio's numerator
 is X*pi(X) over 2**(X+1), and running extrema compare by shifting one
-numerator, so no step pays for a gcd.  Conversion to high-precision reals
-(mpmath, at least 60 significant bits, default 64) happens only for
-rendering and for comparison against ln X: mpf((N_X, -X)) rounds the exact
-sum once, correctly.  ``merten_series`` is the only function here that
-needs mpmath, and it imports it on its first call, so loading this module
-does not load mpmath.
+numerator, so no step pays for a gcd.  The one real is ln X:
+``merten_series`` computes it and sum/ln X with mpmath at 60..10000
+significant bits (default 64; mpf((N_X, -X)) rounds the exact sum once,
+correctly) and keeps the exact ``Dyadic`` value of each result, so no
+other code knows mpmath's types.  It imports mpmath on its first call, so
+loading this module does not load mpmath.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .arith import Dyadic, ExactnessError
 from .counting import OrbitTable
-
-if TYPE_CHECKING:
-    import mpmath
 
 __all__ = [
     "RatioPoint",
@@ -45,6 +41,7 @@ __all__ = [
     "merten_series",
     "cluster_ratios",
     "DEFAULT_PRECISION_BITS",
+    "PRECISION_BITS",
     "DEFAULT_BURN_IN",
     "RATIO_BAND_TOLERANCE",
     "RATIO_BAND",
@@ -60,6 +57,9 @@ RATIO_BAND = (Fraction(1, 3) - RATIO_BAND_TOLERANCE, 1 + RATIO_BAND_TOLERANCE)
 MERTEN_SLACK = Fraction(2)
 
 DEFAULT_PRECISION_BITS = 64
+# The least and greatest working precision of merten_series, in significant
+# bits; ORBITKIT_PRECISION_BITS is checked against the same range.
+PRECISION_BITS = (60, 10_000)
 DEFAULT_BURN_IN = 64
 
 
@@ -83,15 +83,15 @@ class RatioPoint:
 class MertenPoint:
     """One partial sum sum_{n<=X} orbits(n)/2**n with its log X comparison.
 
-    ``sum`` is the exact ``Dyadic`` N_X / 2**X; ``log_x`` and ``normalized``
-    (= sum/log X, defined for X >= 2) are mpmath reals at the requested
-    precision.
+    ``sum`` is the exact ``Dyadic`` N_X / 2**X.  ``log_x`` and
+    ``normalized`` (= sum/log X, defined for X >= 2) are the exact
+    ``Dyadic`` values of those reals rounded to the requested precision.
     """
 
     X: int
     sum: Dyadic
-    log_x: mpmath.mpf
-    normalized: "mpmath.mpf | None"
+    log_x: Dyadic
+    normalized: "Dyadic | None"
 
 
 def _require_entropy_log2(table: OrbitTable, function: str) -> None:
@@ -159,10 +159,12 @@ def merten_series(
     table: OrbitTable, precision_bits: int = DEFAULT_PRECISION_BITS
 ) -> list[MertenPoint]:
     """Exact weighted partial sums with ln X comparison columns, X = 1..n_max,
-    for a map of entropy log 2; any other map's table raises ValueError."""
+    for a map of entropy log 2; any other map's table raises ValueError, as
+    does a precision outside ``PRECISION_BITS``."""
     _require_entropy_log2(table, "merten_series")
-    if precision_bits < 60:
-        raise ValueError(f"precision must be >= 60 bits, got {precision_bits}")
+    low, high = PRECISION_BITS
+    if not low <= precision_bits <= high:
+        raise ValueError(f"precision must lie in {low}..{high} bits, got {precision_bits}")
     import mpmath
 
     points: list[MertenPoint] = []
@@ -171,16 +173,25 @@ def merten_series(
         for X, orbits in enumerate(table.orbit_counts, start=1):
             numerator = 2 * numerator + orbits
             log_x = mpmath.log(X)
-            normalized = mpmath.mpf((numerator, -X)) / log_x if X >= 2 else None
-            points.append(MertenPoint(X=X, sum=Dyadic(numerator, X), log_x=log_x,
-                                      normalized=normalized))
+            normalized = (_exact_dyadic(mpmath.mpf((numerator, -X)) / log_x)
+                          if X >= 2 else None)
+            points.append(MertenPoint(X=X, sum=Dyadic(numerator, X),
+                                      log_x=_exact_dyadic(log_x), normalized=normalized))
     return points
 
 
-def cluster_ratios(
-    values: "list[Dyadic | Fraction]", gap: float = 0.01
-) -> list[tuple[float, int]]:
-    """Group ratio values into clusters separated by more than ``gap``.
+def _exact_dyadic(value) -> Dyadic:
+    """The exact value man * 2**exp of a finite mpmath real."""
+    man, exp = value.man_exp  # man is unsigned
+    man = -man if value < 0 else man
+    return Dyadic(man << max(exp, 0), max(-exp, 0))
+
+
+_CLUSTER_GAP = 0.01
+
+
+def cluster_ratios(values: "list[Dyadic | Fraction]") -> list[tuple[float, int]]:
+    """Group ratio values into clusters separated by more than ``_CLUSTER_GAP``.
 
     Returns (cluster mean, member count) pairs in ascending order.  This is
     a qualitative report: the ratio sequence appears to have several
@@ -193,7 +204,7 @@ def cluster_ratios(
     clusters: list[tuple[float, int]] = []
     start = 0
     for i in range(1, len(floats) + 1):
-        if i == len(floats) or floats[i] - floats[i - 1] > gap:
+        if i == len(floats) or floats[i] - floats[i - 1] > _CLUSTER_GAP:
             members = floats[start:i]
             clusters.append((sum(members) / len(members), len(members)))
             start = i

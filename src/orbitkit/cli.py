@@ -11,16 +11,18 @@ in CSV or JSON.  Subcommands:
 
 Exit status: 0 on success, 1 on a validation error, 2 on a verification
 failure.  The environment variable ORBITKIT_PRECISION_BITS (default 64,
-range 60..10000) sets the working precision for real-valued columns.
+range 60..10000) sets the working precision in bits of ``merten``'s ln X
+and sum/ln X; their columns print each value rounded to the nearest double.
 
 The big integers of ``table``, ``pnt`` and ``merten`` are rendered from
 exact ``Decimal`` twins of the int counts and sums, built beside them in
 ``EXACT_DECIMAL``, in which every command runs: their strings take time
 linear in the digits, where ``str`` of an int takes quadratic time.
 
-A command loads only what it runs: mpmath is imported by ``merten`` (its
-ln X columns) and ``verify`` (its Merten checks), and the check suite in
-``orbitkit.verify`` only by ``verify``.
+A command loads only what it runs: mpmath is imported only by
+``merten_series``, which ``merten`` (its ln X columns) and ``verify`` (its
+Merten checks) call, and the check suite in ``orbitkit.verify`` only by
+``verify``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .asymptotics import (
     DEFAULT_BURN_IN,
     DEFAULT_PRECISION_BITS,
     MERTEN_SLACK,
+    PRECISION_BITS,
     RATIO_BAND,
     MertenPoint,
     RatioPoint,
@@ -88,7 +91,7 @@ def _precision_bits() -> int:
         bits = int(raw)
     except ValueError as exc:
         raise ValueError(f"ORBITKIT_PRECISION_BITS must be an integer, got {raw!r}") from exc
-    _check_range("ORBITKIT_PRECISION_BITS", bits, 60, 10**4)
+    _check_range("ORBITKIT_PRECISION_BITS", bits, *PRECISION_BITS)
     return bits
 
 
@@ -176,17 +179,18 @@ def _cmd_pnt(args: argparse.Namespace) -> int:
 
 def _pnt_rows(points: list[RatioPoint], orbit_counts: "tuple[Decimal, ...]", digits: int):
     """pnt's rows.  pi is the running sum of the Decimal orbit counts, and
-    the ratio X*pi/2**(X+1) is rendered from it and a doubled power of two;
-    a running extremum is rendered only at the X that reaches it."""
+    the ratio X*pi/2**(X+1) is rendered from it and a doubled power of two.
+    A running extremum is rendered only at the X that reaches it:
+    ``ratio_series`` makes each extremum the ``ratio`` object of that point."""
     first = points[0].X
     pi, power = sum(orbit_counts[:first - 1], Decimal(0)), Decimal(2) ** first
     for p, orbits in zip(points, orbit_counts[first - 1:], strict=True):
         pi += orbits
         power += power  # 2**(X+1)
         ratio = format_dyadic(p.ratio, p.X * pi, power)
-        if p.running_min == p.ratio:
+        if p.running_min is p.ratio:
             running_min = ratio
-        if p.running_max == p.ratio:
+        if p.running_max is p.ratio:
             running_max = ratio
         yield (str(p.X), str(pi), ratio, format_fraction_decimal(p.ratio, digits),
                running_min, running_max)
@@ -225,8 +229,10 @@ def _merten_rows(points: list[MertenPoint], orbit_counts: "tuple[Decimal, ...]",
             str(p.X),
             format_dyadic(p.sum, numerator, power),
             format_fraction_decimal(p.sum, digits),
-            format_real(p.log_x, digits),
-            "" if p.normalized is None else format_real(p.normalized, digits),
+            # Each rounded to the nearest double, whatever the working precision:
+            # the open precision FOUND line in CHANGES.md.
+            format_real(float(p.log_x), digits),
+            "" if p.normalized is None else format_real(float(p.normalized), digits),
         )
 
 

@@ -4,17 +4,15 @@ Conventions, identical for both formats: big integers are full decimal
 strings, exact rationals are "numerator/denominator" in lowest terms, and
 reals are fixed-point strings with a configurable number of decimal places.
 Every fixed-point string comes from one dyadic formatter: the dyadic sums
-and ratios directly, floats and mpmath reals through their exact
-mantissa-and-exponent values; mpmath is imported only when an mpmath real
-is rendered (``merten``'s ln X columns).  Big integers and the terms of
-big dyadic rationals are rendered from exact ``Decimal`` twins where the
-caller has them, in time linear in their digits; ``str`` of an int,
-quadratic in its digits, stays the reference they are tested against.
+and ratios directly, floats through their exact values.  Big integers and
+the terms of big dyadic rationals are rendered from exact ``Decimal`` twins
+where the caller has them, in time linear in their digits; ``str`` of an
+int, quadratic in its digits, stays the reference they are tested against.
 CSV output starts with '#'-prefixed metadata lines (truncation and
-tolerance parameters) followed by the column header; JSON carries the
-same metadata under a "meta" key.  Both formats write each row as it is
-pulled, so no table is held whole.  Identical invocations produce
-byte-identical output.
+tolerance parameters) followed by the column header; JSON carries the same
+metadata under a "meta" key.  Both formats write each row as it is pulled,
+so no table is held whole.  Identical invocations produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -78,23 +76,14 @@ def format_fraction_decimal(value: Dyadic, digits: int) -> str:
     return f"{sign}{whole}.{frac:0{digits}d}"
 
 
-def format_real(value: Any, digits: int) -> str:
-    """Fixed-point decimal of a float or mpmath real, via its exact value.
-
-    Floats are tested first; mpmath is imported only for a value that is
-    not one, so rendering floats never loads it.
-    """
-    if isinstance(value, float):
-        numerator, denominator = value.as_integer_ratio()
-        return format_fraction_decimal(Dyadic(numerator, denominator.bit_length() - 1),
-                                       digits)
-    import mpmath
-
-    if isinstance(value, mpmath.mpf):
-        # mpf(value) first rounds to mpmath's current working precision, which
-        # is 53 bits outside a workprec block, whatever precision made value.
-        return format_fraction_decimal(Dyadic.from_mpf(mpmath.mpf(value)), digits)
-    raise TypeError(f"cannot render {type(value).__name__} as a real")
+def format_real(value: float, digits: int) -> str:
+    """Fixed-point decimal of a float, via its exact value; any other type
+    raises TypeError."""
+    # Tested by type: a Fraction has as_integer_ratio too.
+    if not isinstance(value, float):
+        raise TypeError(f"cannot render {type(value).__name__} as a real")
+    numerator, denominator = value.as_integer_ratio()
+    return format_fraction_decimal(Dyadic(numerator, denominator.bit_length() - 1), digits)
 
 
 def write_table(

@@ -314,9 +314,8 @@ def _merten_bounds(table):
     for p in asymptotics.merten_series(table):
         if p.X < 16:
             continue
-        log_x = Dyadic.from_mpf(p.log_x)
-        half_log_x = Dyadic(log_x.numerator, log_x.shift + 1)
-        yield p.X, p.sum - log_x, p.sum - half_log_x
+        half_log_x = Dyadic(p.log_x.numerator, p.log_x.shift + 1)
+        yield p.X, p.sum - p.log_x, p.sum - half_log_x
 
 
 @_check("merten-sandwich")

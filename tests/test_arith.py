@@ -3,7 +3,6 @@ import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from orbitkit.arith import EXACT_DECIMAL, Dyadic, divisors, mobius, ord_p, padic_abs
@@ -156,16 +155,6 @@ def test_dyadic_against_fraction():
     assert float(Dyadic(1, 2000)) == float(Fraction(1, 2**2000))
     with pytest.raises(TypeError):
         Dyadic(1, 1) < "1/2"
-
-
-def test_dyadic_from_mpf_exact():
-    assert Dyadic.from_mpf(mpmath.mpf("0.5")) == Fraction(1, 2)
-    assert Dyadic.from_mpf(mpmath.mpf(3) / 4) == Fraction(3, 4)
-    assert Dyadic.from_mpf(-mpmath.mpf(7)) == Fraction(-7)
-    assert Dyadic.from_mpf(mpmath.mpf(2) ** 70).shift == 0
-    assert Dyadic.from_mpf(mpmath.mpf(0)) == 0
-    with pytest.raises(ValueError):
-        Dyadic.from_mpf(mpmath.inf)
 
 
 def test_exact_decimal_context_keeps_every_digit_and_raises_on_rounding():

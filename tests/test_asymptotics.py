@@ -6,6 +6,8 @@ import pytest
 from orbitkit.arith import ExactnessError
 from orbitkit.arith import Dyadic
 from orbitkit.asymptotics import (
+    PRECISION_BITS,
+    _exact_dyadic,
     cluster_ratios,
     delta_gap,
     merten_series,
@@ -21,9 +23,14 @@ from orbitkit.counting import (
 
 
 def exact(x):
-    """Exact value of a positive finite mpmath real."""
+    """Exact value of a non-negative finite mpmath real."""
     man, exp = x.man_exp
     return Fraction(man) * Fraction(2) ** exp
+
+
+def fraction(value):
+    """The Fraction of a Dyadic."""
+    return Fraction(value.numerator, 2**value.shift)
 
 
 @pytest.fixture(scope="module")
@@ -147,8 +154,8 @@ def test_merten_normalized_matches_sum(tf):
     assert points[0].normalized is None
     assert points[0].log_x == 0
     for p in points[1:]:
-        log_x = exact(p.log_x)
-        normalized = exact(p.normalized)
+        log_x = fraction(p.log_x)
+        normalized = fraction(p.normalized)
         # normalized = sum / log X up to two 64-bit roundings
         total = Fraction(p.sum.numerator, 2**p.X)
         assert abs(normalized * log_x - total) < Fraction(1, 10**15)
@@ -159,16 +166,36 @@ def test_merten_precision_control():
     coarse = merten_series(table, precision_bits=64)
     fine = merten_series(table, precision_bits=128)
     assert coarse[-1].sum == fine[-1].sum
-    diff = abs(exact(coarse[-1].log_x) - exact(fine[-1].log_x))
-    assert diff < Fraction(1, 2**60)
+    diff = abs(fraction(coarse[-1].log_x) - fraction(fine[-1].log_x))
+    assert 0 < diff < Fraction(1, 2**60)
     with pytest.raises(ValueError):
         merten_series(table, precision_bits=53)
+
+
+def test_merten_precision_range():
+    table = build_table(CIRCLE_DOUBLING, 2)
+    assert PRECISION_BITS == (60, 10_000)
+    for bits in PRECISION_BITS:
+        assert len(merten_series(table, bits)) == 2
+    for bits in (59, 10_001):
+        with pytest.raises(ValueError, match="precision must lie in 60..10000 bits"):
+            merten_series(table, bits)
+
+
+def test_exact_dyadic_of_mpf():
+    assert _exact_dyadic(mpmath.mpf("0.5")) == Fraction(1, 2)
+    assert _exact_dyadic(mpmath.mpf(3) / 4) == Fraction(3, 4)
+    assert _exact_dyadic(-mpmath.mpf(7)) == Fraction(-7)
+    assert _exact_dyadic(-mpmath.mpf(3) / 4) == Fraction(-3, 4)
+    assert _exact_dyadic(mpmath.mpf(2) ** 70).shift == 0
+    assert _exact_dyadic(mpmath.mpf(2) ** 70) == 2**70
+    assert _exact_dyadic(mpmath.mpf(0)) == 0
 
 
 def test_cluster_ratios():
     assert cluster_ratios([]) == []
     values = [Fraction(1, 4), Fraction(251, 1000), Fraction(3, 4)]
-    clusters = cluster_ratios(values, gap=0.01)
+    clusters = cluster_ratios(values)
     assert len(clusters) == 2
     assert clusters[0][1] == 2 and clusters[1][1] == 1
     assert clusters[0][0] == pytest.approx(0.2505)
@@ -204,7 +231,8 @@ def test_merten_series_against_fraction_oracle(spec):
         for p in merten_series(table):
             total += Fraction(table.orbit_counts[p.X - 1], 2**p.X)
             assert p.sum == total
-            assert p.log_x == mpmath.log(p.X)
+            log_x = mpmath.log(p.X)
+            assert p.log_x == exact(log_x)
             if p.X >= 2:
-                expected = mpmath.fdiv(total.numerator, total.denominator) / p.log_x
-                assert p.normalized == expected
+                expected = mpmath.fdiv(total.numerator, total.denominator) / log_x
+                assert p.normalized == exact(expected)

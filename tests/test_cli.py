@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io
 import json
@@ -229,6 +230,34 @@ def test_commands_load_mpmath_and_the_check_suite_only_when_they_run_them():
     # verify the suite.
     assert seen == [[0, []]] * len(light) + [[0, ["mpmath"]],
                                              [0, ["mpmath", "orbitkit.verify"]]]
+
+
+def mpmath_imports(node, function=None):
+    """The enclosing function (None at module level) of each mpmath import
+    under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from mpmath_imports(child, child.name)
+            continue
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""]
+        else:
+            names = []
+        if any(name.split(".")[0] == "mpmath" for name in names):
+            yield function
+        yield from mpmath_imports(child, function)
+
+
+def test_only_merten_series_imports_mpmath():
+    # ln X is the one real orbitkit computes with mpmath; every other module
+    # sees the exact Dyadics that merten_series returns.
+    package = Path(orbitkit.__file__).parent
+    found = [(path.relative_to(package).as_posix(), function)
+             for path in sorted(package.rglob("*.py"))
+             for function in mpmath_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == [("asymptotics.py", "merten_series")]
 
 
 @pytest.mark.parametrize("digits", ["0", "1001"])
@@ -556,5 +585,21 @@ def test_verify_output_bytes_pinned(capsys, tmp_path, argv, sha256):
     path = tmp_path / "orbits.txt"
     path.write_text("".join(f"{c}\n" for c in PINNED_ORBITS), encoding="utf-8")
     code, out, _ = run_cli(capsys, *(str(path) if a == "<orbits>" else a for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("bits, argv, sha256", [
+    ("200", ("merten", "--map", "g", "--max", "64", "--digits", "100"),
+     "0c7cfd9ff7d7e268d1a77691790f56d880c09fd3eff8af9077e179a95820060e"),
+    ("60", ("merten", "--map", "f", "--max", "300", "--digits", "40", "--format", "json"),
+     "c337f3079d573f561062b8adc49a980ea3b6182ce8b44dfe9e9b72560ecbebe1"),
+])
+def test_merten_real_columns_are_rounded_to_doubles(monkeypatch, capsys, bits, argv, sha256):
+    # ln X and sum/ln X are computed at the working precision, then printed
+    # rounded to the nearest double: at 200 bits and 100 digits the exact
+    # values would print other digits.
+    monkeypatch.setenv("ORBITKIT_PRECISION_BITS", bits)
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256

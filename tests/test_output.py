@@ -56,20 +56,11 @@ def test_format_real_uses_exact_values():
     assert format_real(0.1, 20) == fraction_decimal(Fraction(0.1), 20)
     assert format_real(-2.5, 3) == "-2.500"
     assert format_real(1e300, 2) == fraction_decimal(Fraction(1e300), 2)
-    assert format_real(mpmath.mpf(2) ** -60, 20) == "0.00000000000000000087"
-    assert format_real(-mpmath.mpf(3) / 8, 4) == "-0.3750"
-    with pytest.raises(TypeError):
-        format_real(Fraction(1, 3), 4)
-
-
-def test_format_real_renders_mpf_at_the_current_working_precision():
-    with mpmath.workprec(100):
-        third = mpmath.mpf(1) / 3
-    # Outside a workprec block mpmath works at 53 bits, a double's precision.
-    assert format_real(third, 40) == format_real(1 / 3, 40)
-    man, exp = third.man_exp
-    with mpmath.workprec(100):
-        assert format_real(third, 40) == fraction_decimal(Fraction(man, 2**-exp), 40)
+    assert format_real(2.0**-60, 20) == "0.00000000000000000087"
+    assert format_real(-3 / 8, 4) == "-0.3750"
+    for other in (Fraction(1, 3), mpmath.mpf(1) / 3, Dyadic(1, 2), 1):
+        with pytest.raises(TypeError):
+            format_real(other, 4)
 
 
 # Fields with every character csv.writer treats specially, spaces, empty
