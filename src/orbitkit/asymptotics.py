@@ -17,12 +17,8 @@ denominator, so they are carried as ``Dyadic`` values: an integer
 numerator over an implicit 2**shift, never reduced.  The Merten numerator
 N_X over 2**X grows by N_X = 2*N_{X-1} + orbits(X), the ratio's numerator
 is X*pi(X) over 2**(X+1), and running extrema compare by shifting one
-numerator, so no step pays for a gcd.  The one real is ln X:
-``merten_series`` computes it and sum/ln X with mpmath at 60..10000
-significant bits (default 64; mpf((N_X, -X)) rounds the exact sum once,
-correctly) and keeps the exact ``Dyadic`` value of each result, so no
-other code knows mpmath's types.  It imports mpmath on its first call, so
-loading this module does not load mpmath.
+numerator, so no step pays for a gcd.  The one real is ln X: from integer
+bounds on it, ``merten_series`` rounds it and sum/ln X to ``Dyadic``s.
 """
 
 from __future__ import annotations
@@ -60,6 +56,8 @@ DEFAULT_PRECISION_BITS = 64
 # The least and greatest working precision of merten_series, in significant
 # bits; ORBITKIT_PRECISION_BITS is checked against the same range.
 PRECISION_BITS = (60, 10_000)
+# Guard bits beyond the precision at which _log_table first sums ln X.
+_GUARD_BITS = 32
 DEFAULT_BURN_IN = 64
 
 
@@ -83,9 +81,9 @@ class RatioPoint:
 class MertenPoint:
     """One partial sum sum_{n<=X} orbits(n)/2**n with its log X comparison.
 
-    ``sum`` is the exact ``Dyadic`` N_X / 2**X.  ``log_x`` and
-    ``normalized`` (= sum/log X, defined for X >= 2) are the exact
-    ``Dyadic`` values of those reals rounded to the requested precision.
+    ``sum`` is the exact ``Dyadic`` N_X / 2**X.  ``log_x`` is ln X and
+    ``normalized`` (defined for X >= 2) the rounded sum over ``log_x``, each
+    rounded to nearest, ties to even, at the requested precision.
     """
 
     X: int
@@ -165,26 +163,61 @@ def merten_series(
     low, high = PRECISION_BITS
     if not low <= precision_bits <= high:
         raise ValueError(f"precision must lie in {low}..{high} bits, got {precision_bits}")
-    import mpmath
-
     points: list[MertenPoint] = []
     numerator = 0
-    with mpmath.workprec(precision_bits):
-        for X, orbits in enumerate(table.orbit_counts, start=1):
-            numerator = 2 * numerator + orbits
-            log_x = mpmath.log(X)
-            normalized = (_exact_dyadic(mpmath.mpf((numerator, -X)) / log_x)
-                          if X >= 2 else None)
-            points.append(MertenPoint(X=X, sum=Dyadic(numerator, X),
-                                      log_x=_exact_dyadic(log_x), normalized=normalized))
+    logs = _log_table(table.n_max, precision_bits)
+    for X, (orbits, log_x) in enumerate(zip(table.orbit_counts, logs), start=1):
+        numerator = 2 * numerator + orbits
+        total = _round(numerator, 1 << X, precision_bits)
+        normalized = (_round(total.numerator << log_x.shift, log_x.numerator << total.shift,
+                             precision_bits) if X >= 2 else None)
+        points.append(MertenPoint(X, Dyadic(numerator, X), log_x, normalized))
     return points
 
 
-def _exact_dyadic(value) -> Dyadic:
-    """The exact value man * 2**exp of a finite mpmath real."""
-    man, exp = value.man_exp  # man is unsigned
-    man = -man if value < 0 else man
-    return Dyadic(man << max(exp, 0), max(-exp, 0))
+def _log_table(n: int, bits: int) -> list[Dyadic]:
+    """ln X for X = 1..n, each correctly rounded to ``bits`` significant bits."""
+    guard = _GUARD_BITS
+    while True:
+        width, low, error, logs = bits + guard, 0, 0, [Dyadic(0, 0)]
+        for X in range(2, n + 1):
+            # ln X = ln(X-1) + 2 atanh(1/m) for m = 2X - 1, and atanh(1/m) sums
+            # 1/((2k+1) m**(2k+1)) over k >= 0.  In units of 2**-width,
+            # p = floor(2**width / m**(2k+1)) (a floor of a floor is the floor of
+            # the whole quotient), so floor(p/(2k+1)) is short of its term by < 1.
+            # The sum stops at p = 0, where m**(2k+1) > 2**width, so the terms left
+            # out add up to less than sum_j m**(-2j) <= 9/8.  With K terms, 2s is
+            # short by less than 2K + 9/4: low <= 2**width * ln X < low + error.
+            m = 2 * X - 1
+            p, s, terms = (1 << width) // m, 0, 0
+            while p:
+                s += p // (2 * terms + 1)
+                p //= m * m
+                terms += 1
+            low, error = low + 2 * s, error + 2 * terms + 3
+            # Rounding is monotone: if both ends round alike, so does ln X; if
+            # not, the whole table is summed again with twice the guard bits.
+            log_x = _round(low, 1 << width, bits)
+            if _round(low + error, 1 << width, bits) != log_x:
+                break
+            logs.append(log_x)
+        else:
+            return logs
+        guard *= 2
+
+
+def _round(num: int, den: int, bits: int) -> Dyadic:
+    """num/den >= 0 rounded to ``bits`` significant bits, ties to even."""
+    # num/den lies in (2**(e-1), 2**(e+1)) for e = the difference of the bit
+    # lengths, so at this shift the quotient has bits or bits + 1 bits.
+    shift = bits - num.bit_length() + den.bit_length()
+    den <<= max(-shift, 0)
+    q, r = divmod(num << max(shift, 0), den)
+    if q >> bits:  # one bit too many: move the last into the remainder
+        q, r, den, shift = q >> 1, r + (q & 1) * den, 2 * den, shift - 1
+    if 2 * r + (q & 1) > den:  # to nearest; a tie, 2r = den, goes to the even q
+        q += 1
+    return Dyadic(q << max(-shift, 0), max(shift, 0))
 
 
 _CLUSTER_GAP = 0.01

@@ -19,10 +19,8 @@ exact ``Decimal`` twins of the int counts and sums, built beside them in
 ``EXACT_DECIMAL``, in which every command runs: their strings take time
 linear in the digits, where ``str`` of an int takes quadratic time.
 
-A command loads only what it runs: mpmath is imported only by
-``merten_series``, which ``merten`` (its ln X columns) and ``verify`` (its
-Merten checks) call, and the check suite in ``orbitkit.verify`` only by
-``verify``.
+A command loads only what it runs: the check suite, ``orbitkit.verify``,
+is loaded only by ``verify``.
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from orbitkit import asymptotics
 from orbitkit.arith import ExactnessError
 from orbitkit.arith import Dyadic
 from orbitkit.asymptotics import (
     PRECISION_BITS,
-    _exact_dyadic,
+    _round,
     cluster_ratios,
     delta_gap,
     merten_series,
@@ -182,14 +183,38 @@ def test_merten_precision_range():
             merten_series(table, bits)
 
 
-def test_exact_dyadic_of_mpf():
-    assert _exact_dyadic(mpmath.mpf("0.5")) == Fraction(1, 2)
-    assert _exact_dyadic(mpmath.mpf(3) / 4) == Fraction(3, 4)
-    assert _exact_dyadic(-mpmath.mpf(7)) == Fraction(-7)
-    assert _exact_dyadic(-mpmath.mpf(3) / 4) == Fraction(-3, 4)
-    assert _exact_dyadic(mpmath.mpf(2) ** 70).shift == 0
-    assert _exact_dyadic(mpmath.mpf(2) ** 70) == 2**70
-    assert _exact_dyadic(mpmath.mpf(0)) == 0
+def nearest_even(x, bits):
+    """Brute-force oracle: the Fraction x > 0 rounded to ``bits`` significant
+    bits, ties to even (as ``round`` of a Fraction does)."""
+    shift = 0
+    while x * Fraction(2) ** shift >= 2**bits:
+        shift -= 1
+    while x * Fraction(2) ** shift < 2 ** (bits - 1):
+        shift += 1
+    return round(x * Fraction(2) ** shift) / Fraction(2) ** shift
+
+
+def test_round_to_nearest_even():
+    # Exact ties go to the even neighbour: 9 = 1001b down to 8, 11 = 1011b up
+    # to 12, and 9/16, 11/16 the same at a positive shift.
+    assert _round(9, 1, 3) == 8 and _round(11, 1, 3) == 12
+    assert _round(9, 16, 3) == Fraction(1, 2) and _round(11, 16, 3) == Fraction(3, 4)
+    # A carry rounds up to exactly 2**bits: 7 = 111b, 15/16 = 0.1111b.
+    assert _round(7, 1, 2) == 8
+    assert _round(15, 16, 3) == 1
+    # Equal bit lengths make 1 the first exponent estimate.  8/15 lies below
+    # it; 31/16 and 29/17 lie above it, where the first quotients 31 and 27
+    # fall in [2**4, 2**5) and each loses a bit (31/16 is then a tie).
+    assert _round(8, 15, 4) == Fraction(9, 16)
+    assert _round(31, 16, 4) == 2
+    assert _round(29, 17, 4) == Fraction(7, 4)
+    assert _round(1000, 1, 4) == 1024 and _round(0, 5, 4) == 0
+    for num in range(1, 130):
+        for den in range(1, 40):
+            for bits in range(1, 7):
+                rounded = _round(num, den, bits)
+                assert rounded.shift >= 0
+                assert rounded == nearest_even(Fraction(num, den), bits), (num, den, bits)
 
 
 def test_cluster_ratios():
@@ -236,3 +261,42 @@ def test_merten_series_against_fraction_oracle(spec):
             if p.X >= 2:
                 expected = mpmath.fdiv(total.numerator, total.denominator) / log_x
                 assert p.normalized == exact(expected)
+
+
+def mpmath_columns(table, bits):
+    """The exact (ln X, sum/ln X) of each X as mpmath rounds them in
+    ``workprec(bits)``: the sum rounded once, then divided by ln X."""
+    columns = []
+    numerator = 0
+    with mpmath.workprec(bits):
+        for X, orbits in enumerate(table.orbit_counts, start=1):
+            numerator = 2 * numerator + orbits
+            log_x = mpmath.log(X)
+            normalized = mpmath.mpf((numerator, -X)) / log_x if X >= 2 else None
+            columns.append((exact(log_x), None if normalized is None else exact(normalized)))
+    return columns
+
+
+def merten_columns(table, bits):
+    return [(fraction(p.log_x), None if p.normalized is None else fraction(p.normalized))
+            for p in merten_series(table, bits)]
+
+
+@pytest.mark.parametrize("bits, n_max", [(64, 10_000), (60, 1000), (113, 1000),
+                                         (200, 1000), (1000, 1000), (10_000, 100)])
+@maps
+def test_merten_columns_match_mpmath(spec, bits, n_max):
+    table = build_table(spec, n_max)
+    assert merten_columns(table, bits) == mpmath_columns(table, bits)
+
+
+@maps
+def test_merten_columns_match_mpmath_from_one_guard_bit(spec, monkeypatch):
+    # At one guard bit the enclosure of ln X straddles a rounding boundary
+    # almost at once, so the table is summed again at 2, 4, 8, ... guard
+    # bits; an error bound that counted too little would let a wrong
+    # rounding through from one of those narrow passes.
+    monkeypatch.setattr(asymptotics, "_GUARD_BITS", 1)
+    table = build_table(spec, 1000)
+    for bits in (60, 64, 200):
+        assert merten_columns(table, bits) == mpmath_columns(table, bits)
