@@ -122,9 +122,18 @@ def padic_abs(n: int, p: int) -> Fraction:
 
 
 def _exact_comparison(op):
+    """``op`` on the numerators of a ``Dyadic`` and ``other`` over one
+    common denominator."""
+
     def compare(self: "Dyadic", other: object) -> bool:
-        pair = self._common_numerators(other)
-        return NotImplemented if pair is None else op(*pair)
+        if isinstance(other, Dyadic):
+            gap = other.shift - self.shift
+            if gap >= 0:
+                return op(self.numerator << gap, other.numerator)
+            return op(self.numerator, other.numerator << -gap)
+        if isinstance(other, (int, Fraction)):
+            return op(self.numerator * other.denominator, other.numerator << self.shift)
+        return NotImplemented
 
     return compare
 
@@ -145,15 +154,6 @@ class Dyadic:
     def __init__(self, numerator: int, shift: int) -> None:
         self.numerator = numerator
         self.shift = shift
-
-    def _common_numerators(self, other: object) -> "tuple[int, int] | None":
-        """Numerators of self and ``other`` over one common denominator."""
-        if isinstance(other, Dyadic):
-            return (self.numerator << max(other.shift - self.shift, 0),
-                    other.numerator << max(self.shift - other.shift, 0))
-        if isinstance(other, (int, Fraction)):
-            return self.numerator * other.denominator, other.numerator << self.shift
-        return None
 
     __eq__ = _exact_comparison(operator.eq)
     __lt__ = _exact_comparison(operator.lt)

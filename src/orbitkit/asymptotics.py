@@ -18,13 +18,18 @@ numerator over an implicit 2**shift, never reduced.  The Merten numerator
 N_X over 2**X grows by N_X = 2*N_{X-1} + orbits(X), the ratio's numerator
 is X*pi(X) over 2**(X+1), and running extrema compare by shifting one
 numerator, so no step pays for a gcd.  The one real is ln X: from integer
-bounds on it, ``merten_series`` rounds it and sum/ln X to ``Dyadic``s.
+bounds on it, ``merten_series`` rounds it and sum/ln X to ``Dyadic``s.  The
+bounds come from an atanh series only at primes; a composite X adds the
+bounds of its least prime factor q and of X/q, and their errors add too.
+Rounding over a power-of-two denominator, as of the sums and of ln X, is
+a shift and a mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .arith import Dyadic, ExactnessError
 from .counting import OrbitTable
@@ -177,28 +182,44 @@ def merten_series(
 
 def _log_table(n: int, bits: int) -> list[Dyadic]:
     """ln X for X = 1..n, each correctly rounded to ``bits`` significant bits."""
+    # least[X] is the least prime factor of X: each d <= sqrt(n), taken in
+    # descending order, marks its multiples from d*d, and a smaller d later
+    # marks them again, so the last mark on X is its least divisor d > 1
+    # with d*d <= X, which is prime, or X itself when X is prime.
+    least = list(range(n + 1))
+    for d in range(isqrt(n), 1, -1):
+        least[d * d::d] = [d] * len(range(d * d, n + 1, d))
     guard = _GUARD_BITS
     while True:
-        width, low, error, logs = bits + guard, 0, 0, [Dyadic(0, 0)]
+        width, lows, errors, logs = bits + guard, [0, 0], [0, 0], [Dyadic(0, 0)]
+        unit = 1 << width
         for X in range(2, n + 1):
-            # ln X = ln(X-1) + 2 atanh(1/m) for m = 2X - 1, and atanh(1/m) sums
-            # 1/((2k+1) m**(2k+1)) over k >= 0.  In units of 2**-width,
-            # p = floor(2**width / m**(2k+1)) (a floor of a floor is the floor of
-            # the whole quotient), so floor(p/(2k+1)) is short of its term by < 1.
-            # The sum stops at p = 0, where m**(2k+1) > 2**width, so the terms left
-            # out add up to less than sum_j m**(-2j) <= 9/8.  With K terms, 2s is
-            # short by less than 2K + 9/4: low <= 2**width * ln X < low + error.
-            m = 2 * X - 1
-            p, s, terms = (1 << width) // m, 0, 0
-            while p:
-                s += p // (2 * terms + 1)
-                p //= m * m
-                terms += 1
-            low, error = low + 2 * s, error + 2 * terms + 3
+            q = least[X]
+            if q < X:
+                # ln X = ln q + ln(X/q): the lower ends add, and so do the errors.
+                low, error = lows[q] + lows[X // q], errors[q] + errors[X // q]
+            else:
+                # A prime X: ln X = ln(X-1) + 2 atanh(1/m) for m = 2X - 1, and
+                # atanh(1/m) sums 1/((2k+1) m**(2k+1)) over k >= 0.  In units of
+                # 2**-width, p = floor(2**width / m**(2k+1)) (a floor of a floor
+                # is the floor of the whole quotient), so floor(p/(2k+1)) is short
+                # of its term by < 1.  The sum stops at p = 0, where
+                # m**(2k+1) > 2**width, so the terms left out add up to less than
+                # sum_j m**(-2j) <= 9/8.  With K terms, 2s is short by less than
+                # 2K + 9/4: low <= 2**width * ln X < low + error.
+                m = 2 * X - 1
+                p, s, terms = unit // m, 0, 0
+                while p:
+                    s += p // (2 * terms + 1)
+                    p //= m * m
+                    terms += 1
+                low, error = lows[X - 1] + 2 * s, errors[X - 1] + 2 * terms + 3
+            lows.append(low)
+            errors.append(error)
             # Rounding is monotone: if both ends round alike, so does ln X; if
             # not, the whole table is summed again with twice the guard bits.
-            log_x = _round(low, 1 << width, bits)
-            if _round(low + error, 1 << width, bits) != log_x:
+            log_x = _round(low, unit, bits)
+            if _round(low + error, unit, bits) != log_x:
                 break
             logs.append(log_x)
         else:
@@ -208,16 +229,24 @@ def _log_table(n: int, bits: int) -> list[Dyadic]:
 
 def _round(num: int, den: int, bits: int) -> Dyadic:
     """num/den >= 0 rounded to ``bits`` significant bits, ties to even."""
-    # num/den lies in (2**(e-1), 2**(e+1)) for e = the difference of the bit
-    # lengths, so at this shift the quotient has bits or bits + 1 bits.
-    shift = bits - num.bit_length() + den.bit_length()
-    den <<= max(-shift, 0)
-    q, r = divmod(num << max(shift, 0), den)
-    if q >> bits:  # one bit too many: move the last into the remainder
-        q, r, den, shift = q >> 1, r + (q & 1) * den, 2 * den, shift - 1
+    if num and not den & (den - 1):  # den = 2**k: a shift and a mask, no division
+        drop = num.bit_length() - bits  # the low bits of num that are not kept
+        shift = den.bit_length() - 1 - drop
+        if drop <= 0:
+            q, r, den = num << -drop, 0, 1
+        else:
+            q, r, den = num >> drop, num & ((1 << drop) - 1), 1 << drop
+    else:
+        # num/den lies in (2**(e-1), 2**(e+1)) for e = the difference of the bit
+        # lengths, so at this shift the quotient has bits or bits + 1 bits.
+        shift = bits - num.bit_length() + den.bit_length()
+        den <<= max(-shift, 0)
+        q, r = divmod(num << max(shift, 0), den)
+        if q >> bits:  # one bit too many: move the last into the remainder
+            q, r, den, shift = q >> 1, r + (q & 1) * den, 2 * den, shift - 1
     if 2 * r + (q & 1) > den:  # to nearest; a tie, 2r = den, goes to the even q
         q += 1
-    return Dyadic(q << max(-shift, 0), max(shift, 0))
+    return Dyadic(q, shift) if shift >= 0 else Dyadic(q << -shift, 0)
 
 
 _CLUSTER_GAP = 0.01

@@ -151,13 +151,10 @@ def fix_count(spec: MapSpec, n: int) -> int:
         if remainder:
             raise ExactnessError(f"3**{valuation} does not divide 2**{n} - 1")
         return quotient
-    return _divisor_sum(spec.counts, n)
-
-
-def _divisor_sum(counts: Sequence, n: int, zero=0):
-    """Custom data's fix(n): the sum of d * orbits(d) over the divisors d
-    of n, with orbits(d) = counts[d-1] (zero past the end of the data)."""
-    return sum((d * counts[d - 1] for d in divisors(n) if d <= len(counts)), zero)
+    # Custom data: the sum of d * orbits(d) over the divisors d of n, with
+    # orbits(d) = counts[d-1] (zero past the end of the data).
+    counts = spec.counts
+    return sum(d * counts[d - 1] for d in divisors(n) if d <= len(counts))
 
 
 def fix_terms(spec: MapSpec, n_max: int) -> tuple[int, tuple[tuple[int, int, int], ...]] | None:
@@ -263,11 +260,17 @@ def _decimal_fix_counts(spec: MapSpec, n_max: int) -> list[Decimal]:
     2**(n*p) comes from its predecessor by one multiplication by 2**p, and
     the extension's count is 2**(n*p) - 1 divided exactly by
     3**padic_factor(n*p): each step is linear in the digits.  Custom data
-    is converted once, count by count, and summed over divisors as Decimals.
+    is converted once, count by count, for d <= n_max, and a sieve adds
+    d * orbits(d) at every multiple of d.
     """
     if spec.kind == _CUSTOM:
-        counts = [Decimal(c) for c in spec.counts]
-        return [_divisor_sum(counts, n, Decimal(0)) for n in range(1, n_max + 1)]
+        fix = [Decimal(0)] * n_max
+        for d, count in enumerate(spec.counts[:n_max], start=1):
+            if count:
+                weighted = d * Decimal(count)
+                for i in range(d - 1, n_max, d):
+                    fix[i] += weighted
+        return fix
     p = spec.power
     step, power, fix = Decimal(1 << p), Decimal(1), []
     for n in range(p, n_max * p + 1, p):

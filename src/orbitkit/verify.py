@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -69,9 +69,9 @@ class CheckResult:
 
 CHECKS: dict[str, Callable[[int], CheckResult]] = {}
 
-# What the checks of one ``run_checks`` call share: f's and g's tables and
-# f's ratio series.  None outside such a call, so a check called on its own
-# builds what it reads and leaves nothing behind.
+# What the checks of one ``run_checks`` call share: f's and g's tables, the
+# divisor lists and f's ratio series.  None outside such a call, so a check
+# called on its own builds what it reads and leaves nothing behind.
 _SHARED: ContextVar["dict | None"] = ContextVar("verify_shared", default=None)
 
 
@@ -88,6 +88,24 @@ def _once(key, build: Callable):
 def _table(spec, max_n: int):
     """f's or g's table at ``max_n``; smaller windows read a prefix of it."""
     return _once((spec, max_n), lambda: build_table(spec, max_n))
+
+
+def _divisor_lists(max_n: int, top: int) -> list[list[int]]:
+    """``divisors(n)`` for n = 1..top, top <= max_n.
+
+    One ``run_checks`` call lists them to ``max_n`` once for all its
+    readers; a check called on its own lists only its window.
+    """
+    if _SHARED.get() is None:
+        return [divisors(n) for n in range(1, top + 1)]
+    return _once(("divisors", max_n), lambda: [divisors(n) for n in range(1, max_n + 1)])[:top]
+
+
+def _drop(key) -> None:
+    """Free a shared value after its last reader in a ``run_checks`` call."""
+    shared = _SHARED.get()
+    if shared is not None:
+        shared.pop(key, None)
 
 
 def _check(name: str):
@@ -115,8 +133,9 @@ def _check(name: str):
 def _check_mobius_sum(max_n: int) -> tuple:
     top = min(max_n, 10000)
     params = f"n<=min(max,10000)={top}"
-    for n in range(1, top + 1):
-        total = sum(mobius(d) for d in divisors(n))
+    mu = [mobius(d) for d in range(1, top + 1)]
+    for n, ds in enumerate(_divisor_lists(max_n, top), start=1):
+        total = sum(mu[d - 1] for d in ds)
         if total != (1 if n == 1 else 0):
             return False, params, f"sum over divisors of {n} is {total}"
     return True, params
@@ -125,8 +144,7 @@ def _check_mobius_sum(max_n: int) -> tuple:
 @_check("divisor-pairing")
 def _check_divisor_pairing(max_n: int) -> tuple:
     top = min(max_n, 2000)
-    for n in range(1, top + 1):
-        ds = divisors(n)
+    for n, ds in enumerate(_divisor_lists(max_n, top), start=1):
         if sorted(n // d for d in ds) != ds:
             return False, f"n<={top}", f"fails at {n}"
     return True, f"n<={top}"
@@ -162,11 +180,12 @@ def _check_even_divisibility(max_n: int) -> tuple:
 
 @_check("inversion-roundtrip")
 def _check_inversion_roundtrip(max_n: int) -> tuple:
+    lists = _divisor_lists(max_n, max_n)
     for spec, label in ((THREE_ADIC_EXTENSION, "f"), (CIRCLE_DOUBLING, "g")):
         # build_table raises ExactnessError where n does not divide least(n)
         table = _table(spec, max_n)
-        for n in range(1, max_n + 1):
-            rebuilt = sum(d * table.orbit_counts[d - 1] for d in divisors(n))
+        for n, ds in enumerate(lists, start=1):
+            rebuilt = sum(d * table.orbit_counts[d - 1] for d in ds)
             if rebuilt != table.fix_counts[n - 1]:
                 return False, f"n<={max_n}", f"{label} at n={n}"
     return True, f"n<={max_n}, maps f and g"
@@ -185,8 +204,10 @@ def _check_orbit_domination(max_n: int) -> tuple:
 @_check("proper-divisor-sum-bound")
 def _check_divisor_sum_bound(max_n: int) -> tuple:
     # 3 * sum_{d|n, d<n} (2^d - 1) <= 2 * (2^n - 1), all integers
-    for n in range(1, max_n + 1):
-        proper = sum((1 << d) - 1 for d in divisors(n) if d < n)
+    lists = _divisor_lists(max_n, max_n)
+    _drop(("divisors", max_n))  # the last reader: free the lists before later checks
+    for n, ds in enumerate(lists, start=1):
+        proper = sum((1 << d) - 1 for d in ds if d < n)
         if 3 * proper > 2 * ((1 << n) - 1):
             return False, f"n<={max_n}", f"fails at {n}"
     return True, f"n<={max_n}"
@@ -285,9 +306,7 @@ def _check_ratio_band(max_n: int) -> tuple:
 def _check_ratio_clusters(max_n: int) -> tuple:
     params = f"64<=X<={max_n}"
     points = _ratio_window(max_n)
-    shared = _SHARED.get()
-    if shared is not None:  # the last reader: free the series before later checks
-        shared.pop("ratio", None)
+    _drop("ratio")  # the last reader: free the series before later checks
     if points is None:
         return True, params, _VACUOUS
     clusters = asymptotics.cluster_ratios([p.ratio for p in points])
@@ -309,13 +328,11 @@ def _check_doubling_ratio(max_n: int) -> tuple:
     return ok, params, f"max |ratio-1| = {float(worst):.6f}"
 
 
-def _merten_bounds(table):
-    """(X, sum - ln X, sum - ln X / 2) for 16 <= X <= n_max, all exact."""
+def _merten_window(table):
+    """(point, sum - ln X) for the Merten points of 16 <= X <= n_max, exact."""
     for p in asymptotics.merten_series(table):
-        if p.X < 16:
-            continue
-        half_log_x = Dyadic(p.log_x.numerator, p.log_x.shift + 1)
-        yield p.X, p.sum - p.log_x, p.sum - half_log_x
+        if p.X >= 16:
+            yield p, p.sum - p.log_x
 
 
 @_check("merten-sandwich")
@@ -325,15 +342,19 @@ def _check_merten_sandwich(max_n: int) -> tuple:
         return True, params, _VACUOUS
     table = _table(THREE_ADIC_EXTENSION, max_n)
     slack = asymptotics.MERTEN_SLACK
-    lows, highs = [], []
-    for X, dev_full, dev_half in _merten_bounds(table):
-        if dev_half < -slack or dev_full > slack:
-            return False, params, f"fails at X={X}"
-        lows.append(dev_half)
-        highs.append(dev_full)
+    neg_slack = -slack
+    lowest = highest = None
+    for p, dev_full in _merten_window(table):
+        dev_half = p.sum - Dyadic(p.log_x.numerator, p.log_x.shift + 1)  # sum - ln X / 2
+        if dev_half < neg_slack or dev_full > slack:
+            return False, params, f"fails at X={p.X}"
+        if lowest is None or dev_half < lowest:
+            lowest = dev_half
+        if highest is None or dev_full > highest:
+            highest = dev_full
     return True, params, (
-        f"observed sum-0.5lnX >= {float(min(lows)):.4f}, "
-        f"sum-lnX <= {float(max(highs)):.4f}"
+        f"observed sum-0.5lnX >= {float(lowest):.4f}, "
+        f"sum-lnX <= {float(highest):.4f}"
     )
 
 
@@ -344,11 +365,12 @@ def _check_merten_doubling(max_n: int) -> tuple:
         return True, params, _VACUOUS
     table = _table(CIRCLE_DOUBLING, max_n)
     worst = Dyadic(0, 0)
-    for X, dev_full, _ in _merten_bounds(table):
-        if abs(dev_full) > worst:
-            worst = abs(dev_full)
-        if abs(dev_full) > asymptotics.MERTEN_SLACK:
-            return False, params, f"X={X}"
+    for p, dev_full in _merten_window(table):
+        deviation = abs(dev_full)
+        if deviation > worst:
+            worst = deviation
+        if deviation > asymptotics.MERTEN_SLACK:
+            return False, params, f"X={p.X}"
     return True, params, f"empirical constant: max |sum - ln X| = {float(worst):.4f}"
 
 
@@ -493,7 +515,10 @@ def _check_interior_agreement(max_n: int) -> tuple:
     )
     if max_n < 400:
         return True, params, _VACUOUS
-    table = build_table(THREE_ADIC_EXTENSION, _INTERIOR_DEGREE)
+    # At max >= degree the shared table's prefix holds the same counts.
+    full = _table(THREE_ADIC_EXTENSION, max(max_n, _INTERIOR_DEGREE))
+    table = replace(full, fix_counts=full.fix_counts[:_INTERIOR_DEGREE],
+                    orbit_counts=full.orbit_counts[:_INTERIOR_DEGREE])
     product = modulus_product(complex(_INTERIOR_Z), _INTERIOR_TERMS)
     series = zeta.series_modulus(table, complex(_INTERIOR_Z))
     diff = abs(product - series)

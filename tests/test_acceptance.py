@@ -221,6 +221,64 @@ def test_direct_check_calls_keep_nothing_for_run_checks(monkeypatch):
     assert_nothing_alive()
 
 
+def test_run_checks_lists_divisors_once_and_drops_them(monkeypatch):
+    class Divisors(list):  # a list that takes weak references
+        pass
+
+    listed, alive = [], []
+    original_divisors, original_build = verify.divisors, verify.build_table
+
+    def recorded_divisors(n):
+        ds = Divisors(original_divisors(n))
+        listed.append((n, weakref.ref(ds)))
+        return ds
+
+    def recorded_build(spec, n_max):
+        gc.collect()
+        alive.append(sum(ref() is not None for _, ref in listed))
+        return original_build(spec, n_max)
+
+    monkeypatch.setattr(verify, "divisors", recorded_divisors)
+    monkeypatch.setattr(verify, "build_table", recorded_build)
+    assert all(r.passed for r in verify.run_checks(300))
+    assert [n for n, _ in listed] == list(range(1, 301))
+    # inversion-roundtrip builds f's table while the lists are shared;
+    # iterate-double-sum builds after proper-divisor-sum-bound dropped them.
+    assert alive[0] == 300 and alive[-1] == 0
+    # A check called on its own lists only its window.
+    listed.clear()
+    assert verify.CHECKS["divisor-pairing"](2500).passed
+    assert [n for n, _ in listed] == list(range(1, 2001))
+
+
+def test_divisor_checks_still_read_every_n(monkeypatch):
+    # The shared lists and the Möbius values reach every n of each window:
+    # a fault at the last n fails each check there, and f before g.
+    original_divisors, original_mobius = verify.divisors, verify.mobius
+    mobius_calls = []
+
+    def divisors_without_1_at_300(n):
+        ds = original_divisors(n)
+        return ds[1:] if n == 300 else ds
+
+    def recorded_mobius(d):
+        mobius_calls.append(d)
+        return original_mobius(d)
+
+    monkeypatch.setattr(verify, "divisors", divisors_without_1_at_300)
+    monkeypatch.setattr(verify, "mobius", recorded_mobius)
+    results = {r.name: r for r in verify.run_checks(300)}
+    assert mobius_calls == list(range(1, 301))
+    assert results["mobius-divisor-sum"].detail == "sum over divisors of 300 is -1"
+    assert results["divisor-pairing"].detail == "fails at 300"
+    assert results["inversion-roundtrip"].detail == "f at n=300"
+
+    monkeypatch.setattr(verify, "divisors", original_divisors)
+    monkeypatch.setattr(verify, "mobius", lambda d: original_mobius(d) + (d == 300))
+    result = verify.CHECKS["mobius-divisor-sum"](300)
+    assert result.detail == "sum over divisors of 300 is 1"
+
+
 def test_pi_sum_spot_values():
     # anchors the aggregate counts used across the criteria
     table_f = build_table(THREE_ADIC_EXTENSION, 6)

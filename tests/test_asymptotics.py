@@ -217,6 +217,30 @@ def test_round_to_nearest_even():
                 assert rounded == nearest_even(Fraction(num, den), bits), (num, den, bits)
 
 
+def test_round_by_a_shift_against_fraction_oracle():
+    # A power-of-two den rounds by a shift and a mask.  Ties go to the even
+    # neighbour both ways: 1001b and 1011b to 3 bits.
+    assert _round(0b1001, 2**40, 3) == Fraction(8, 2**40)
+    assert _round(0b1011, 2**40, 3) == Fraction(12, 2**40)
+    assert _round(0b10001, 2**4, 4) == 1 and _round(0b10011, 2**4, 4) == Fraction(5, 4)
+    # A carry rounds up to exactly 2**bits: 1111b and 11111b/2**64.
+    assert _round(0b1111, 1, 3) == 16
+    assert _round(0b11111, 2**64, 4) == Fraction(1, 2**59)
+    # num that already fits in bits is exact, at any shift.
+    assert _round(5, 2**100, 64) == Fraction(5, 2**100) and _round(5, 1, 3) == 5
+    nums = [*range(1, 70), 2**200 - 1, 2**200 + 1, 3**150, 2**199 + 2**120]
+    for k in (0, 1, 7, 64, 300):
+        for num in nums:
+            for bits in (1, 2, 3, 5, 13, 64):
+                rounded = _round(num, 2**k, bits)
+                assert rounded.shift >= 0
+                assert rounded == nearest_even(Fraction(num, 2**k), bits), (num, k, bits)
+                # The general path, at a den that is not a power of two,
+                # gives the same numerator and shift.
+                general = _round(3 * num, 3 * 2**k, bits)
+                assert (rounded.numerator, rounded.shift) == (general.numerator, general.shift)
+
+
 def test_cluster_ratios():
     assert cluster_ratios([]) == []
     values = [Fraction(1, 4), Fraction(251, 1000), Fraction(3, 4)]

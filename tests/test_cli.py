@@ -510,6 +510,8 @@ PINNED_ORBITS = [(37 * n * n + 11) % 997 for n in range(1, 201)]
      "c5abe16c6bcfebfb833eb7433430060f52ae345525c64e8f80b7f7981c491ca8"),
     (("verify", "--max", "2000"),
      "f99173af0c6916ff669ff1f61f1bb154dadc6798f42f18ab56e96559d2b104bd"),
+    (("verify", "--max", "5000"),
+     "cbded098befa26f2a566f4418556a177353250ba89c2e9102d11aca177f05e8b"),
     (("zeta", "coeffs", "--map", "f", "--degree", "500"),
      "a9b612ca435dd39016a3bffd9fd385fb5ae3f7d17eb2d823cff49bcdd7f877cc"),
     (("zeta", "coeffs", "--map", "f", "--degree", "500", "--format", "json"),

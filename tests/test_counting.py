@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,16 @@ def test_fix_count_custom_zero_extends():
     assert fix_count(spec, 2) == 7
     assert fix_count(spec, 5) == 1
     assert fix_count(spec, 100) == 7
+
+
+@pytest.mark.parametrize("n_max", [5, 12, 30])
+def test_decimal_custom_fix_counts_match_fix_count(n_max):
+    # Custom data of 12 counts, zeros among them, read past its end (30),
+    # to its end (12) and short of it (5).
+    spec = custom_orbits((3, 0, 7, 0, 0, 10**40, 1, 0, 2, 0, 5, 4))
+    table = build_table(spec, n_max, Decimal)
+    assert all(type(c) is Decimal for c in table.fix_counts)
+    assert table.fix_counts == tuple(fix_count(spec, n) for n in range(1, n_max + 1))
 
 
 def test_fix_count_rejects_zero():
