@@ -41,8 +41,7 @@ __all__ = [
     "delta_gap",
     "merten_series",
     "cluster_ratios",
-    "DEFAULT_PRECISION_BITS",
-    "PRECISION_BITS",
+    "MERTEN_PRECISION_BITS",
     "DEFAULT_BURN_IN",
     "RATIO_BAND_TOLERANCE",
     "RATIO_BAND",
@@ -57,10 +56,8 @@ RATIO_BAND_TOLERANCE = Fraction(2, 100)
 RATIO_BAND = (Fraction(1, 3) - RATIO_BAND_TOLERANCE, 1 + RATIO_BAND_TOLERANCE)
 MERTEN_SLACK = Fraction(2)
 
-DEFAULT_PRECISION_BITS = 64
-# The least and greatest working precision of merten_series, in significant
-# bits; ORBITKIT_PRECISION_BITS is checked against the same range.
-PRECISION_BITS = (60, 10_000)
+# The significant bits to which merten_series rounds ln X and sum/ln X.
+MERTEN_PRECISION_BITS = 64
 # Guard bits beyond the precision at which _log_table first sums ln X.
 _GUARD_BITS = 32
 DEFAULT_BURN_IN = 64
@@ -88,7 +85,7 @@ class MertenPoint:
 
     ``sum`` is the exact ``Dyadic`` N_X / 2**X.  ``log_x`` is ln X and
     ``normalized`` (defined for X >= 2) the rounded sum over ``log_x``, each
-    rounded to nearest, ties to even, at the requested precision.
+    rounded to nearest, ties to even, to ``MERTEN_PRECISION_BITS`` bits.
     """
 
     X: int
@@ -158,24 +155,19 @@ def delta_gap(table_f: OrbitTable, table_g: OrbitTable) -> list[tuple[int, int]]
     return pairs
 
 
-def merten_series(
-    table: OrbitTable, precision_bits: int = DEFAULT_PRECISION_BITS
-) -> list[MertenPoint]:
+def merten_series(table: OrbitTable) -> list[MertenPoint]:
     """Exact weighted partial sums with ln X comparison columns, X = 1..n_max,
-    for a map of entropy log 2; any other map's table raises ValueError, as
-    does a precision outside ``PRECISION_BITS``."""
+    for a map of entropy log 2; any other map's table raises ValueError."""
     _require_entropy_log2(table, "merten_series")
-    low, high = PRECISION_BITS
-    if not low <= precision_bits <= high:
-        raise ValueError(f"precision must lie in {low}..{high} bits, got {precision_bits}")
+    bits = MERTEN_PRECISION_BITS
     points: list[MertenPoint] = []
     numerator = 0
-    logs = _log_table(table.n_max, precision_bits)
+    logs = _log_table(table.n_max, bits)
     for X, (orbits, log_x) in enumerate(zip(table.orbit_counts, logs), start=1):
         numerator = 2 * numerator + orbits
-        total = _round(numerator, 1 << X, precision_bits)
+        total = _round(numerator, 1 << X, bits)
         normalized = (_round(total.numerator << log_x.shift, log_x.numerator << total.shift,
-                             precision_bits) if X >= 2 else None)
+                             bits) if X >= 2 else None)
         points.append(MertenPoint(X, Dyadic(numerator, X), log_x, normalized))
     return points
 

@@ -10,9 +10,8 @@ in CSV or JSON.  Subcommands:
     verify   the full invariant suite, one PASS/FAIL line per check
 
 Exit status: 0 on success, 1 on a validation error, 2 on a verification
-failure.  The environment variable ORBITKIT_PRECISION_BITS (default 64,
-range 60..10000) sets the working precision in bits of ``merten``'s ln X
-and sum/ln X; their columns print each value rounded to the nearest double.
+failure.  ``merten`` computes ln X and sum/ln X to 64 significant bits and
+prints each rounded to the nearest double.
 
 The big integers of ``table``, ``pnt`` and ``merten`` are rendered from
 exact ``Decimal`` twins of the int counts and sums, built beside them in
@@ -26,7 +25,6 @@ is loaded only by ``verify``.
 from __future__ import annotations
 
 import argparse
-import os
 import re
 import sys
 from decimal import Decimal, localcontext
@@ -37,9 +35,8 @@ from . import __version__
 from .arith import EXACT_DECIMAL
 from .asymptotics import (
     DEFAULT_BURN_IN,
-    DEFAULT_PRECISION_BITS,
+    MERTEN_PRECISION_BITS,
     MERTEN_SLACK,
-    PRECISION_BITS,
     RATIO_BAND,
     MertenPoint,
     RatioPoint,
@@ -79,18 +76,6 @@ _NAMED_MAPS = {
     "f2": iterate(THREE_ADIC_EXTENSION, 2),
     "g2": iterate(CIRCLE_DOUBLING, 2),
 }
-
-
-def _precision_bits() -> int:
-    raw = os.environ.get("ORBITKIT_PRECISION_BITS", "")
-    if not raw:
-        return DEFAULT_PRECISION_BITS
-    try:
-        bits = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"ORBITKIT_PRECISION_BITS must be an integer, got {raw!r}") from exc
-    _check_range("ORBITKIT_PRECISION_BITS", bits, *PRECISION_BITS)
-    return bits
 
 
 def _check_range(option: str, value: int, low: int, high: int) -> None:
@@ -197,15 +182,14 @@ def _pnt_rows(points: list[RatioPoint], orbit_counts: "tuple[Decimal, ...]", dig
 def _cmd_merten(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
-    bits = _precision_bits()
-    points = merten_series(build_table(spec, args.max), bits)
+    points = merten_series(build_table(spec, args.max))
     digits = args.digits
     meta = {
         "command": "merten",
         "map": spec.label,
         "max": args.max,
         "digits": digits,
-        "precision_bits": bits,
+        "precision_bits": MERTEN_PRECISION_BITS,
         "slack": str(MERTEN_SLACK),
     }
     write_table(args.format, args.output, meta,
@@ -227,8 +211,8 @@ def _merten_rows(points: list[MertenPoint], orbit_counts: "tuple[Decimal, ...]",
             str(p.X),
             format_dyadic(p.sum, numerator, power),
             format_fraction_decimal(p.sum, digits),
-            # Each rounded to the nearest double, whatever the working precision:
-            # the open precision FOUND line in CHANGES.md.
+            # Each rounded to the nearest double: past about 17 significant
+            # digits the printed digits come from the double, not from ln X.
             format_real(float(p.log_x), digits),
             "" if p.normalized is None else format_real(float(p.normalized), digits),
         )

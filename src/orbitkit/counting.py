@@ -18,7 +18,7 @@ fix(T^p, n) = fix(T, n*p).  A table is a plain value: ``build_table``
 keeps nothing between calls.
 
 The counts of a table are ints: zeta, the asymptotics and verify compute
-with them.  The same sieve also builds them as ``decimal.Decimal``
+with them.  The same routines also build them as ``decimal.Decimal``
 integers, whose decimal strings take time linear in their digits (``str``
 of an int takes quadratic time), so the CLI renders its big columns from
 that twin.
@@ -28,12 +28,15 @@ are a short sum of gated geometric terms,
 
     fix(n) = (1/den) * sum of w * 2**(s*n/m) * [m | n] over terms (w, s, m),
 
-valid for n up to a given bound.  The zeta recurrence runs on this form;
-``fix_count`` stays the independent value it is checked against.
+valid for n up to a given bound.  The zeta recurrence runs on this form.
+``fix_count`` computes one fix count on its own, by a closed form or a
+divisor sum: the reference that the tables and the term form are tested
+against.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from math import gcd
@@ -68,7 +71,8 @@ class MapSpec:
 
     ``kind`` is circle-doubling, 3-adic-extension or custom; ``counts``
     holds the orbit counts of a custom base map (the sequence is
-    zero-extended past its end).
+    zero-extended past its end).  A power or a count that is not an
+    integer (2.0, 2.5, "2") raises TypeError here, not a later error.
     """
 
     kind: str
@@ -78,6 +82,8 @@ class MapSpec:
     def __post_init__(self) -> None:
         if self.kind not in (_DOUBLING, _EXTENSION, _CUSTOM):
             raise ValueError(f"unknown map kind {self.kind!r}")
+        object.__setattr__(self, "power", operator.index(self.power))
+        object.__setattr__(self, "counts", tuple(map(operator.index, self.counts)))
         if self.power < 1:
             raise ValueError(f"iterate power must be >= 1, got {self.power}")
         if any(c < 0 for c in self.counts):
@@ -115,7 +121,7 @@ def iterate(spec: MapSpec, k: int) -> MapSpec:
 
 def custom_orbits(counts: Sequence[int]) -> MapSpec:
     """A system prescribed by its orbit counts (orbits(n) = counts[n-1])."""
-    return MapSpec(_CUSTOM, counts=tuple(int(c) for c in counts))
+    return MapSpec(_CUSTOM, counts=tuple(counts))
 
 
 def padic_factor(n: int) -> int:
@@ -223,9 +229,8 @@ def build_table(spec: MapSpec, n_max: int, number: type = int) -> OrbitTable:
     """Compute fix and orbit counts for n = 1..n_max, as a fresh table
     whose counts are ``number`` values: int, or ``Decimal`` for rendering.
 
-    The int fix counts come from ``fix_count``; the Decimal ones by
-    repeated doubling (``_decimal_fix_counts``).  One sieve pass over either
-    type inverts the divisor sum: the count at m starts at fix(m), and once
+    The fix counts of either type come from ``_fix_counts``.  One sieve
+    pass inverts the divisor sum: the count at m starts at fix(m), and once
     least(n) is final it is subtracted at every multiple m of n and replaced
     by orbits(n), its exact division by n.  Decimal arithmetic runs in
     ``EXACT_DECIMAL``, so it rounds nothing.
@@ -235,10 +240,7 @@ def build_table(spec: MapSpec, n_max: int, number: type = int) -> OrbitTable:
     if number not in (int, Decimal):
         raise ValueError(f"build_table counts in int or Decimal, got {number!r}")
     with localcontext(EXACT_DECIMAL):
-        if number is int:
-            fix = [fix_count(spec, n) for n in range(1, n_max + 1)]
-        else:
-            fix = _decimal_fix_counts(spec, n_max)
+        fix = _fix_counts(spec, n_max, number)
         counts = fix.copy()  # least(n) until n's turn, then orbits(n)
         for n in range(1, n_max + 1):
             count = counts[n - 1]  # final: every proper divisor of n is below n
@@ -253,26 +255,28 @@ def build_table(spec: MapSpec, n_max: int, number: type = int) -> OrbitTable:
     return OrbitTable(spec=spec, fix_counts=tuple(fix), orbit_counts=tuple(counts))
 
 
-def _decimal_fix_counts(spec: MapSpec, n_max: int) -> list[Decimal]:
-    """fix(n) for n = 1..n_max as ``Decimal`` integers, in the caller's
-    exact context.
+def _fix_counts(spec: MapSpec, n_max: int, number: type) -> list:
+    """fix(n) for n = 1..n_max as ``number`` integers, int or ``Decimal``,
+    in the caller's exact context.
 
     2**(n*p) comes from its predecessor by one multiplication by 2**p, and
     the extension's count is 2**(n*p) - 1 divided exactly by
     3**padic_factor(n*p): each step is linear in the digits.  Custom data
-    is converted once, count by count, for d <= n_max, and a sieve adds
-    d * orbits(d) at every multiple of d.
+    is converted once, count by count, for d <= n_max*p, and a sieve adds
+    d * orbits(d) at every n with d | n*p, that is at every multiple of
+    d/gcd(d, p).  ``fix_count`` is the per-n reference these values are
+    tested against.
     """
+    p = spec.power
     if spec.kind == _CUSTOM:
-        fix = [Decimal(0)] * n_max
-        for d, count in enumerate(spec.counts[:n_max], start=1):
+        fix = [number(0)] * n_max
+        for d, count in enumerate(spec.counts[:n_max * p], start=1):
             if count:
-                weighted = d * Decimal(count)
-                for i in range(d - 1, n_max, d):
+                weighted, step = d * number(count), d // gcd(d, p)
+                for i in range(step - 1, n_max, step):
                     fix[i] += weighted
         return fix
-    p = spec.power
-    step, power, fix = Decimal(1 << p), Decimal(1), []
+    step, power, fix = number(1 << p), number(1), []
     for n in range(p, n_max * p + 1, p):
         power *= step
         count = power - 1

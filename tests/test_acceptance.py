@@ -47,13 +47,16 @@ def test_criterion_02_inversion_roundtrip_and_divisibility(checks):
 def test_inversion_roundtrip_reports_divisibility(monkeypatch):
     import orbitkit.counting as counting
 
-    original = counting.fix_count
+    original = counting._fix_counts
 
-    def fix_of_f_off_at_5(spec, n):
+    def fix_of_f_off_at_5(spec, n_max, number):
         # fix(5) = 32 makes least(5) = 31, which 5 does not divide
-        return original(spec, n) + (spec == THREE_ADIC_EXTENSION and n == 5)
+        fix = original(spec, n_max, number)
+        if spec == THREE_ADIC_EXTENSION and n_max >= 5:
+            fix[4] += 1
+        return fix
 
-    monkeypatch.setattr(counting, "fix_count", fix_of_f_off_at_5)
+    monkeypatch.setattr(counting, "_fix_counts", fix_of_f_off_at_5)
     result = verify.CHECKS["inversion-roundtrip"](300)
     assert not result.passed
     assert result.detail == "ExactnessError: 5 does not divide least-period count 31"

@@ -7,7 +7,8 @@ from orbitkit import asymptotics
 from orbitkit.arith import ExactnessError
 from orbitkit.arith import Dyadic
 from orbitkit.asymptotics import (
-    PRECISION_BITS,
+    MERTEN_PRECISION_BITS,
+    _log_table,
     _round,
     cluster_ratios,
     delta_gap,
@@ -162,27 +163,6 @@ def test_merten_normalized_matches_sum(tf):
         assert abs(normalized * log_x - total) < Fraction(1, 10**15)
 
 
-def test_merten_precision_control():
-    table = build_table(THREE_ADIC_EXTENSION, 8)
-    coarse = merten_series(table, precision_bits=64)
-    fine = merten_series(table, precision_bits=128)
-    assert coarse[-1].sum == fine[-1].sum
-    diff = abs(fraction(coarse[-1].log_x) - fraction(fine[-1].log_x))
-    assert 0 < diff < Fraction(1, 2**60)
-    with pytest.raises(ValueError):
-        merten_series(table, precision_bits=53)
-
-
-def test_merten_precision_range():
-    table = build_table(CIRCLE_DOUBLING, 2)
-    assert PRECISION_BITS == (60, 10_000)
-    for bits in PRECISION_BITS:
-        assert len(merten_series(table, bits)) == 2
-    for bits in (59, 10_001):
-        with pytest.raises(ValueError, match="precision must lie in 60..10000 bits"):
-            merten_series(table, bits)
-
-
 def nearest_even(x, bits):
     """Brute-force oracle: the Fraction x > 0 rounded to ``bits`` significant
     bits, ties to even (as ``round`` of a Fraction does)."""
@@ -287,6 +267,13 @@ def test_merten_series_against_fraction_oracle(spec):
                 assert p.normalized == exact(expected)
 
 
+def mpmath_logs(n_max, bits):
+    """The exact ln X of each X = 1..n_max as mpmath rounds it in
+    ``workprec(bits)``."""
+    with mpmath.workprec(bits):
+        return [exact(mpmath.log(X)) for X in range(1, n_max + 1)]
+
+
 def mpmath_columns(table, bits):
     """The exact (ln X, sum/ln X) of each X as mpmath rounds them in
     ``workprec(bits)``: the sum rounded once, then divided by ln X."""
@@ -301,17 +288,20 @@ def mpmath_columns(table, bits):
     return columns
 
 
-def merten_columns(table, bits):
+def merten_columns(table):
     return [(fraction(p.log_x), None if p.normalized is None else fraction(p.normalized))
-            for p in merten_series(table, bits)]
+            for p in merten_series(table)]
 
 
 @pytest.mark.parametrize("bits, n_max", [(64, 10_000), (60, 1000), (113, 1000),
                                          (200, 1000), (1000, 1000), (10_000, 100)])
 @maps
 def test_merten_columns_match_mpmath(spec, bits, n_max):
+    # ln X at any width through _log_table; the columns of merten_series at
+    # their fixed 64 bits.
+    assert [fraction(log_x) for log_x in _log_table(n_max, bits)] == mpmath_logs(n_max, bits)
     table = build_table(spec, n_max)
-    assert merten_columns(table, bits) == mpmath_columns(table, bits)
+    assert merten_columns(table) == mpmath_columns(table, MERTEN_PRECISION_BITS)
 
 
 @maps
@@ -321,6 +311,7 @@ def test_merten_columns_match_mpmath_from_one_guard_bit(spec, monkeypatch):
     # bits; an error bound that counted too little would let a wrong
     # rounding through from one of those narrow passes.
     monkeypatch.setattr(asymptotics, "_GUARD_BITS", 1)
-    table = build_table(spec, 1000)
     for bits in (60, 64, 200):
-        assert merten_columns(table, bits) == mpmath_columns(table, bits)
+        assert [fraction(log_x) for log_x in _log_table(1000, bits)] == mpmath_logs(1000, bits)
+    table = build_table(spec, 1000)
+    assert merten_columns(table) == mpmath_columns(table, MERTEN_PRECISION_BITS)

@@ -161,45 +161,20 @@ def test_merten_values(capsys):
     assert rows[0][4] == ""  # normalized undefined at X = 1
 
 
-def test_merten_precision_env(monkeypatch, capsys):
-    monkeypatch.setenv("ORBITKIT_PRECISION_BITS", "80")
-    code, out, _ = run_cli(capsys, "merten", "--map", "f", "--max", "3")
-    assert code == 0
-    assert "# precision_bits=80" in out.splitlines()
-
-
-def test_bad_precision_env(monkeypatch, capsys):
-    monkeypatch.setenv("ORBITKIT_PRECISION_BITS", "abc")
-    code, _, err = run_cli(capsys, "merten", "--map", "f", "--max", "3")
-    assert code == 1
-    monkeypatch.setenv("ORBITKIT_PRECISION_BITS", "50")
-    code, _, err = run_cli(capsys, "merten", "--map", "f", "--max", "3")
-    assert code == 1
-    assert err == "orbitkit: error: ORBITKIT_PRECISION_BITS must lie in 60..10000, got 50\n"
-    monkeypatch.setenv("ORBITKIT_PRECISION_BITS", "10000")
-    code, _, _ = run_cli(capsys, "merten", "--map", "f", "--max", "3")
-    assert code == 0
-
-
-@pytest.mark.parametrize("argv, env, message", [
-    (("pnt", "--map", "f", "--max", "100", "--digits", "50000000"), {},
-     "--digits must lie in 1..1000, got 50000000"),
-    (("merten", "--map", "f", "--max", "20"), {"ORBITKIT_PRECISION_BITS": "100000000"},
-     "ORBITKIT_PRECISION_BITS must lie in 60..10000, got 100000000"),
-])
-def test_oversized_precision_is_refused_at_once(argv, env, message):
+def test_oversized_precision_is_refused_at_once():
+    argv = ("pnt", "--map", "f", "--max", "100", "--digits", "50000000")
     result = subprocess.run([sys.executable, "-m", "orbitkit.cli", *argv],
-                            env=subprocess_env(env), capture_output=True, text=True,
+                            env=subprocess_env(), capture_output=True, text=True,
                             timeout=10)
     assert result.returncode == 1
     assert result.stdout == ""
-    assert result.stderr == f"orbitkit: error: {message}\n"
+    assert result.stderr == "orbitkit: error: --digits must lie in 1..1000, got 50000000\n"
 
 
-def subprocess_env(extra=None):
+def subprocess_env():
     """The environment of a fresh interpreter that imports this orbitkit."""
     src = str(Path(orbitkit.__file__).resolve().parents[1])
-    return {**os.environ, **(extra or {}),
+    return {**os.environ,
             "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
@@ -560,17 +535,26 @@ def test_verify_output_bytes_pinned(capsys, tmp_path, argv, sha256):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
-@pytest.mark.parametrize("bits, argv, sha256", [
-    ("200", ("merten", "--map", "g", "--max", "64", "--digits", "100"),
-     "0c7cfd9ff7d7e268d1a77691790f56d880c09fd3eff8af9077e179a95820060e"),
-    ("60", ("merten", "--map", "f", "--max", "300", "--digits", "40", "--format", "json"),
-     "c337f3079d573f561062b8adc49a980ea3b6182ce8b44dfe9e9b72560ecbebe1"),
+@pytest.mark.parametrize("argv, sha256", [
+    (("merten", "--map", "g", "--max", "64", "--digits", "100"),
+     "b8facadac438c34f8b22cbf5a4e4c5e549b632a1fafb1bd8faeb48da67ae5b2a"),
+    (("merten", "--map", "f", "--max", "300", "--digits", "40", "--format", "json"),
+     "cb8364be76ba7acc70afd76148e577ced98c7c31739aa6bb9db2907bdb94c133"),
 ])
-def test_merten_real_columns_are_rounded_to_doubles(monkeypatch, capsys, bits, argv, sha256):
-    # ln X and sum/ln X are computed at the working precision, then printed
-    # rounded to the nearest double: at 200 bits and 100 digits the exact
-    # values would print other digits.
-    monkeypatch.setenv("ORBITKIT_PRECISION_BITS", bits)
+def test_merten_real_columns_are_rounded_to_doubles(capsys, argv, sha256):
+    # ln X and sum/ln X are computed to 64 bits, then printed rounded to the
+    # nearest double: at 100 digits the exact values would print other digits.
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+def test_merten_ignores_a_stale_precision_setting(monkeypatch, capsys):
+    # ORBITKIT_PRECISION_BITS no longer exists; a setting left in the
+    # environment changes no byte.
+    argv = ("merten", "--map", "g", "--max", "64", "--digits", "100")
+    monkeypatch.delenv("ORBITKIT_PRECISION_BITS", raising=False)
+    unset = run_cli(capsys, *argv)
+    monkeypatch.setenv("ORBITKIT_PRECISION_BITS", "200")
+    assert run_cli(capsys, *argv) == unset
+    assert unset[0] == 0 and "# precision_bits=64" in unset[1].splitlines()

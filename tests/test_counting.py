@@ -11,6 +11,7 @@ from orbitkit.arith import ExactnessError, divisors, ord_p
 from orbitkit.counting import (
     CIRCLE_DOUBLING,
     THREE_ADIC_EXTENSION,
+    MapSpec,
     OrbitTable,
     build_table,
     custom_orbits,
@@ -106,12 +107,20 @@ def test_fix_count_custom_zero_extends():
 
 @pytest.mark.parametrize("n_max", [5, 12, 30])
 def test_decimal_custom_fix_counts_match_fix_count(n_max):
-    # Custom data of 12 counts, zeros among them, read past its end (30),
-    # to its end (12) and short of it (5).
-    spec = custom_orbits((3, 0, 7, 0, 0, 10**40, 1, 0, 2, 0, 5, 4))
-    table = build_table(spec, n_max, Decimal)
-    assert all(type(c) is Decimal for c in table.fix_counts)
-    assert table.fix_counts == tuple(fix_count(spec, n) for n in range(1, n_max + 1))
+    # Tables of both number types against the per-n reference.  The custom
+    # data of 12 counts, zeros and a 41-digit count among them, is read past
+    # its end (30), to its end (12) and short of it (5); its square reads
+    # twice as far.
+    specs = [THREE_ADIC_EXTENSION, CIRCLE_DOUBLING]
+    specs += [iterate(spec, k) for k in (2, 3) for spec in specs]
+    custom = custom_orbits((3, 0, 7, 0, 0, 10**40, 1, 0, 2, 0, 5, 4))
+    specs += [custom, iterate(custom, 2)]
+    for spec in specs:
+        expected = tuple(fix_count(spec, n) for n in range(1, n_max + 1))
+        for number in (int, Decimal):
+            table = build_table(spec, n_max, number)
+            assert all(type(c) is number for c in table.fix_counts), (spec.label, number)
+            assert table.fix_counts == expected, (spec.label, number)
 
 
 def test_fix_count_rejects_zero():
@@ -148,6 +157,14 @@ def test_map_spec_validation():
         custom_orbits((1, -2))
     with pytest.raises(ValueError):
         iterate(CIRCLE_DOUBLING, 0)
+    # Data that is not integral is refused at construction: not truncated to
+    # the counts (2, 1), and not left to fail inside build_table or fix_count.
+    with pytest.raises(TypeError):
+        custom_orbits([2.5, 1])
+    with pytest.raises(TypeError):
+        MapSpec("custom", counts=(2.5, 1))
+    with pytest.raises(TypeError):
+        iterate(CIRCLE_DOUBLING, 2.0)
 
 
 def test_iterate_power_one_is_base():
@@ -254,10 +271,10 @@ def test_build_table_inexactness_is_hard_error(monkeypatch):
     import orbitkit.counting as counting
 
     # 2 does not divide fix(2) - fix(1) = 1 here, which no genuine map allows.
-    def fake_fix(spec, n):
-        return {1: 1, 2: 2}[n]
+    def fake_fix(spec, n_max, number):
+        return [number(1), number(2)]
 
-    monkeypatch.setattr(counting, "fix_count", fake_fix)
+    monkeypatch.setattr(counting, "_fix_counts", fake_fix)
     with pytest.raises(ExactnessError):
         counting.build_table(custom_orbits((9, 9, 9)), 2)
 
@@ -265,10 +282,10 @@ def test_build_table_inexactness_is_hard_error(monkeypatch):
 def test_build_table_negative_least_is_hard_error(monkeypatch):
     import orbitkit.counting as counting
 
-    def fake_fix(spec, n):
-        return {1: 5, 2: 1}[n]
+    def fake_fix(spec, n_max, number):
+        return [number(5), number(1)]
 
-    monkeypatch.setattr(counting, "fix_count", fake_fix)
+    monkeypatch.setattr(counting, "_fix_counts", fake_fix)
     with pytest.raises(ExactnessError):
         counting.build_table(custom_orbits((8, 8, 8)), 2)
 

@@ -3,10 +3,8 @@ the CLI's exit-status contract, checked on arbitrary command lines."""
 
 import contextlib
 import io
-import os
 import sys
 from decimal import Decimal
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -161,14 +159,10 @@ COMMANDS = {
 OUTPUT_OPTIONS = {"--format": ("csv", "json"), "--digits": ("12", "1", "1000", "1001")}
 
 
-def run_main(argv, precision):
+def run_main(argv):
     """Exit status and stderr of one in-process CLI run."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ), contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(stderr):
-        os.environ.pop("ORBITKIT_PRECISION_BITS", None)
-        if precision is not None:
-            os.environ["ORBITKIT_PRECISION_BITS"] = precision
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     err = stderr.getvalue()
     assert code in (0, 1, 2), argv
@@ -178,15 +172,15 @@ def run_main(argv, precision):
 
 
 @settings(deadline=None, max_examples=150)
-@given(st.data(), st.sampled_from((None, "64", "59", "10001", "abc")))
-def test_cli_exits_cleanly_on_any_argv(data, precision):
+@given(st.data())
+def test_cli_exits_cleanly_on_any_argv(data):
     command = data.draw(st.sampled_from(sorted(COMMANDS)))
     argv = list(command)
     for option, good in {**COMMANDS[command], **OUTPUT_OPTIONS}.items():
         # Leaving an option out exercises defaults and missing required options.
         if data.draw(st.integers(min_value=0, max_value=4)):
             argv += [option, data.draw(st.sampled_from(good + BAD))]
-    run_main(argv, precision)
+    run_main(argv)
 
 
 def test_cli_exits_cleanly_on_each_malformed_value():
@@ -197,4 +191,4 @@ def test_cli_exits_cleanly_on_each_malformed_value():
                 argv = list(command)
                 for option, good in options.items():
                     argv += [option, bad if option == malformed else good[0]]
-                run_main(argv, None)
+                run_main(argv)
