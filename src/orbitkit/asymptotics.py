@@ -18,11 +18,12 @@ numerator over an implicit 2**shift, never reduced.  The Merten numerator
 N_X over 2**X grows by N_X = 2*N_{X-1} + orbits(X), the ratio's numerator
 is X*pi(X) over 2**(X+1), and running extrema compare by shifting one
 numerator, so no step pays for a gcd.  The one real is ln X: from integer
-bounds on it, ``merten_series`` rounds it and sum/ln X to ``Dyadic``s.  The
-bounds come from an atanh series only at primes; a composite X adds the
-bounds of its least prime factor q and of X/q, and their errors add too.
-Rounding over a power-of-two denominator, as of the sums and of ln X, is
-a shift and a mask.
+bounds on it, ``merten_series`` rounds it to a ``Dyadic``, and a point
+rounds sum/ln X when its ``normalized`` is read.  The bounds come from an
+atanh series only at primes; a composite X adds the bounds of its least
+prime factor q and of X/q, and their errors add too.  Rounding over a
+power-of-two denominator, as of the sums and of ln X, is a shift and a
+mask.
 """
 
 from __future__ import annotations
@@ -84,14 +85,22 @@ class MertenPoint:
     """One partial sum sum_{n<=X} orbits(n)/2**n with its log X comparison.
 
     ``sum`` is the exact ``Dyadic`` N_X / 2**X.  ``log_x`` is ln X and
-    ``normalized`` (defined for X >= 2) the rounded sum over ``log_x``, each
-    rounded to nearest, ties to even, to ``MERTEN_PRECISION_BITS`` bits.
+    ``normalized`` (defined for X >= 2, computed when read) the rounded sum
+    over ``log_x``, each rounded to nearest, ties to even, to
+    ``MERTEN_PRECISION_BITS`` bits.
     """
 
     X: int
     sum: Dyadic
     log_x: Dyadic
-    normalized: "Dyadic | None"
+
+    @property
+    def normalized(self) -> "Dyadic | None":
+        if self.X < 2:
+            return None
+        bits, log_x = MERTEN_PRECISION_BITS, self.log_x
+        total = _round(self.sum.numerator, 1 << self.sum.shift, bits)
+        return _round(total.numerator << log_x.shift, log_x.numerator << total.shift, bits)
 
 
 def _require_entropy_log2(table: OrbitTable, function: str) -> None:
@@ -159,16 +168,12 @@ def merten_series(table: OrbitTable) -> list[MertenPoint]:
     """Exact weighted partial sums with ln X comparison columns, X = 1..n_max,
     for a map of entropy log 2; any other map's table raises ValueError."""
     _require_entropy_log2(table, "merten_series")
-    bits = MERTEN_PRECISION_BITS
     points: list[MertenPoint] = []
     numerator = 0
-    logs = _log_table(table.n_max, bits)
+    logs = _log_table(table.n_max, MERTEN_PRECISION_BITS)
     for X, (orbits, log_x) in enumerate(zip(table.orbit_counts, logs), start=1):
         numerator = 2 * numerator + orbits
-        total = _round(numerator, 1 << X, bits)
-        normalized = (_round(total.numerator << log_x.shift, log_x.numerator << total.shift,
-                             bits) if X >= 2 else None)
-        points.append(MertenPoint(X, Dyadic(numerator, X), log_x, normalized))
+        points.append(MertenPoint(X, Dyadic(numerator, X), log_x))
     return points
 
 

@@ -69,6 +69,7 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 
 _ANGLE_DIGITS = 100
+_DECIMAL_COUNT = re.compile(r"[+-]?[0-9]+")
 
 _NAMED_MAPS = {
     "f": THREE_ADIC_EXTENSION,
@@ -90,16 +91,16 @@ def _resolve_map(name: str) -> MapSpec:
     try:
         with open(name, "r", encoding="utf-8") as handle:
             lines = [line.strip() for line in handle]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read orbit file {name!r}: {exc}") from exc
     counts = []
     for i, line in enumerate(lines, start=1):
         if not line:
             raise ValueError(f"{name}:{i}: blank line")
-        try:
-            value = int(line)
-        except ValueError as exc:
-            raise ValueError(f"{name}:{i}: not an integer: {line!r}") from exc
+        # int() alone would also take "1_0" and non-ASCII digits such as "٣".
+        if not _DECIMAL_COUNT.fullmatch(line):
+            raise ValueError(f"{name}:{i}: not a decimal integer: {line!r}")
+        value = int(line)
         if value < 0:
             raise ValueError(f"{name}:{i}: orbit counts must be non-negative")
         counts.append(value)
@@ -221,8 +222,7 @@ def _merten_rows(points: list[MertenPoint], orbit_counts: "tuple[Decimal, ...]",
 def _cmd_zeta_coeffs(args: argparse.Namespace) -> int:
     _check_range("--degree", args.degree, 0, 5000)
     spec = _resolve_map(args.map)
-    table = build_table(spec, max(args.degree, 1))
-    coeffs = zeta_series(table, args.degree)
+    coeffs = zeta_series(spec, args.degree)
     meta = {"command": "zeta coeffs", "map": spec.label, "degree": args.degree}
     rows = ((str(n), str(c)) for n, c in enumerate(coeffs))
     write_table(args.format, args.output, meta, ("n", "coefficient"), rows)
@@ -267,9 +267,8 @@ def _cmd_zeta_boundary(args: argparse.Namespace) -> int:
     # Past 100 levels no printed digit changes; near 650, 2*3**j leaves float range.
     _check_range("--terms", args.terms, 0, 100)
     _check_range("--degree", args.degree, 1, 10**4)
-    # The boundary product is the 3-adic extension's, so the scan reads f's table.
-    table = build_table(THREE_ADIC_EXTENSION, args.degree)
-    scan = radial_scan(table, turns, radii, args.terms)
+    # The boundary product is the 3-adic extension's, so the scan reads f.
+    scan = radial_scan(turns, radii, args.terms, args.degree)
     digits = args.digits
     meta = {
         "command": "zeta boundary",

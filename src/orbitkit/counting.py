@@ -17,11 +17,12 @@ orbit-count data; the p-th iterate T^p reads its base at n*p, since
 fix(T^p, n) = fix(T, n*p).  A table is a plain value: ``build_table``
 keeps nothing between calls.
 
-The counts of a table are ints: zeta, the asymptotics and verify compute
-with them.  The same routines also build them as ``decimal.Decimal``
-integers, whose decimal strings take time linear in their digits (``str``
-of an int takes quadratic time), so the CLI renders its big columns from
-that twin.
+The counts of a table are ints: the asymptotics and verify compute with
+them.  The same routines also build them as ``decimal.Decimal`` integers,
+whose decimal strings take time linear in their digits (``str`` of an int
+takes quadratic time), so the CLI renders its big columns from that twin.
+``fix_counts`` gives the fix counts alone, without the sieve that yields
+the orbit counts: the zeta series and the boundary scan read no more.
 
 Every closed-form map also has a term form (``fix_terms``): its fix counts
 are a short sum of gated geometric terms,
@@ -53,6 +54,7 @@ __all__ = [
     "custom_orbits",
     "padic_factor",
     "fix_count",
+    "fix_counts",
     "fix_terms",
     "build_table",
     "orbit_count_iterate",
@@ -229,7 +231,7 @@ def build_table(spec: MapSpec, n_max: int, number: type = int) -> OrbitTable:
     """Compute fix and orbit counts for n = 1..n_max, as a fresh table
     whose counts are ``number`` values: int, or ``Decimal`` for rendering.
 
-    The fix counts of either type come from ``_fix_counts``.  One sieve
+    The fix counts of either type come from ``fix_counts``.  One sieve
     pass inverts the divisor sum: the count at m starts at fix(m), and once
     least(n) is final it is subtracted at every multiple m of n and replaced
     by orbits(n), its exact division by n.  Decimal arithmetic runs in
@@ -237,10 +239,8 @@ def build_table(spec: MapSpec, n_max: int, number: type = int) -> OrbitTable:
     """
     if n_max < 1:
         raise ValueError(f"build_table requires n_max >= 1, got {n_max}")
-    if number not in (int, Decimal):
-        raise ValueError(f"build_table counts in int or Decimal, got {number!r}")
+    fix = fix_counts(spec, n_max, number)
     with localcontext(EXACT_DECIMAL):
-        fix = _fix_counts(spec, n_max, number)
         counts = fix.copy()  # least(n) until n's turn, then orbits(n)
         for n in range(1, n_max + 1):
             count = counts[n - 1]  # final: every proper divisor of n is below n
@@ -255,9 +255,10 @@ def build_table(spec: MapSpec, n_max: int, number: type = int) -> OrbitTable:
     return OrbitTable(spec=spec, fix_counts=tuple(fix), orbit_counts=tuple(counts))
 
 
-def _fix_counts(spec: MapSpec, n_max: int, number: type) -> list:
-    """fix(n) for n = 1..n_max as ``number`` integers, int or ``Decimal``,
-    in the caller's exact context.
+def fix_counts(spec: MapSpec, n_max: int, number: type = int) -> list:
+    """fix(n) for n = 1..n_max as a fresh list of ``number`` integers, int
+    or ``Decimal`` (computed in ``EXACT_DECIMAL``, so exact in any caller's
+    context).  n_max = 0 gives an empty list.
 
     2**(n*p) comes from its predecessor by one multiplication by 2**p, and
     the extension's count is 2**(n*p) - 1 divided exactly by
@@ -265,28 +266,33 @@ def _fix_counts(spec: MapSpec, n_max: int, number: type) -> list:
     is converted once, count by count, for d <= n_max*p, and a sieve adds
     d * orbits(d) at every n with d | n*p, that is at every multiple of
     d/gcd(d, p).  ``fix_count`` is the per-n reference these values are
-    tested against.
+    tested against; ``build_table`` and the zeta series read these.
     """
+    if n_max < 0:
+        raise ValueError(f"fix_counts requires n_max >= 0, got {n_max}")
+    if number not in (int, Decimal):
+        raise ValueError(f"fix counts are int or Decimal, got {number!r}")
     p = spec.power
-    if spec.kind == _CUSTOM:
-        fix = [number(0)] * n_max
-        for d, count in enumerate(spec.counts[:n_max * p], start=1):
-            if count:
-                weighted, step = d * number(count), d // gcd(d, p)
-                for i in range(step - 1, n_max, step):
-                    fix[i] += weighted
+    with localcontext(EXACT_DECIMAL):
+        if spec.kind == _CUSTOM:
+            fix = [number(0)] * n_max
+            for d, count in enumerate(spec.counts[:n_max * p], start=1):
+                if count:
+                    weighted, step = d * number(count), d // gcd(d, p)
+                    for i in range(step - 1, n_max, step):
+                        fix[i] += weighted
+            return fix
+        step, power, fix = number(1 << p), number(1), []
+        for n in range(p, n_max * p + 1, p):
+            power *= step
+            count = power - 1
+            if spec.kind == _EXTENSION:
+                valuation = padic_factor(n)
+                count, remainder = divmod(count, 3**valuation)
+                if remainder:
+                    raise ExactnessError(f"3**{valuation} does not divide 2**{n} - 1")
+            fix.append(count)
         return fix
-    step, power, fix = number(1 << p), number(1), []
-    for n in range(p, n_max * p + 1, p):
-        power *= step
-        count = power - 1
-        if spec.kind == _EXTENSION:
-            valuation = padic_factor(n)
-            count, remainder = divmod(count, 3**valuation)
-            if remainder:
-                raise ExactnessError(f"3**{valuation} does not divide 2**{n} - 1")
-        fix.append(count)
-    return fix
 
 
 def orbit_count_iterate(base: OrbitTable, k: int, n: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -28,6 +28,7 @@ from .counting import (
     THREE_ADIC_EXTENSION,
     build_table,
     custom_orbits,
+    fix_counts,
     fix_terms,
     iterate,
     iterate_square_identity,
@@ -53,7 +54,7 @@ _VACUOUS = "vacuous (window empty at this max)"
 _DECREASE_RADII = (0.49, 0.495, 0.499, 0.4995, 0.4999)
 _DECREASE_TERMS = 10
 _INNERMOST_CEILING = 0.70
-_INTERIOR_Z = 0.4
+_INTERIOR_POINT = BoundaryPoint(Fraction(2, 5), Fraction(0))  # z = 0.4
 _INTERIOR_TERMS = 8
 _INTERIOR_DEGREE = 4000
 _INTERIOR_TOLERANCE = 1e-6
@@ -247,10 +248,10 @@ def _check_fix_term_form(max_n: int) -> tuple:
     for base in (THREE_ADIC_EXTENSION, CIRCLE_DOUBLING):
         for spec, top in ((base, max_n), (iterate(base, 2), k2), (iterate(base, 3), k3)):
             den, terms = fix_terms(spec, top)
-            table = _table(spec, top) if spec == base else build_table(spec, top)
+            fix = _table(spec, top).fix_counts if spec == base else fix_counts(spec, top)
             for n in range(1, top + 1):
                 total = sum(w << (s * n // m) for w, s, m in terms if n % m == 0)
-                if total != den * table.fix_counts[n - 1]:
+                if total != den * fix[n - 1]:
                     return False, params, f"{spec.label} at n={n}"
     return True, params
 
@@ -396,11 +397,10 @@ def _check_zeta_oracle(max_n: int) -> tuple:
     degree = min(max_n, 400)
     params = f"degree {degree}, maps f and g"
     table_f = _table(THREE_ADIC_EXTENSION, max_n)
-    if zeta_series(table_f, degree) != orbit_product_series(table_f, degree):
+    if zeta_series(THREE_ADIC_EXTENSION, degree) != orbit_product_series(table_f, degree):
         return False, params, "f series differ"
-    table_g = _table(CIRCLE_DOUBLING, max_n)
-    series_g = zeta_series(table_g, degree)
-    if series_g != orbit_product_series(table_g, degree):
+    series_g = zeta_series(CIRCLE_DOUBLING, degree)
+    if series_g != orbit_product_series(_table(CIRCLE_DOUBLING, max_n), degree):
         return False, params, "g series differ"
     for n in range(degree + 1):
         expected = 1 if n == 0 else 1 << (n - 1)
@@ -424,8 +424,7 @@ def _check_decomposition(max_n: int) -> tuple:
     params = f"degree {degree}"
     if degree < 2:
         return True, params, _VACUOUS
-    table = _table(THREE_ADIC_EXTENSION, max_n)
-    return xi_series(table, degree) == xi_from_closed_parts(degree), params
+    return xi_series(THREE_ADIC_EXTENSION, degree) == xi_from_closed_parts(degree), params
 
 
 @_check("coefficient-growth")
@@ -434,8 +433,7 @@ def _check_coefficient_growth(max_n: int) -> tuple:
     params = f"200<=n<={top}, |log2(c_n)/n - 1| <= 0.05"
     if top < 200:
         return True, params, _VACUOUS
-    table = _table(THREE_ADIC_EXTENSION, max_n)
-    coeffs = zeta_series(table, top)
+    coeffs = zeta_series(THREE_ADIC_EXTENSION, top)
     for n in range(200, top + 1):
         rate = math.log2(coeffs[n]) / n
         if abs(rate - 1.0) > 0.05:
@@ -510,17 +508,13 @@ def _check_boundary_decrease(max_n: int) -> tuple:
 @_check("interior-agreement")
 def _check_interior_agreement(max_n: int) -> tuple:
     params = (
-        f"z={_INTERIOR_Z}, terms={_INTERIOR_TERMS}, degree={_INTERIOR_DEGREE}, "
-        f"tol={_INTERIOR_TOLERANCE}"
+        f"z={float(_INTERIOR_POINT.radius)}, terms={_INTERIOR_TERMS}, "
+        f"degree={_INTERIOR_DEGREE}, tol={_INTERIOR_TOLERANCE}"
     )
     if max_n < 400:
         return True, params, _VACUOUS
-    # At max >= degree the shared table's prefix holds the same counts.
-    full = _table(THREE_ADIC_EXTENSION, max(max_n, _INTERIOR_DEGREE))
-    table = replace(full, fix_counts=full.fix_counts[:_INTERIOR_DEGREE],
-                    orbit_counts=full.orbit_counts[:_INTERIOR_DEGREE])
-    product = modulus_product(complex(_INTERIOR_Z), _INTERIOR_TERMS)
-    series = zeta.series_modulus(table, complex(_INTERIOR_Z))
+    product = modulus_product(_INTERIOR_POINT, _INTERIOR_TERMS)
+    series = zeta.series_modulus(THREE_ADIC_EXTENSION, _INTERIOR_DEGREE, _INTERIOR_POINT)
     diff = abs(product - series)
     return diff <= _INTERIOR_TOLERANCE, params, f"diff {diff:.2e}"
 

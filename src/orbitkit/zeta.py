@@ -1,4 +1,4 @@
-"""Dynamical zeta-function data for orbit tables.
+"""Dynamical zeta-function data for a map, read from its fix counts.
 
 For a map with fix counts F_n the zeta function is
 
@@ -17,9 +17,11 @@ u_i = 2**s_i z**m_i.  One running sum per term,
 gives each coefficient in O(T) shifts and adds: O(D*T) big-integer
 operations for degree D and T terms, instead of the D**2/2 products of the
 convolution n*c_n = sum F_k c_{n-k}.  Custom orbit data has no term form
-and keeps that convolution over the table's fix counts.
-``orbit_product_series`` expands the product with binomial coefficients
-from the orbit counts; the two routes must agree coefficientwise.
+and keeps that convolution over its fix counts (``counting.fix_counts``).
+Each series takes the map and the degree it reads, and no orbit table.
+``orbit_product_series`` alone takes a table: it expands the product with
+binomial coefficients from the table's orbit counts, and the two routes
+must agree coefficientwise.
 A series truncated at degree D is a plain tuple of coefficients c_0..c_D:
 ints for the zeta series, Fractions for the logarithmic ones.
 
@@ -32,10 +34,10 @@ which regroups by 3-adic valuation into a tower of log factors supported
 on powers of 3.  ``xi1_direct`` and ``xi1_closed_form`` compute the same
 series both ways.  The closed form yields a product expression for
 |zeta(z)| whose factors vanish at the points (1/2)e^(2*pi*i*j/3**r), dense
-on the circle |z| = 1/2; ``modulus_product`` evaluates it (exactly zero at
-those points when given exact polar coordinates) and ``radial_scan`` pairs
-it with values of the series over the extension's table, along rays
-toward the boundary.
+on the circle |z| = 1/2; ``modulus_product`` evaluates it at an exact
+polar point (exactly zero at those points) and ``radial_scan`` pairs it
+with values of the extension's series truncated at a given degree, along
+rays toward the boundary.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from math import comb
 from typing import Sequence
 
 from .arith import ExactnessError, ord_p
-from .counting import THREE_ADIC_EXTENSION, OrbitTable, fix_terms
+from .counting import THREE_ADIC_EXTENSION, MapSpec, OrbitTable, fix_counts, fix_terms
 from .series import log_one_minus
 
 __all__ = [
@@ -66,13 +68,6 @@ __all__ = [
 ]
 
 
-def _check_degree(table: OrbitTable, degree: int) -> None:
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    if degree > table.n_max:
-        raise ValueError(f"degree {degree} exceeds table range {table.n_max}")
-
-
 def _add_scaled(
     a: Sequence[Fraction], weight: "int | Fraction", b: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
@@ -80,30 +75,26 @@ def _add_scaled(
     return tuple(x + weight * y if y else x for x, y in zip(a, b, strict=True))
 
 
-def xi_series(table: OrbitTable, degree: int) -> tuple[Fraction, ...]:
+def xi_series(spec: MapSpec, degree: int) -> tuple[Fraction, ...]:
     """The inner sum of the zeta exponential: coefficients F_n/n, a_0 = 0."""
-    _check_degree(table, degree)
-    coeffs = [Fraction(0)] * (degree + 1)
-    for n in range(1, degree + 1):
-        coeffs[n] = Fraction(table.fix_counts[n - 1], n)
-    return tuple(coeffs)
+    fix = fix_counts(spec, degree)
+    return (Fraction(0), *(Fraction(count, n) for n, count in enumerate(fix, start=1)))
 
 
-def zeta_series(table: OrbitTable, degree: int) -> tuple[int, ...]:
+def zeta_series(spec: MapSpec, degree: int) -> tuple[int, ...]:
     """Exact zeta coefficients c_0..c_degree from n*c_n = sum F_k c_{n-k}.
 
     Maps with a term form run the per-term running sums of the module
     docstring, O(degree * terms) shifts and adds.  Each sum U_i only needs
     its value m_i steps back, so it keeps a window of its last m_i values.
-    Custom orbit data runs the convolution over ``table.fix_counts``.
+    Custom orbit data runs the convolution over ``fix_counts(spec, degree)``.
     Every coefficient must come out a non-negative integer (the orbit
     product forces this for genuine orbit data); anything else is a defect.
     """
-    _check_degree(table, degree)
-    form = fix_terms(table.spec, degree)
+    form = fix_terms(spec, degree)
     coeffs = [1]
     if form is None:
-        fix = table.fix_counts
+        fix = fix_counts(spec, degree)
         for n in range(1, degree + 1):
             _append_coefficient(coeffs, sum(map(operator.mul, fix[:n], reversed(coeffs))), n)
         return tuple(coeffs)
@@ -137,8 +128,10 @@ def orbit_product_series(table: OrbitTable, degree: int) -> tuple[int, ...]:
 
     Expands prod_{n<=N} (1 - z**n)**(-orbits(n)) with the binomial series
     (1 - u)**(-m) = sum_k C(m-1+k, k) u**k, all in integer arithmetic.
+    The degree must lie in 0..table.n_max.
     """
-    _check_degree(table, degree)
+    if not 0 <= degree <= table.n_max:
+        raise ValueError(f"degree must lie in 0..{table.n_max}, got {degree}")
     coeffs = [0] * (degree + 1)
     coeffs[0] = 1
     for n in range(1, degree + 1):
@@ -240,45 +233,30 @@ def _product_factors(terms: int) -> list[tuple[Fraction, int]]:
     return factors
 
 
-def modulus_product(z: "complex | BoundaryPoint", terms: int) -> float:
-    """|zeta(z)| from the truncated boundary product with ``terms`` levels.
+def modulus_product(point: BoundaryPoint, terms: int) -> float:
+    """|zeta| at ``point`` from the truncated boundary product with ``terms``
+    levels.
 
-    Accepts a plain complex number (pure floating evaluation) or a
-    ``BoundaryPoint`` (exact vanishing detection, so the value is exactly
-    0.0 at boundary zeros).  z = 1/2 is the pole of the leading factor and
-    is rejected; |z| must not exceed 1/2.
+    Whether a factor vanishes is decided exactly, from the point's polar
+    coordinates, so the value is exactly 0.0 at boundary zeros.  z = 1/2 is
+    the pole of the leading factor and is rejected.
     """
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
-
-    exact: BoundaryPoint | None = None
-    if isinstance(z, BoundaryPoint):
-        exact = z
-        w = z.to_complex()
-    else:
-        w = complex(z)
-        if abs(w) > 0.5 * (1.0 + 1e-12):
-            raise ValueError(f"|z| = {abs(w)} exceeds 1/2")
-
-    on_rim = exact is not None and exact.radius == Fraction(1, 2)
-    if exact is not None:
-        if on_rim and (exact.turns % 1) == 0:
+    if point.radius == Fraction(1, 2):
+        if point.turns % 1 == 0:
             raise ValueError("z = 1/2 is a pole of the leading factor")
         # Net order of vanishing at this point; > 0 forces the value 0.
-        order = Fraction(0)
-        if on_rim:
-            for exponent, m in _product_factors(terms):
-                if (m * exact.turns) % 1 == 0:
-                    order += exponent
+        order = sum((exponent for exponent, m in _product_factors(terms)
+                     if (m * point.turns) % 1 == 0), Fraction(0))
         if order > 0:
             return 0.0
         if order < 0:
             raise ValueError("boundary product diverges at this point")
-    elif w == 0.5 + 0.0j:
-        raise ValueError("z = 1/2 is a pole of the leading factor")
 
     # Past this point no factor vanishes exactly (a vanishing set always has
     # net positive order, handled above), so plain evaluation is safe.
+    w = point.to_complex()
     two_z = 2.0 * w
     value = abs(1.0 - w) / abs(1.0 - two_z)
     for exponent, m in _product_factors(terms):
@@ -291,25 +269,25 @@ def modulus_product(z: "complex | BoundaryPoint", terms: int) -> float:
     return value
 
 
-def series_modulus(table: OrbitTable, z: complex) -> float:
-    """|zeta(z)| as |exp| of the zeta exponent summed over the whole table.
+def series_modulus(spec: MapSpec, degree: int, point: BoundaryPoint) -> float:
+    """|zeta| at ``point`` as |exp| of the zeta exponent truncated at ``degree``.
 
-    The sum runs over n = 1..n_max in double precision; it pairs with the
+    The sum runs over n = 1..degree in double precision; it pairs with the
     product.  Terms are accumulated as (2z)**n * (F_n/2**n)/n, which keeps
     every intermediate bounded for |z| <= 1/2 even though F_n itself grows
     like 2**n.
     """
-    return _exp_series_modulus(_scaled_fix_terms(table), z)
+    return _exp_series_modulus(_scaled_fix_terms(spec, degree), point.to_complex())
 
 
-def _scaled_fix_terms(table: OrbitTable) -> list[float]:
-    """(F_n/2**n)/n for n = 1..n_max: the series' coefficients in 2z."""
+def _scaled_fix_terms(spec: MapSpec, degree: int) -> list[float]:
+    """(F_n/2**n)/n for n = 1..degree: the series' coefficients in 2z."""
     # fix / 2**n is an exact int ratio, rounded once.
-    return [fix / (1 << n) / n for n, fix in enumerate(table.fix_counts, start=1)]
+    return [fix / (1 << n) / n for n, fix in enumerate(fix_counts(spec, degree), start=1)]
 
 
 def _exp_series_modulus(terms: list[float], z: complex) -> float:
-    w = 2.0 * complex(z)
+    w = 2.0 * z
     w_pow = 1.0 + 0.0j
     acc = 0.0 + 0.0j
     for term in terms:
@@ -328,27 +306,23 @@ class ScanRow:
 
 
 def radial_scan(
-    table: OrbitTable, turns: Fraction, radii: Sequence[float], terms: int
+    turns: Fraction, radii: Sequence[float], terms: int, degree: int
 ) -> list[ScanRow]:
-    """Evaluate both |zeta| routes along the ray at angle 2*pi*turns.
+    """Evaluate both |zeta| routes of the 3-adic extension along the ray at
+    angle 2*pi*turns.
 
-    The boundary product is the 3-adic extension's: any other map's table
-    raises ValueError.  Denominators of ``turns`` that are powers of 3 point
-    at boundary zeros; any rational is accepted.  Each radius r is the
-    exact point ``BoundaryPoint(Fraction(r), turns)``; the product keeps
-    ``terms`` levels, the series reads the whole table at its
-    ``to_complex()``, with the same float operations as ``series_modulus``.
-    Radii must lie strictly inside (0, 1/2): the product has its exact
-    zeros and its pole on the rim itself.
+    Denominators of ``turns`` that are powers of 3 point at boundary zeros;
+    any rational is accepted.  Each radius r is the exact point
+    ``BoundaryPoint(Fraction(r), turns)``; the product keeps ``terms``
+    levels, and the series column is ``series_modulus`` of the extension
+    truncated at ``degree``.  Radii must lie strictly inside (0, 1/2): the
+    product has its exact zeros and its pole on the rim itself.
     """
-    if table.spec != THREE_ADIC_EXTENSION:
-        raise ValueError("radial_scan's boundary product fits only the 3-adic "
-                         f"extension, got {table.spec.label}")
     for r in radii:
         if not 0.0 < r < 0.5:
             raise ValueError(f"scan radius must lie in (0, 1/2), got {r}")
     # The series' coefficients do not depend on the radius: scale them once.
-    scaled = _scaled_fix_terms(table)
+    scaled = _scaled_fix_terms(THREE_ADIC_EXTENSION, degree)
     rows = []
     for r in radii:
         point = BoundaryPoint(Fraction(r), turns)

@@ -47,7 +47,7 @@ def test_criterion_02_inversion_roundtrip_and_divisibility(checks):
 def test_inversion_roundtrip_reports_divisibility(monkeypatch):
     import orbitkit.counting as counting
 
-    original = counting._fix_counts
+    original = counting.fix_counts
 
     def fix_of_f_off_at_5(spec, n_max, number):
         # fix(5) = 32 makes least(5) = 31, which 5 does not divide
@@ -56,7 +56,7 @@ def test_inversion_roundtrip_reports_divisibility(monkeypatch):
             fix[4] += 1
         return fix
 
-    monkeypatch.setattr(counting, "_fix_counts", fix_of_f_off_at_5)
+    monkeypatch.setattr(counting, "fix_counts", fix_of_f_off_at_5)
     result = verify.CHECKS["inversion-roundtrip"](300)
     assert not result.passed
     assert result.detail == "ExactnessError: 5 does not divide least-period count 31"

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import orbitkit
+from orbitkit import cli
 from orbitkit.asymptotics import merten_series, ratio_series
 from orbitkit.cli import main
 from orbitkit.counting import (
@@ -96,11 +97,18 @@ def test_custom_orbit_file_count_beyond_4300_digits(tmp_path, capsys):
 
 
 def test_custom_orbit_file_bad_content(tmp_path, capsys):
+    # int() alone would read "1_0" as 10 and the Arabic-Indic digit three as 3.
     path = tmp_path / "orbits.txt"
-    path.write_text("1\nnope\n", encoding="utf-8")
-    code, _, err = run_cli(capsys, "table", "--map", str(path), "--max", "2")
-    assert code == 1
-    assert "not an integer" in err
+    for line in ("nope", "1_0", "\u0663", "1.0", "0x1"):
+        path.write_text(f"1\n{line}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "table", "--map", str(path), "--max", "2")
+        assert (code, out) == (1, ""), line
+        assert err == f"orbitkit: error: {path}:2: not a decimal integer: {line!r}\n"
+    path.write_bytes(b"1\n\xff\n")
+    code, out, err = run_cli(capsys, "table", "--map", str(path), "--max", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"orbitkit: error: cannot read orbit file {str(path)!r}: ")
+    assert "decode" in err
 
 
 def test_custom_orbit_file_blank_line(tmp_path, capsys):
@@ -479,8 +487,7 @@ def test_merten_sum_matches_format_fraction(capsys, spec, name):
 # Orbit counts of the pinned custom-data zeta case, written to a file per run.
 PINNED_ORBITS = [(37 * n * n + 11) % 997 for n in range(1, 201)]
 
-
-@pytest.mark.parametrize("argv, sha256", [
+PINNED_OUTPUTS = [
     (("verify", "--max", "100"),
      "c5abe16c6bcfebfb833eb7433430060f52ae345525c64e8f80b7f7981c491ca8"),
     (("verify", "--max", "2000"),
@@ -526,13 +533,37 @@ PINNED_ORBITS = [(37 * n * n + 11) % 997 for n in range(1, 201)]
      "32770745f5772dc0029638252b6eb0229875cf49f5691cb5992e0de6656b12c8"),
     (("zeta", "coeffs", "--map", "<orbits>", "--degree", "2000"),
      "533c3739f8c14e57c05ef52c820d7c6f578d14f3aea4a848f5db768ce20d2219"),
-], ids=lambda value: value[-1] if isinstance(value, tuple) else None)
-def test_verify_output_bytes_pinned(capsys, tmp_path, argv, sha256):
+]
+
+
+def _pinned_id(value):
+    return value[-1] if isinstance(value, tuple) else None
+
+
+def _assert_pinned_output(capsys, tmp_path, argv, sha256):
     path = tmp_path / "orbits.txt"
     path.write_text("".join(f"{c}\n" for c in PINNED_ORBITS), encoding="utf-8")
     code, out, _ = run_cli(capsys, *(str(path) if a == "<orbits>" else a for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+@pytest.mark.parametrize("argv, sha256", PINNED_OUTPUTS, ids=_pinned_id)
+def test_verify_output_bytes_pinned(capsys, tmp_path, argv, sha256):
+    _assert_pinned_output(capsys, tmp_path, argv, sha256)
+
+
+@pytest.mark.parametrize("argv, sha256", [
+    case for case in PINNED_OUTPUTS if case[0][:2] in (("zeta", "coeffs"), ("zeta", "boundary"))
+], ids=_pinned_id)
+def test_zeta_commands_print_pinned_bytes_without_an_orbit_table(
+        monkeypatch, capsys, tmp_path, argv, sha256):
+    # The zeta series and the scan read fix counts only: no orbit table.
+    def no_table(*args, **kwargs):
+        raise AssertionError("a zeta command built an orbit table")
+
+    monkeypatch.setattr(cli, "build_table", no_table)
+    _assert_pinned_output(capsys, tmp_path, argv, sha256)
 
 
 @pytest.mark.parametrize("argv, sha256", [

@@ -1,7 +1,7 @@
 import os
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -16,6 +16,7 @@ from orbitkit.counting import (
     build_table,
     custom_orbits,
     fix_count,
+    fix_counts,
     fix_terms,
     iterate,
     iterate_square_identity,
@@ -121,6 +122,17 @@ def test_decimal_custom_fix_counts_match_fix_count(n_max):
             table = build_table(spec, n_max, number)
             assert all(type(c) is number for c in table.fix_counts), (spec.label, number)
             assert table.fix_counts == expected, (spec.label, number)
+
+
+def test_decimal_fix_counts_are_exact_in_the_default_context():
+    # fix(300) of f has 90 digits, far past the default context's 28: a
+    # standalone call must not round them.
+    with localcontext(Context()):
+        decimals = fix_counts(THREE_ADIC_EXTENSION, 300, Decimal)
+    ints = fix_counts(THREE_ADIC_EXTENSION, 300)
+    assert all(type(c) is Decimal for c in decimals)
+    assert [str(c) for c in decimals] == [str(c) for c in ints]
+    assert fix_counts(THREE_ADIC_EXTENSION, 0) == []
 
 
 def test_fix_count_rejects_zero():
@@ -274,7 +286,7 @@ def test_build_table_inexactness_is_hard_error(monkeypatch):
     def fake_fix(spec, n_max, number):
         return [number(1), number(2)]
 
-    monkeypatch.setattr(counting, "_fix_counts", fake_fix)
+    monkeypatch.setattr(counting, "fix_counts", fake_fix)
     with pytest.raises(ExactnessError):
         counting.build_table(custom_orbits((9, 9, 9)), 2)
 
@@ -285,7 +297,7 @@ def test_build_table_negative_least_is_hard_error(monkeypatch):
     def fake_fix(spec, n_max, number):
         return [number(5), number(1)]
 
-    monkeypatch.setattr(counting, "_fix_counts", fake_fix)
+    monkeypatch.setattr(counting, "fix_counts", fake_fix)
     with pytest.raises(ExactnessError):
         counting.build_table(custom_orbits((8, 8, 8)), 2)
 

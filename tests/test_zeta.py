@@ -9,7 +9,6 @@ from orbitkit.cli import main
 from orbitkit.counting import (
     CIRCLE_DOUBLING,
     THREE_ADIC_EXTENSION,
-    OrbitTable,
     build_table,
     custom_orbits,
 )
@@ -27,34 +26,34 @@ from orbitkit.zeta import (
     zeta_series,
 )
 
+F, G = THREE_ADIC_EXTENSION, CIRCLE_DOUBLING
+
 
 @pytest.fixture(scope="module")
 def tf():
-    return build_table(THREE_ADIC_EXTENSION, 150)
+    return build_table(F, 150)
 
 
 @pytest.fixture(scope="module")
 def tg():
-    return build_table(CIRCLE_DOUBLING, 150)
+    return build_table(G, 150)
 
 
-def test_xi_series_examples(tf, tg):
-    assert xi_series(tf, 3) == (0, 1, Fraction(1, 2), Fraction(7, 3))
-    assert xi_series(tg, 2) == (0, 1, Fraction(3, 2))
-    assert xi_series(tf, 1) == (0, 1)
+def test_xi_series_examples():
+    assert xi_series(F, 3) == (0, 1, Fraction(1, 2), Fraction(7, 3))
+    assert xi_series(G, 2) == (0, 1, Fraction(3, 2))
+    assert xi_series(F, 1) == (0, 1)
 
 
-def test_xi_series_range(tf):
+def test_xi_series_range():
     with pytest.raises(ValueError):
-        xi_series(tf, 151)
-    with pytest.raises(ValueError):
-        xi_series(tf, -1)
+        xi_series(F, -1)
 
 
-def test_zeta_series_examples(tf, tg):
-    assert zeta_series(tf, 5) == (1, 1, 1, 3, 4, 10)
-    assert zeta_series(tg, 5) == (1, 1, 2, 4, 8, 16)
-    assert zeta_series(tf, 0) == (1,)
+def test_zeta_series_examples():
+    assert zeta_series(F, 5) == (1, 1, 1, 3, 4, 10)
+    assert zeta_series(G, 5) == (1, 1, 2, 4, 8, 16)
+    assert zeta_series(F, 0) == (1,)
 
 
 def test_orbit_product_examples(tf, tg):
@@ -64,39 +63,40 @@ def test_orbit_product_examples(tf, tg):
     assert orbit_product_series(empty, 2) == (1, 0, 0)
 
 
+def test_orbit_product_degree_range(tf):
+    # The orbit route reads its table, so its degree must lie in the table.
+    for degree in (-1, 151):
+        with pytest.raises(ValueError):
+            orbit_product_series(tf, degree)
+
+
 def test_two_routes_agree(tf, tg):
-    assert zeta_series(tf, 120) == orbit_product_series(tf, 120)
-    assert zeta_series(tg, 120) == orbit_product_series(tg, 120)
+    assert zeta_series(F, 120) == orbit_product_series(tf, 120)
+    assert zeta_series(G, 120) == orbit_product_series(tg, 120)
 
 
-def test_doubling_zeta_closed_form(tg):
-    series = zeta_series(tg, 60)
+def test_doubling_zeta_closed_form():
+    series = zeta_series(G, 60)
     assert series[0] == 1
     for n in range(1, 61):
         assert series[n] == 1 << (n - 1)
 
 
-def test_zeta_coefficients_nonnegative_integers(tf):
-    for c in zeta_series(tf, 100):
+def test_zeta_coefficients_nonnegative_integers():
+    for c in zeta_series(F, 100):
         assert type(c) is int
         assert c >= 0
 
 
-def test_zeta_hard_error_on_corrupt_table():
-    corrupt = OrbitTable(
-        spec=custom_orbits((5, 5)),
-        fix_counts=(2, 1),
-        orbit_counts=(2, 0),
-    )
+def test_zeta_hard_error_on_corrupt_table(monkeypatch):
+    # Custom data runs the convolution over fix_counts; no genuine orbit
+    # data has these fix counts.  With F = (2, 1), 2*c_2 = 2*2 + 1 is odd.
+    monkeypatch.setattr(zeta, "fix_counts", lambda spec, n_max: [2, 1][:n_max])
     with pytest.raises(ExactnessError):
-        zeta_series(corrupt, 2)
-    negative = OrbitTable(
-        spec=custom_orbits((4, 4)),
-        fix_counts=(-2,),
-        orbit_counts=(-2,),
-    )
+        zeta_series(custom_orbits((5, 5)), 2)
+    monkeypatch.setattr(zeta, "fix_counts", lambda spec, n_max: [-2][:n_max])  # c_1 = -2
     with pytest.raises(ExactnessError):
-        zeta_series(negative, 1)
+        zeta_series(custom_orbits((4, 4)), 1)
 
 
 def _first_weight_off_by_one(spec, n_max):
@@ -113,7 +113,7 @@ def _top_level_dropped(spec, n_max):
 def test_broken_term_form_of_f_is_hard_error(monkeypatch, broken):
     monkeypatch.setattr(zeta, "fix_terms", broken)
     with pytest.raises(ExactnessError):
-        zeta_series(build_table(THREE_ADIC_EXTENSION, 400), 400)
+        zeta_series(F, 400)
 
 
 def test_broken_term_form_of_g_fails_verify(monkeypatch, capsys):
@@ -157,12 +157,8 @@ def test_xi1_identity_moderate():
     assert xi1_direct(130) == xi1_closed_form(130)
 
 
-def test_decomposition_identity(tf):
-    assert xi_series(tf, 130) == xi_from_closed_parts(130)
-
-
-def test_modulus_product_at_origin():
-    assert modulus_product(0j, 5) == 1.0
+def test_decomposition_identity():
+    assert xi_series(F, 130) == xi_from_closed_parts(130)
 
 
 def test_modulus_product_exact_boundary_zeros():
@@ -187,13 +183,9 @@ def test_modulus_product_minus_half_is_formula_zero():
 
 def test_modulus_product_pole_and_range():
     with pytest.raises(ValueError):
-        modulus_product(0.5 + 0j, 3)
-    with pytest.raises(ValueError):
         modulus_product(BoundaryPoint(Fraction(1, 2), Fraction(0)), 3)
     with pytest.raises(ValueError):
-        modulus_product(0.6 + 0j, 3)
-    with pytest.raises(ValueError):
-        modulus_product(0j, -1)
+        modulus_product(BoundaryPoint(Fraction(1, 4), Fraction(0)), -1)
     with pytest.raises(ValueError):
         BoundaryPoint(Fraction(3, 4), Fraction(1, 3))
     with pytest.raises(ValueError):
@@ -205,83 +197,71 @@ def test_boundary_point_to_complex():
     assert abs(z - (-0.5)) < 1e-15
 
 
-def test_scan_product_decreases_toward_zero(tf):
-    rows = radial_scan(tf, Fraction(1, 3), [0.49, 0.495, 0.499, 0.4995, 0.4999], 10)
+def test_scan_product_decreases_toward_zero():
+    rows = radial_scan(Fraction(1, 3), [0.49, 0.495, 0.499, 0.4995, 0.4999], 10, 150)
     values = [row.product_modulus for row in rows]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert values[-1] < 0.70
 
 
-def test_scan_ray_pi_frozen_band(tf):
+def test_scan_ray_pi_frozen_band():
     # values computed from the product side; the formula's zero sits at the
     # endpoint z = -1/2 itself, so interior samples stay within this band
-    rows = radial_scan(tf, Fraction(1, 2), [0.49, 0.495, 0.499, 0.4995, 0.4999], 10)
+    rows = radial_scan(Fraction(1, 2), [0.49, 0.495, 0.499, 0.4995, 0.4999], 10, 150)
     values = [row.product_modulus for row in rows]
     assert all(0.03 < v < 0.30 for v in values)
     assert values[0] == pytest.approx(0.2581938011935356, rel=1e-9)
 
 
 def test_scan_deep_interior_agreement():
-    table = build_table(THREE_ADIC_EXTENSION, 2000)
-    row = radial_scan(table, Fraction(37, 100), [0.1], 10)[0]
+    row = radial_scan(Fraction(37, 100), [0.1], 10, 2000)[0]
     assert abs(row.product_modulus - row.series_modulus) <= 1e-9
 
 
-def test_scan_rows_are_deterministic(tf):
-    first = radial_scan(tf, Fraction(1, 3), [0.25, 0.4], 6)
-    second = radial_scan(tf, Fraction(1, 3), [0.25, 0.4], 6)
+def test_scan_rows_are_deterministic():
+    first = radial_scan(Fraction(1, 3), [0.25, 0.4], 6, 150)
+    second = radial_scan(Fraction(1, 3), [0.25, 0.4], 6, 150)
     assert first == second
 
 
-def test_scan_validation(tf):
+def test_scan_validation():
     with pytest.raises(ValueError):
-        radial_scan(tf, Fraction(1, 3), [0.5], 6)
+        radial_scan(Fraction(1, 3), [0.5], 6, 150)
     with pytest.raises(ValueError):
-        radial_scan(tf, Fraction(1, 3), [0.0], 6)
-
-
-@pytest.mark.parametrize("spec", [CIRCLE_DOUBLING, custom_orbits((1, 3, 0))],
-                         ids=lambda spec: spec.label)
-def test_scan_refuses_tables_of_other_maps(spec):
-    # The boundary product is the 3-adic extension's; g's series beside it
-    # would pair two different functions.
-    with pytest.raises(ValueError, match="3-adic extension"):
-        radial_scan(build_table(spec, 200), Fraction(1, 3), [0.25], 6)
+        radial_scan(Fraction(1, 3), [0.0], 6, 150)
 
 
 @pytest.mark.parametrize("turns", ["1/3", "2/9", "-5/7", "1/2", "37/100"])
-def test_exact_point_off_the_rim_is_its_complex_value(tf, turns):
+def test_exact_point_off_the_rim_is_its_complex_value(turns):
+    # Each scan row is both routes at the exact point of its radius.
     turns = Fraction(turns)
     radii = (0.1, 0.49, 0.4999)
     for terms in (0, 10, 100):
-        rows = radial_scan(tf, turns, radii, terms)
+        rows = radial_scan(turns, radii, terms, 150)
         for r, row in zip(radii, rows, strict=True):
             point = BoundaryPoint(Fraction(r), turns)
-            z = point.to_complex()
-            assert modulus_product(point, terms) == modulus_product(z, terms)
-            assert row.product_modulus == modulus_product(z, terms)
-            assert row.series_modulus == series_modulus(tf, z)
+            assert row.product_modulus == modulus_product(point, terms)
+            assert row.series_modulus == series_modulus(F, 150, point)
 
 
 @pytest.mark.parametrize("degree", [1, 7, 150, 3000])
 def test_scan_series_column_is_series_modulus(degree):
-    # radial_scan scales the table's fix counts once for all its radii;
-    # each row must still be the very float series_modulus gives.
-    table = build_table(THREE_ADIC_EXTENSION, degree)
+    # radial_scan scales f's fix counts once for all its radii; each row
+    # must still be the very float series_modulus gives.
     radii = (0.001, 0.1, 0.25, 0.3, 0.49, 0.4999)
     for turns in ("0", "1/3", "2/9", "-5/7", "1/2", "37/100", "1/1000"):
         turns = Fraction(turns)
-        rows = radial_scan(table, turns, radii, 6)
+        rows = radial_scan(turns, radii, 6, degree)
         for r, row in zip(radii, rows, strict=True):
-            z = BoundaryPoint(Fraction(r), turns).to_complex()
-            assert row.series_modulus == series_modulus(table, z)
+            point = BoundaryPoint(Fraction(r), turns)
+            assert row.series_modulus == series_modulus(F, degree, point)
 
 
-def test_series_modulus_matches_direct_sum(tg):
+def test_series_modulus_matches_direct_sum():
     # doubling map at real z: exponent sum has the closed value
     # sum (2^n - 1) z^n / n = log((1-z)/(1-2z)) as the degree grows
     z = 0.3
-    approx = series_modulus(tg, complex(z))
+    approx = series_modulus(G, 150, BoundaryPoint(Fraction(3, 10), Fraction(0)))
     exact = abs((1 - z) / (1 - 2 * z))
     assert approx == pytest.approx(exact, abs=1e-12)
 
@@ -289,8 +269,7 @@ def test_series_modulus_matches_direct_sum(tg):
 def test_coefficient_growth_window():
     # log2 of the coefficients grows at unit rate, matching the radius of
     # convergence 1/2 of the series
-    table = build_table(THREE_ADIC_EXTENSION, 400)
-    coeffs = zeta_series(table, 400)
+    coeffs = zeta_series(F, 400)
     for n in range(200, 401):
         assert abs(math.log2(coeffs[n]) / n - 1.0) <= 0.05, f"n={n}"
 
