@@ -68,13 +68,13 @@ DEFAULT_BURN_IN = 64
 class RatioPoint:
     """One sample of the normalized orbit-count ratio X*pi(X)/2**(X+1).
 
+    pi(X) is not stored: it is ``ratio.numerator // X``.
     ``running_min``/``running_max`` are the extrema of the ratio over the
     window from the burn-in point up to X: each is the ``ratio`` of the
     point where it was reached.  All three are exact ``Dyadic`` values.
     """
 
     X: int
-    pi: int
     ratio: Dyadic
     running_min: Dyadic
     running_max: Dyadic
@@ -132,9 +132,7 @@ def ratio_series(table: OrbitTable, burn_in: int = DEFAULT_BURN_IN) -> list[Rati
         ratio = Dyadic(X * running, X + 1)
         lo = ratio if lo is None or ratio < lo else lo
         hi = ratio if hi is None or ratio > hi else hi
-        points.append(
-            RatioPoint(X=X, pi=running, ratio=ratio, running_min=lo, running_max=hi)
-        )
+        points.append(RatioPoint(X=X, ratio=ratio, running_min=lo, running_max=hi))
     return points
 
 

@@ -50,6 +50,7 @@ from .counting import (
     MapSpec,
     build_table,
     custom_orbits,
+    fix_counts,
     iterate,
 )
 from .output import (
@@ -127,13 +128,15 @@ def _add_map_option(parser: argparse.ArgumentParser) -> None:
 def _cmd_table(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
-    table = build_table(spec, args.max, Decimal)
+    orbit_counts = build_table(spec, args.max, Decimal).orbit_counts
     meta = {"command": "table", "map": spec.label, "max": args.max}
     if spec.entropy_base is not None:
         meta["entropy"] = f"log({spec.entropy_base})"
+    # The products are exact: every command runs in EXACT_DECIMAL.
     rows = (
-        (str(n), str(fix), str(least), str(orbits))
-        for n, fix, least, orbits in table.rows()
+        (str(n), str(fix), str(n * orbits), str(orbits))
+        for n, (fix, orbits) in enumerate(
+            zip(fix_counts(spec, args.max, Decimal), orbit_counts), start=1)
     )
     write_table(args.format, args.output, meta,
                 ("n", "fix_count", "least_count", "orbit_count"), rows)

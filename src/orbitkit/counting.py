@@ -8,21 +8,22 @@ exactly n (``least``), and the number of closed orbits of length n
     fix(n)   = sum of least(d) over divisors d of n,
     least(n) = n * orbits(n),
 
-with the first relation inverted by a sieve over multiples.  So only two
-of them are independent: a table keeps fix and orbits, and reads least as
-n * orbits.  A map is a base kind and a power.  The base is the
-circle-doubling map (fix(n) = 2**n - 1), its 3-adic isometric extension
-(fix(n) = (2**n - 1) * |2**n - 1|_3, an exact integer) or user-supplied
-orbit-count data; the p-th iterate T^p reads its base at n*p, since
-fix(T^p, n) = fix(T, n*p).  A table is a plain value: ``build_table``
-keeps nothing between calls.
+with the first relation inverted by a sieve over multiples.  So only one
+of them is independent: ``fix_counts`` computes fix, a table keeps the
+orbits alone, and least is n * orbits.  A map is a base kind and a power.
+The base is the circle-doubling map (fix(n) = 2**n - 1), its 3-adic
+isometric extension (fix(n) = (2**n - 1) * |2**n - 1|_3, an exact
+integer) or user-supplied orbit-count data; the p-th iterate T^p reads its
+base at n*p, since fix(T^p, n) = fix(T, n*p).  A table is a plain value:
+``build_table`` keeps nothing between calls.
 
 The counts of a table are ints: the asymptotics and verify compute with
 them.  The same routines also build them as ``decimal.Decimal`` integers,
 whose decimal strings take time linear in their digits (``str`` of an int
 takes quadratic time), so the CLI renders its big columns from that twin.
 ``fix_counts`` gives the fix counts alone, without the sieve that yields
-the orbit counts: the zeta series and the boundary scan read no more.
+the orbit counts: the zeta series, the boundary scan, ``verify`` and the
+``table`` command's fix column read them from there.
 
 Every closed-form map also has a term form (``fix_terms``): its fix counts
 are a short sum of gated geometric terms,
@@ -41,7 +42,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .arith import EXACT_DECIMAL, ExactnessError, divisors, mobius, ord_p
 
@@ -201,47 +202,39 @@ def fix_terms(spec: MapSpec, n_max: int) -> tuple[int, tuple[tuple[int, int, int
 
 @dataclass(frozen=True)
 class OrbitTable:
-    """Fix and orbit counts for one map, for n = 1..``n_max``.
+    """Orbit counts for one map, for n = 1..``n_max``.
 
-    Tuples are indexed from 0 for n = 1.  The least-period count is
-    n * orbits(n), derived in ``rows``.  ``n_max`` is the length of the fix
-    counts, the one statement of the table's range: the computations on a
-    table run to its end.  A built table is immutable and safe to share.
-    The counts are ints, or ``Decimal`` integers in a table built for
-    rendering (see ``build_table``).
+    The tuple is indexed from 0 for n = 1.  Fix counts come from
+    ``fix_counts`` and least-period counts are n * orbits(n): a table keeps
+    neither.  ``n_max`` is the length of the orbit counts, the one
+    statement of the table's range: the computations on a table run to its
+    end.  A built table is immutable and safe to share.  The counts are
+    ints, or ``Decimal`` integers in a table built for rendering (see
+    ``build_table``).
     """
 
     spec: MapSpec
-    fix_counts: "tuple[int, ...] | tuple[Decimal, ...]"
     orbit_counts: "tuple[int, ...] | tuple[Decimal, ...]"
 
     @property
     def n_max(self) -> int:
-        return len(self.fix_counts)
-
-    def rows(self) -> Iterator[tuple]:
-        """(n, fix, least, orbits) for n = 1..n_max."""
-        for n, (fix, orbits) in enumerate(zip(self.fix_counts, self.orbit_counts), start=1):
-            with localcontext(EXACT_DECIMAL):  # a Decimal product must not round
-                least = n * orbits
-            yield n, fix, least, orbits
+        return len(self.orbit_counts)
 
 
 def build_table(spec: MapSpec, n_max: int, number: type = int) -> OrbitTable:
-    """Compute fix and orbit counts for n = 1..n_max, as a fresh table
-    whose counts are ``number`` values: int, or ``Decimal`` for rendering.
+    """Compute orbit counts for n = 1..n_max, as a fresh table whose counts
+    are ``number`` values: int, or ``Decimal`` for rendering.
 
-    The fix counts of either type come from ``fix_counts``.  One sieve
-    pass inverts the divisor sum: the count at m starts at fix(m), and once
-    least(n) is final it is subtracted at every multiple m of n and replaced
-    by orbits(n), its exact division by n.  Decimal arithmetic runs in
-    ``EXACT_DECIMAL``, so it rounds nothing.
+    One sieve pass inverts the divisor sum in place, on the fresh list of
+    fix counts that ``fix_counts`` returns: the count at m starts at
+    fix(m), and once least(n) is final it is subtracted at every multiple m
+    of n and replaced by orbits(n), its exact division by n.  Decimal
+    arithmetic runs in ``EXACT_DECIMAL``, so it rounds nothing.
     """
     if n_max < 1:
         raise ValueError(f"build_table requires n_max >= 1, got {n_max}")
-    fix = fix_counts(spec, n_max, number)
+    counts = fix_counts(spec, n_max, number)  # least(n) until n's turn, then orbits(n)
     with localcontext(EXACT_DECIMAL):
-        counts = fix.copy()  # least(n) until n's turn, then orbits(n)
         for n in range(1, n_max + 1):
             count = counts[n - 1]  # final: every proper divisor of n is below n
             if count < 0:
@@ -252,7 +245,7 @@ def build_table(spec: MapSpec, n_max: int, number: type = int) -> OrbitTable:
             counts[n - 1] = orbit
             for i in range(2 * n - 1, n_max, n):
                 counts[i] -= count
-    return OrbitTable(spec=spec, fix_counts=tuple(fix), orbit_counts=tuple(counts))
+    return OrbitTable(spec=spec, orbit_counts=tuple(counts))
 
 
 def fix_counts(spec: MapSpec, n_max: int, number: type = int) -> list:
@@ -266,7 +259,8 @@ def fix_counts(spec: MapSpec, n_max: int, number: type = int) -> list:
     is converted once, count by count, for d <= n_max*p, and a sieve adds
     d * orbits(d) at every n with d | n*p, that is at every multiple of
     d/gcd(d, p).  ``fix_count`` is the per-n reference these values are
-    tested against; ``build_table`` and the zeta series read these.
+    tested against; the zeta series read these, and ``build_table`` sieves
+    them in place.
     """
     if n_max < 0:
         raise ValueError(f"fix_counts requires n_max >= 0, got {n_max}")

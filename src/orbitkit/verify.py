@@ -70,9 +70,10 @@ class CheckResult:
 
 CHECKS: dict[str, Callable[[int], CheckResult]] = {}
 
-# What the checks of one ``run_checks`` call share: f's and g's tables, the
-# divisor lists and f's ratio series.  None outside such a call, so a check
-# called on its own builds what it reads and leaves nothing behind.
+# What the checks of one ``run_checks`` call share: f's and g's tables and
+# fix counts, the divisor lists and f's ratio series.  None outside such a
+# call, so a check called on its own builds what it reads and leaves nothing
+# behind.
 _SHARED: ContextVar["dict | None"] = ContextVar("verify_shared", default=None)
 
 
@@ -185,9 +186,10 @@ def _check_inversion_roundtrip(max_n: int) -> tuple:
     for spec, label in ((THREE_ADIC_EXTENSION, "f"), (CIRCLE_DOUBLING, "g")):
         # build_table raises ExactnessError where n does not divide least(n)
         table = _table(spec, max_n)
+        fix = _once(("fix", spec, max_n), lambda: fix_counts(spec, max_n))  # also fix-term-form's
         for n, ds in enumerate(lists, start=1):
             rebuilt = sum(d * table.orbit_counts[d - 1] for d in ds)
-            if rebuilt != table.fix_counts[n - 1]:
+            if rebuilt != fix[n - 1]:
                 return False, f"n<={max_n}", f"{label} at n={n}"
     return True, f"n<={max_n}, maps f and g"
 
@@ -248,7 +250,8 @@ def _check_fix_term_form(max_n: int) -> tuple:
     for base in (THREE_ADIC_EXTENSION, CIRCLE_DOUBLING):
         for spec, top in ((base, max_n), (iterate(base, 2), k2), (iterate(base, 3), k3)):
             den, terms = fix_terms(spec, top)
-            fix = _table(spec, top).fix_counts if spec == base else fix_counts(spec, top)
+            fix = _once(("fix", spec, top), lambda: fix_counts(spec, top))
+            _drop(("fix", spec, top))  # the last reader: free the list before later checks
             for n in range(1, top + 1):
                 total = sum(w << (s * n // m) for w, s, m in terms if n % m == 0)
                 if total != den * fix[n - 1]:
@@ -447,8 +450,7 @@ def _check_fix_ratio_witnesses(max_n: int) -> tuple:
     params = f"n<={top}, witnesses > 2.2 and < 1.0"
     if top < 6:
         return True, params, _VACUOUS
-    table = _table(THREE_ADIC_EXTENSION, max_n)
-    fix = table.fix_counts
+    fix = fix_counts(THREE_ADIC_EXTENSION, top)
     above = below = None
     for n in range(1, top):
         if above is None and 5 * fix[n] > 11 * fix[n - 1]:  # fix[n]/fix[n-1] > 11/5
@@ -466,18 +468,18 @@ def _check_custom_example(max_n: int) -> tuple:
     params = f"n<={top}"
     if top < 2:
         return True, params, _VACUOUS
-    table_a = build_table(custom_orbits((1, 3)), top)
-    table_b = build_table(custom_orbits((6, 1)), top)
+    spec_a, spec_b = custom_orbits((1, 3)), custom_orbits((6, 1))
+    fix_a, fix_b = fix_counts(spec_a, top), fix_counts(spec_b, top)
     for n in range(1, top + 1):
         expected_a = 4 + 3 * (-1) ** n
         expected_b = 7 + (-1) ** n
-        if table_a.fix_counts[n - 1] != expected_a:
+        if fix_a[n - 1] != expected_a:
             return False, params, f"a at n={n}"
-        if table_b.fix_counts[n - 1] != expected_b:
+        if fix_b[n - 1] != expected_b:
             return False, params, f"b at n={n}"
         if expected_a >= expected_b:
             return False, params, f"fix dominance at n={n}"
-    ok = table_a.orbit_counts[1] > table_b.orbit_counts[1]
+    ok = build_table(spec_a, top).orbit_counts[1] > build_table(spec_b, top).orbit_counts[1]
     return ok, params, "" if ok else "orbit counts unexpectedly dominated"
 
 

@@ -1,13 +1,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from decimal import Context, Decimal, localcontext
 from pathlib import Path
 
 import pytest
 
-from orbitkit import counting
-from orbitkit.arith import ExactnessError, divisors, ord_p
+from orbitkit import cli, counting
+from orbitkit.arith import EXACT_DECIMAL, ExactnessError, divisors, ord_p
 from orbitkit.counting import (
     CIRCLE_DOUBLING,
     THREE_ADIC_EXTENSION,
@@ -117,11 +118,17 @@ def test_decimal_custom_fix_counts_match_fix_count(n_max):
     custom = custom_orbits((3, 0, 7, 0, 0, 10**40, 1, 0, 2, 0, 5, 4))
     specs += [custom, iterate(custom, 2)]
     for spec in specs:
-        expected = tuple(fix_count(spec, n) for n in range(1, n_max + 1))
+        expected = [fix_count(spec, n) for n in range(1, n_max + 1)]
         for number in (int, Decimal):
-            table = build_table(spec, n_max, number)
-            assert all(type(c) is number for c in table.fix_counts), (spec.label, number)
-            assert table.fix_counts == expected, (spec.label, number)
+            fix = fix_counts(spec, n_max, number)
+            assert all(type(c) is number for c in fix), (spec.label, number)
+            assert fix == expected, (spec.label, number)
+            orbits = build_table(spec, n_max, number).orbit_counts
+            assert all(type(c) is number for c in orbits), (spec.label, number)
+            for n in range(1, n_max + 1):
+                with localcontext(EXACT_DECIMAL):  # a Decimal sum must not round
+                    rebuilt = sum(d * orbits[d - 1] for d in divisors(n))
+                assert rebuilt == expected[n - 1], (spec.label, number, n)
 
 
 def test_decimal_fix_counts_are_exact_in_the_default_context():
@@ -193,9 +200,9 @@ def test_entropy_constants():
 def test_tables_match_spec_values():
     tf = build_table(THREE_ADIC_EXTENSION, 6)
     tg = build_table(CIRCLE_DOUBLING, 6)
-    assert tf.fix_counts == (1, 1, 7, 5, 31, 7)
+    assert fix_counts(THREE_ADIC_EXTENSION, 6) == [1, 1, 7, 5, 31, 7]
     assert tf.orbit_counts == (1, 0, 2, 1, 6, 0)
-    assert tg.fix_counts == (1, 3, 7, 15, 31, 63)
+    assert fix_counts(CIRCLE_DOUBLING, 6) == [1, 3, 7, 15, 31, 63]
     assert tg.orbit_counts == (1, 1, 2, 3, 6, 9)
 
 
@@ -207,11 +214,11 @@ def test_table_against_direct_dynamics():
 
 def test_table_inversion_roundtrip():
     for spec in (THREE_ADIC_EXTENSION, CIRCLE_DOUBLING):
-        rows = list(build_table(spec, 200).rows())
-        for n, fix, least, orbits in rows:
-            rebuilt = sum(rows[d - 1][2] for d in divisors(n))
-            assert rebuilt == fix
-            assert least == n * orbits
+        fix = fix_counts(spec, 200)
+        orbits = build_table(spec, 200).orbit_counts
+        for n in range(1, 201):
+            rebuilt = sum(d * orbits[d - 1] for d in divisors(n))  # least(d) = d * orbits(d)
+            assert rebuilt == fix[n - 1]
 
 
 def test_orbit_domination_small():
@@ -222,22 +229,42 @@ def test_orbit_domination_small():
 
 
 def test_killed_orbits():
-    rows = list(build_table(THREE_ADIC_EXTENSION, 6).rows())
-    assert rows[1][2] == rows[1][1] - rows[0][1] == 0  # least(2) = fix(2) - fix(1)
-    assert rows[1][3] == 0
-    assert rows[5][3] == 0
+    fix = fix_counts(THREE_ADIC_EXTENSION, 6)
+    orbits = build_table(THREE_ADIC_EXTENSION, 6).orbit_counts
+    assert 2 * orbits[1] == fix[1] - fix[0] == 0  # least(2) = fix(2) - fix(1)
+    assert orbits[1] == 0
+    assert orbits[5] == 0
 
 
 def test_custom_example_tables():
-    table = build_table(custom_orbits((1, 3)), 2)
-    assert table.fix_counts == (1, 7)
-    other = build_table(custom_orbits((6, 1)), 2)
-    assert other.fix_counts == (6, 8)
+    assert fix_counts(custom_orbits((1, 3)), 2) == [1, 7]
+    assert fix_counts(custom_orbits((6, 1)), 2) == [6, 8]
+    assert build_table(custom_orbits((1, 3)), 2).orbit_counts == (1, 3)
+    assert build_table(custom_orbits((6, 1)), 2).orbit_counts == (6, 1)
 
 
-def test_table_accessors_and_rows():
+def test_table_accessors_and_rows(capsys):
     table = build_table(CIRCLE_DOUBLING, 4)
-    assert list(table.rows()) == [(1, 1, 1, 1), (2, 3, 2, 1), (3, 7, 6, 2), (4, 15, 12, 3)]
+    assert table.n_max == 4
+    assert table.orbit_counts == (1, 1, 2, 3)
+    # The table command's rows (n, fix, least, orbits), least = n * orbits.
+    assert cli.main(["table", "--map", "g", "--max", "4"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    assert rows == ["n,fix_count,least_count,orbit_count",
+                    "1,1,1,1", "2,3,2,1", "3,7,6,2", "4,15,12,3"]
+
+
+@pytest.mark.parametrize("number", [int, Decimal])
+def test_build_table_sieves_one_list(number):
+    # The sieve runs in place on the list of fix counts, so at its peak the
+    # build holds about one list of counts.
+    tracemalloc.start()
+    try:
+        table = build_table(THREE_ADIC_EXTENSION, 3000, number)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sum(sys.getsizeof(c) for c in table.orbit_counts)
 
 
 def test_build_table_rejects_empty():
@@ -250,7 +277,8 @@ def test_build_table_prefix_consistency():
     large = build_table(CIRCLE_DOUBLING, 20)
     again = build_table(CIRCLE_DOUBLING, 10)
     assert small == again
-    assert large.fix_counts[:10] == small.fix_counts
+    assert large.orbit_counts[:10] == small.orbit_counts
+    assert fix_counts(CIRCLE_DOUBLING, 20)[:10] == fix_counts(CIRCLE_DOUBLING, 10)
 
 
 def test_build_table_from_two_threads():
@@ -331,7 +359,6 @@ def test_orbit_count_iterate_range_errors():
 def test_orbit_count_iterate_negative_is_hard_error():
     corrupt = OrbitTable(
         spec=custom_orbits((7, 7, 7)),
-        fix_counts=(1, 1),
         orbit_counts=(-1, 0),
     )
     with pytest.raises(ExactnessError):

@@ -4,11 +4,12 @@ the CLI's exit-status contract, checked on arbitrary command lines."""
 import contextlib
 import io
 import sys
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitkit.arith import EXACT_DECIMAL
 from orbitkit.asymptotics import merten_series, ratio_series
 from orbitkit.cli import main
 from orbitkit.counting import (
@@ -17,6 +18,7 @@ from orbitkit.counting import (
     build_table,
     custom_orbits,
     fix_count,
+    fix_counts,
     fix_terms,
     iterate,
     iterate_square_identity,
@@ -31,11 +33,13 @@ orbit_data = st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max
 @given(orbit_data)
 def test_mobius_round_trip(counts):
     n_max = 2 * len(counts)
-    table = build_table(custom_orbits(counts), n_max)
+    spec = custom_orbits(counts)
+    table = build_table(spec, n_max)
     assert table.orbit_counts == tuple(counts) + (0,) * len(counts)
-    rows = list(table.rows())
-    for n, fix, _, _ in rows:
-        assert fix == sum(rows[d - 1][2] for d in range(1, n + 1) if n % d == 0)
+    fix = fix_counts(spec, n_max)
+    for n in range(1, n_max + 1):
+        least = [d * table.orbit_counts[d - 1] for d in range(1, n + 1) if n % d == 0]
+        assert fix[n - 1] == sum(least)
 
 
 @settings(deadline=None, max_examples=50)
@@ -47,14 +51,23 @@ def test_decimal_table_renders_as_str_of_the_int_table(counts, big, where):
     counts[where % len(counts)] = big
     spec = custom_orbits(counts)
     n_max = 2 * len(counts)
-    decimals = build_table(spec, n_max, Decimal)
+
+    def rows(number):
+        # The table command's columns; a Decimal least must not round.
+        fix = fix_counts(spec, n_max, number)
+        orbits = build_table(spec, n_max, number).orbit_counts
+        with localcontext(EXACT_DECIMAL):
+            return [tuple(map(str, (n, fix[n - 1], n * orbits[n - 1], orbits[n - 1])))
+                    for n in range(1, n_max + 1)]
+
+    decimals = rows(Decimal)
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        expected = [tuple(map(str, row)) for row in build_table(spec, n_max).rows()]
+        expected = rows(int)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert [tuple(map(str, row)) for row in decimals.rows()] == expected
+    assert decimals == expected
 
 
 @settings(deadline=None)

@@ -11,6 +11,7 @@ from orbitkit.counting import (
     THREE_ADIC_EXTENSION,
     build_table,
     custom_orbits,
+    fix_counts,
 )
 from orbitkit.zeta import (
     BoundaryPoint,
@@ -274,9 +275,8 @@ def test_coefficient_growth_window():
         assert abs(math.log2(coeffs[n]) / n - 1.0) <= 0.05, f"n={n}"
 
 
-def test_fix_ratio_witnesses(tf):
-    ratios = [
-        Fraction(tf.fix_counts[n], tf.fix_counts[n - 1]) for n in range(1, 150)
-    ]
+def test_fix_ratio_witnesses():
+    fix = fix_counts(F, 150)
+    ratios = [Fraction(fix[n], fix[n - 1]) for n in range(1, 150)]
     assert any(r > Fraction(11, 5) for r in ratios)
     assert any(r < 1 for r in ratios)
