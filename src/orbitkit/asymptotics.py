@@ -1,34 +1,38 @@
 """Aggregate orbit statistics over a growing length cutoff X.
 
 pi(X) counts all closed orbits of length at most X; ``ratio_series``
-reports it with the normalized ratio X*pi(X)/2**(X+1).  For the doubling
-map pi(X) grows like 2**(X+1)/X, so the ratio tends to 1; for the 3-adic
-extension it only oscillates inside [1/3, 1].  ``delta_gap`` returns the
-gap pi_g(X) - pi_f(X) for every X in the range of its two tables, with
+returns the normalized ratio X*pi(X)/2**(X+1) for every X.  For the
+doubling map pi(X) grows like 2**(X+1)/X, so the ratio tends to 1; for the
+3-adic extension it only oscillates inside [1/3, 1].  ``delta_gap`` returns
+the gap pi_g(X) - pi_f(X) for every X in the range of its two tables, with
 the even-length orbit count that bounds it, in one running-sum pass.
-``merten_series`` forms the weighted sums sum_{n<=X} orbits(n)/2**n, which track log X for
-the doubling map and sit between (1/2) log X and log X for the extension.
-Every series runs to X = n_max, the end of the table it is given.  The
-ratio and the Merten sums normalise by 2**X, so both refuse (ValueError) a
-table whose map's entropy is not log 2: iterates and custom orbit data.
+``merten_series`` returns the weighted sums sum_{n<=X} orbits(n)/2**n, which
+track ln X for the doubling map and sit between (1/2) ln X and ln X for the
+extension.  Every series runs from X = 1 to X = n_max, the end of the table
+it is given; a reader that skips small X slices the list.  The ratio and
+the Merten sums normalise by 2**X, so both refuse (ValueError) a table whose
+map's entropy is not log 2: iterates and custom orbit data.
 
 The ratios and the sums are exact rationals with a power-of-two
 denominator, so they are carried as ``Dyadic`` values: an integer
 numerator over an implicit 2**shift, never reduced.  The Merten numerator
 N_X over 2**X grows by N_X = 2*N_{X-1} + orbits(X), the ratio's numerator
-is X*pi(X) over 2**(X+1), and running extrema compare by shifting one
-numerator, so no step pays for a gcd.  The one real is ln X: from integer
-bounds on it, ``merten_series`` rounds it to a ``Dyadic``, and a point
-rounds sum/ln X when its ``normalized`` is read.  The bounds come from an
-atanh series only at primes; a composite X adds the bounds of its least
-prime factor q and of X/q, and their errors add too.  Rounding over a
-power-of-two denominator, as of the sums and of ln X, is a shift and a
-mask.
+is X*pi(X) over 2**(X+1), and two of them compare by shifting one
+numerator, so no step pays for a gcd.  The readers compute what they show:
+``pnt`` tracks the running extrema of the ratio as it renders, and
+``verify`` takes the min and max of its window.
+
+The one real is ln X.  ``log_table`` rounds it, for X = 1..n, to a
+``Dyadic`` from integer bounds on it, and ``merten_normalized`` rounds
+sum/ln X; ``merten`` and ``verify`` each build one ln X table per run.  The
+bounds come from an atanh series only at primes; a composite X adds the
+bounds of its least prime factor q and of X/q, and their errors add too.
+Rounding over a power-of-two denominator, as of the sums and of ln X, is a
+shift and a mask.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -36,11 +40,11 @@ from .arith import Dyadic, ExactnessError
 from .counting import OrbitTable
 
 __all__ = [
-    "RatioPoint",
-    "MertenPoint",
     "ratio_series",
     "delta_gap",
     "merten_series",
+    "log_table",
+    "merten_normalized",
     "cluster_ratios",
     "MERTEN_PRECISION_BITS",
     "DEFAULT_BURN_IN",
@@ -57,50 +61,11 @@ RATIO_BAND_TOLERANCE = Fraction(2, 100)
 RATIO_BAND = (Fraction(1, 3) - RATIO_BAND_TOLERANCE, 1 + RATIO_BAND_TOLERANCE)
 MERTEN_SLACK = Fraction(2)
 
-# The significant bits to which merten_series rounds ln X and sum/ln X.
+# The significant bits to which ln X and sum/ln X are rounded.
 MERTEN_PRECISION_BITS = 64
-# Guard bits beyond the precision at which _log_table first sums ln X.
+# Guard bits beyond the precision at which log_table first sums ln X.
 _GUARD_BITS = 32
 DEFAULT_BURN_IN = 64
-
-
-@dataclass(frozen=True)
-class RatioPoint:
-    """One sample of the normalized orbit-count ratio X*pi(X)/2**(X+1).
-
-    pi(X) is not stored: it is ``ratio.numerator // X``.
-    ``running_min``/``running_max`` are the extrema of the ratio over the
-    window from the burn-in point up to X: each is the ``ratio`` of the
-    point where it was reached.  All three are exact ``Dyadic`` values.
-    """
-
-    X: int
-    ratio: Dyadic
-    running_min: Dyadic
-    running_max: Dyadic
-
-
-@dataclass(frozen=True)
-class MertenPoint:
-    """One partial sum sum_{n<=X} orbits(n)/2**n with its log X comparison.
-
-    ``sum`` is the exact ``Dyadic`` N_X / 2**X.  ``log_x`` is ln X and
-    ``normalized`` (defined for X >= 2, computed when read) the rounded sum
-    over ``log_x``, each rounded to nearest, ties to even, to
-    ``MERTEN_PRECISION_BITS`` bits.
-    """
-
-    X: int
-    sum: Dyadic
-    log_x: Dyadic
-
-    @property
-    def normalized(self) -> "Dyadic | None":
-        if self.X < 2:
-            return None
-        bits, log_x = MERTEN_PRECISION_BITS, self.log_x
-        total = _round(self.sum.numerator, 1 << self.sum.shift, bits)
-        return _round(total.numerator << log_x.shift, log_x.numerator << total.shift, bits)
 
 
 def _require_entropy_log2(table: OrbitTable, function: str) -> None:
@@ -109,31 +74,19 @@ def _require_entropy_log2(table: OrbitTable, function: str) -> None:
                          f"entropy log 2 (f, g), got {table.spec.label}")
 
 
-def ratio_series(table: OrbitTable, burn_in: int = DEFAULT_BURN_IN) -> list[RatioPoint]:
-    """Exact ratio points for X = burn_in..n_max with running extrema.
+def ratio_series(table: OrbitTable) -> list[Dyadic]:
+    """The exact ratio X*pi(X)/2**(X+1) for X = 1..n_max, as ``Dyadic``s.
 
-    The burn-in discards small-X transients (the ratio is 1/4 at X = 1);
-    extrema are tracked over the reported window only.  A table of a map
-    whose entropy is not log 2 raises ValueError.
+    pi(X) is ``ratio.numerator // X``.  A table of a map whose entropy is
+    not log 2 raises ValueError.
     """
     _require_entropy_log2(table, "ratio_series")
-    if not 1 <= burn_in < table.n_max:
-        raise ValueError(
-            f"need 1 <= burn_in < n_max, got burn_in={burn_in}, n_max={table.n_max}"
-        )
-    points: list[RatioPoint] = []
+    ratios: list[Dyadic] = []
     running = 0
-    lo: Dyadic | None = None
-    hi: Dyadic | None = None
     for X, orbits in enumerate(table.orbit_counts, start=1):
         running += orbits
-        if X < burn_in:
-            continue
-        ratio = Dyadic(X * running, X + 1)
-        lo = ratio if lo is None or ratio < lo else lo
-        hi = ratio if hi is None or ratio > hi else hi
-        points.append(RatioPoint(X=X, ratio=ratio, running_min=lo, running_max=hi))
-    return points
+        ratios.append(Dyadic(X * running, X + 1))
+    return ratios
 
 
 def delta_gap(table_f: OrbitTable, table_g: OrbitTable) -> list[tuple[int, int]]:
@@ -162,20 +115,29 @@ def delta_gap(table_f: OrbitTable, table_g: OrbitTable) -> list[tuple[int, int]]
     return pairs
 
 
-def merten_series(table: OrbitTable) -> list[MertenPoint]:
-    """Exact weighted partial sums with ln X comparison columns, X = 1..n_max,
-    for a map of entropy log 2; any other map's table raises ValueError."""
+def merten_series(table: OrbitTable) -> list[Dyadic]:
+    """The exact weighted partial sums N_X/2**X, X = 1..n_max, for a map of
+    entropy log 2; any other map's table raises ValueError."""
     _require_entropy_log2(table, "merten_series")
-    points: list[MertenPoint] = []
+    sums: list[Dyadic] = []
     numerator = 0
-    logs = _log_table(table.n_max, MERTEN_PRECISION_BITS)
-    for X, (orbits, log_x) in enumerate(zip(table.orbit_counts, logs), start=1):
+    for X, orbits in enumerate(table.orbit_counts, start=1):
         numerator = 2 * numerator + orbits
-        points.append(MertenPoint(X, Dyadic(numerator, X), log_x))
-    return points
+        sums.append(Dyadic(numerator, X))
+    return sums
 
 
-def _log_table(n: int, bits: int) -> list[Dyadic]:
+def merten_normalized(total: Dyadic, log_x: Dyadic) -> Dyadic:
+    """sum/ln X: the sum rounded to ``MERTEN_PRECISION_BITS`` bits, then the
+    quotient, each to nearest, ties to even.  ln X must be positive (X >= 2)."""
+    if not log_x.numerator:
+        raise ValueError("sum/ln X needs ln X > 0, that is X >= 2")
+    bits = MERTEN_PRECISION_BITS
+    total = _round(total.numerator, 1 << total.shift, bits)
+    return _round(total.numerator << log_x.shift, log_x.numerator << total.shift, bits)
+
+
+def log_table(n: int, bits: int) -> list[Dyadic]:
     """ln X for X = 1..n, each correctly rounded to ``bits`` significant bits."""
     # least[X] is the least prime factor of X: each d <= sqrt(n), taken in
     # descending order, marks its multiples from d*d, and a smaller d later

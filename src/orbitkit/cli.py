@@ -10,8 +10,10 @@ in CSV or JSON.  Subcommands:
     verify   the full invariant suite, one PASS/FAIL line per check
 
 Exit status: 0 on success, 1 on a validation error, 2 on a verification
-failure.  ``merten`` computes ln X and sum/ln X to 64 significant bits and
-prints each rounded to the nearest double.
+failure.  ``pnt`` slices the exact ratios from ``--burn-in`` and tracks
+their running extrema as it renders them.  ``merten`` builds one ln X
+table, rounds sum/ln X per row with ``merten_normalized``, both to 64
+significant bits, and prints each rounded to the nearest double.
 
 The big integers of ``table``, ``pnt`` and ``merten`` are rendered from
 exact ``Decimal`` twins of the int counts and sums, built beside them in
@@ -32,15 +34,15 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .arith import EXACT_DECIMAL
+from .arith import EXACT_DECIMAL, Dyadic
 from .asymptotics import (
     DEFAULT_BURN_IN,
     MERTEN_PRECISION_BITS,
     MERTEN_SLACK,
     RATIO_BAND,
-    MertenPoint,
-    RatioPoint,
     cluster_ratios,
+    log_table,
+    merten_normalized,
     merten_series,
     ratio_series,
 )
@@ -83,6 +85,12 @@ _NAMED_MAPS = {
 def _check_range(option: str, value: int, low: int, high: int) -> None:
     if not low <= value <= high:
         raise ValueError(f"{option} must lie in {low}..{high}, got {value}")
+
+
+def _plain_ascii(text: str) -> bool:
+    """No underscore and no non-ASCII character: int(), float() and
+    Fraction() alone would also take "1_0" and digits such as "٣"."""
+    return text.isascii() and "_" not in text
 
 
 def _resolve_map(name: str) -> MapSpec:
@@ -146,47 +154,54 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_pnt(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
-    points = ratio_series(build_table(spec, args.max), args.burn_in)
-    clusters = cluster_ratios([p.ratio for p in points])
+    ratios = ratio_series(build_table(spec, args.max))
+    first = args.burn_in
+    if not 1 <= first < args.max:
+        raise ValueError(f"--burn-in must be at least 1 and below --max, "
+                         f"got --burn-in {first} and --max {args.max}")
+    ratios = ratios[first - 1:]
+    clusters = cluster_ratios(ratios)
     meta = {
         "command": "pnt",
         "map": spec.label,
         "max": args.max,
-        "burn_in": args.burn_in,
+        "burn_in": first,
         "digits": args.digits,
         "band": f"[{', '.join(map(format_fraction, RATIO_BAND))}]",
         "ratio_clusters": "; ".join(f"{mean:.4f} x{count}" for mean, count in clusters),
     }
     write_table(args.format, args.output, meta,
                 ("X", "pi", "ratio", "ratio_decimal", "running_min", "running_max"),
-                _pnt_rows(points, build_table(spec, args.max, Decimal).orbit_counts,
+                _pnt_rows(ratios, first, build_table(spec, args.max, Decimal).orbit_counts,
                           args.digits))
     return EXIT_OK
 
 
-def _pnt_rows(points: list[RatioPoint], orbit_counts: "tuple[Decimal, ...]", digits: int):
-    """pnt's rows.  pi is the running sum of the Decimal orbit counts, and
-    the ratio X*pi/2**(X+1) is rendered from it and a doubled power of two.
-    A running extremum is rendered only at the X that reaches it:
-    ``ratio_series`` makes each extremum the ``ratio`` object of that point."""
-    first = points[0].X
+def _pnt_rows(ratios: list[Dyadic], first: int, orbit_counts: "tuple[Decimal, ...]",
+              digits: int):
+    """pnt's rows for X = first..n_max.  pi is the running sum of the
+    Decimal orbit counts, and the ratio X*pi/2**(X+1) is rendered from it
+    and a doubled power of two.  A running extremum is rendered once, at
+    the X that reaches it, and repeated until another X passes it."""
     pi, power = sum(orbit_counts[:first - 1], Decimal(0)), Decimal(2) ** first
-    for p, orbits in zip(points, orbit_counts[first - 1:], strict=True):
+    low = high = None
+    for X, (ratio, orbits) in enumerate(zip(ratios, orbit_counts[first - 1:], strict=True),
+                                        start=first):
         pi += orbits
         power += power  # 2**(X+1)
-        ratio = format_dyadic(p.ratio, p.X * pi, power)
-        if p.running_min is p.ratio:
-            running_min = ratio
-        if p.running_max is p.ratio:
-            running_max = ratio
-        yield (str(p.X), str(pi), ratio, format_fraction_decimal(p.ratio, digits),
+        text = format_dyadic(ratio, X * pi, power)
+        if low is None or ratio < low:
+            low, running_min = ratio, text
+        if high is None or ratio > high:
+            high, running_max = ratio, text
+        yield (str(X), str(pi), text, format_fraction_decimal(ratio, digits),
                running_min, running_max)
 
 
 def _cmd_merten(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
-    points = merten_series(build_table(spec, args.max))
+    sums = merten_series(build_table(spec, args.max))
     digits = args.digits
     meta = {
         "command": "merten",
@@ -198,27 +213,28 @@ def _cmd_merten(args: argparse.Namespace) -> int:
     }
     write_table(args.format, args.output, meta,
                 ("X", "sum", "sum_decimal", "log_x", "normalized"),
-                _merten_rows(points, build_table(spec, args.max, Decimal).orbit_counts,
-                             digits))
+                _merten_rows(sums, log_table(args.max, MERTEN_PRECISION_BITS),
+                             build_table(spec, args.max, Decimal).orbit_counts, digits))
     return EXIT_OK
 
 
-def _merten_rows(points: list[MertenPoint], orbit_counts: "tuple[Decimal, ...]",
-                 digits: int):
+def _merten_rows(sums: list[Dyadic], logs: list[Dyadic],
+                 orbit_counts: "tuple[Decimal, ...]", digits: int):
     """merten's rows.  The sum N_X/2**X is rendered from the Decimal
     numerator N_X = 2*N_(X-1) + orbits(X) and a doubled power of two."""
     numerator, power = Decimal(0), Decimal(1)
-    for p, orbits in zip(points, orbit_counts, strict=True):
+    for X, (total, log_x, orbits) in enumerate(zip(sums, logs, orbit_counts, strict=True),
+                                                start=1):
         numerator += numerator + orbits
         power += power  # 2**X
         yield (
-            str(p.X),
-            format_dyadic(p.sum, numerator, power),
-            format_fraction_decimal(p.sum, digits),
+            str(X),
+            format_dyadic(total, numerator, power),
+            format_fraction_decimal(total, digits),
             # Each rounded to the nearest double: past about 17 significant
             # digits the printed digits come from the double, not from ln X.
-            format_real(float(p.log_x), digits),
-            "" if p.normalized is None else format_real(float(p.normalized), digits),
+            format_real(float(log_x), digits),
+            format_real(float(merten_normalized(total, log_x)), digits) if X > 1 else "",
         )
 
 
@@ -250,7 +266,8 @@ def _parse_angle(text: str) -> Fraction:
     a short argument ("1e999999999") stand for an integer of any size, and
     every row prints the angle's numerator and denominator.
     """
-    if "e" not in text.lower() and sum(c.isdigit() for c in text) <= _ANGLE_DIGITS:
+    if (_plain_ascii(text) and "e" not in text.lower()
+            and sum(c.isdigit() for c in text) <= _ANGLE_DIGITS):
         try:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
@@ -261,12 +278,14 @@ def _parse_angle(text: str) -> Fraction:
 
 def _cmd_zeta_boundary(args: argparse.Namespace) -> int:
     turns = _parse_angle(args.angle)
+    refusal = f"--radii must be comma-separated reals, got {args.radii!r}"
+    if not _plain_ascii(args.radii):
+        raise ValueError(refusal)
     try:
-        radii = [float(part) for part in args.radii.split(",") if part]
+        # float() strips the spaces around an entry and refuses an empty one.
+        radii = [float(part) for part in args.radii.split(",")]
     except ValueError as exc:
-        raise ValueError(f"--radii must be comma-separated reals, got {args.radii!r}") from exc
-    if not radii:
-        raise ValueError("--radii must list at least one radius")
+        raise ValueError(refusal) from exc
     # Past 100 levels no printed digit changes; near 650, 2*3**j leaves float range.
     _check_range("--terms", args.terms, 0, 100)
     _check_range("--degree", args.degree, 1, 10**4)

@@ -71,9 +71,10 @@ class CheckResult:
 CHECKS: dict[str, Callable[[int], CheckResult]] = {}
 
 # What the checks of one ``run_checks`` call share: f's and g's tables and
-# fix counts, the divisor lists and f's ratio series.  None outside such a
-# call, so a check called on its own builds what it reads and leaves nothing
-# behind.
+# fix counts, the divisor lists, f's ratios from X = DEFAULT_BURN_IN and the
+# ln X table of the two Merten checks; each check computes what it reports
+# from them (a window's min and max, sum - ln X).  None outside such a call,
+# so a check called on its own builds what it reads and leaves nothing behind.
 _SHARED: ContextVar["dict | None"] = ContextVar("verify_shared", default=None)
 
 
@@ -283,37 +284,38 @@ def _check_pi_domination(max_n: int) -> tuple:
     return True, f"X<={max_n}"
 
 
-def _ratio_window(max_n: int):
-    """The f ratio series, built once for the two checks that read it."""
+def _ratio_window(spec, max_n: int) -> "list[Dyadic] | None":
+    """A map's ratios for DEFAULT_BURN_IN <= X <= max_n; f's are built once
+    for the two checks that read them."""
     if max_n <= asymptotics.DEFAULT_BURN_IN:
         return None
-    table = _table(THREE_ADIC_EXTENSION, max_n)
-    return _once("ratio", lambda: asymptotics.ratio_series(table))
+    table = _table(spec, max_n)
+    return _once(("ratio", spec),
+                 lambda: asymptotics.ratio_series(table)[asymptotics.DEFAULT_BURN_IN - 1:])
 
 
 @_check("extension-ratio-band")
 def _check_ratio_band(max_n: int) -> tuple:
     params = f"64<=X<={max_n}, band [1/3-0.02, 1+0.02]"
-    points = _ratio_window(max_n)
-    if points is None:
+    ratios = _ratio_window(THREE_ADIC_EXTENSION, max_n)
+    if ratios is None:
         return True, params, _VACUOUS
     low, high = asymptotics.RATIO_BAND
-    for p in points:
-        if not low <= p.ratio <= high:
-            return False, params, f"ratio {float(p.ratio):.6f} at X={p.X}"
-    final = points[-1]
-    observed = f"[{float(final.running_min):.6f}, {float(final.running_max):.6f}]"
+    for X, ratio in enumerate(ratios, start=asymptotics.DEFAULT_BURN_IN):
+        if not low <= ratio <= high:
+            return False, params, f"ratio {float(ratio):.6f} at X={X}"
+    observed = f"[{float(min(ratios)):.6f}, {float(max(ratios)):.6f}]"
     return True, params, f"observed {observed}"
 
 
 @_check("ratio-cluster-report")
 def _check_ratio_clusters(max_n: int) -> tuple:
     params = f"64<=X<={max_n}"
-    points = _ratio_window(max_n)
-    _drop("ratio")  # the last reader: free the series before later checks
-    if points is None:
+    ratios = _ratio_window(THREE_ADIC_EXTENSION, max_n)
+    _drop(("ratio", THREE_ADIC_EXTENSION))  # the last reader: free the ratios
+    if ratios is None:
         return True, params, _VACUOUS
-    clusters = asymptotics.cluster_ratios([p.ratio for p in points])
+    clusters = asymptotics.cluster_ratios(ratios)
     summary = "; ".join(f"{mean:.4f} x{count}" for mean, count in clusters[:8])
     if len(clusters) > 8:
         summary += f"; ... ({len(clusters)} clusters total)"
@@ -323,20 +325,22 @@ def _check_ratio_clusters(max_n: int) -> tuple:
 @_check("doubling-ratio-limit")
 def _check_doubling_ratio(max_n: int) -> tuple:
     params = f"64<=X<={max_n}, |ratio-1| < 0.02"
-    if max_n <= asymptotics.DEFAULT_BURN_IN:
+    ratios = _ratio_window(CIRCLE_DOUBLING, max_n)
+    _drop(("ratio", CIRCLE_DOUBLING))  # read by this check only
+    if ratios is None:
         return True, params, _VACUOUS
-    table = _table(CIRCLE_DOUBLING, max_n)
-    points = asymptotics.ratio_series(table)
-    worst = max(abs(p.ratio - 1) for p in points)
+    worst = max(abs(ratio - 1) for ratio in ratios)
     ok = worst < asymptotics.RATIO_BAND_TOLERANCE
     return ok, params, f"max |ratio-1| = {float(worst):.6f}"
 
 
-def _merten_window(table):
-    """(point, sum - ln X) for the Merten points of 16 <= X <= n_max, exact."""
-    for p in asymptotics.merten_series(table):
-        if p.X >= 16:
-            yield p, p.sum - p.log_x
+def _merten_window(spec, max_n: int):
+    """(X, sum, ln X) for 16 <= X <= max_n, each exact; one ``run_checks``
+    call builds the ln X table once for both Merten checks."""
+    bits = asymptotics.MERTEN_PRECISION_BITS
+    logs = _once("logs", lambda: asymptotics.log_table(max_n, bits))
+    sums = asymptotics.merten_series(_table(spec, max_n))
+    return zip(range(16, max_n + 1), sums[15:], logs[15:], strict=True)
 
 
 @_check("merten-sandwich")
@@ -344,14 +348,14 @@ def _check_merten_sandwich(max_n: int) -> tuple:
     params = f"16<=X<={max_n}, 0.5*ln X - 2 <= sum <= ln X + 2"
     if max_n < 16:
         return True, params, _VACUOUS
-    table = _table(THREE_ADIC_EXTENSION, max_n)
     slack = asymptotics.MERTEN_SLACK
     neg_slack = -slack
     lowest = highest = None
-    for p, dev_full in _merten_window(table):
-        dev_half = p.sum - Dyadic(p.log_x.numerator, p.log_x.shift + 1)  # sum - ln X / 2
+    for X, total, log_x in _merten_window(THREE_ADIC_EXTENSION, max_n):
+        dev_full = total - log_x
+        dev_half = total - Dyadic(log_x.numerator, log_x.shift + 1)  # sum - ln X / 2
         if dev_half < neg_slack or dev_full > slack:
-            return False, params, f"fails at X={p.X}"
+            return False, params, f"fails at X={X}"
         if lowest is None or dev_half < lowest:
             lowest = dev_half
         if highest is None or dev_full > highest:
@@ -367,14 +371,15 @@ def _check_merten_doubling(max_n: int) -> tuple:
     params = f"16<=X<={max_n}, |sum - ln X| <= 2"
     if max_n < 16:
         return True, params, _VACUOUS
-    table = _table(CIRCLE_DOUBLING, max_n)
+    window = _merten_window(CIRCLE_DOUBLING, max_n)
+    _drop("logs")  # the last reader: free ln X before later checks
     worst = Dyadic(0, 0)
-    for p, dev_full in _merten_window(table):
-        deviation = abs(dev_full)
+    for X, total, log_x in window:
+        deviation = abs(total - log_x)
         if deviation > worst:
             worst = deviation
         if deviation > asymptotics.MERTEN_SLACK:
-            return False, params, f"X={p.X}"
+            return False, params, f"X={X}"
     return True, params, f"empirical constant: max |sum - ln X| = {float(worst):.4f}"
 
 

@@ -14,6 +14,7 @@ import weakref
 import pytest
 
 from orbitkit import asymptotics, verify
+from orbitkit.arith import Dyadic
 from orbitkit.asymptotics import delta_gap, ratio_series
 from orbitkit.counting import CIRCLE_DOUBLING, THREE_ADIC_EXTENSION, build_table, fix_terms
 
@@ -161,6 +162,20 @@ def test_broken_term_form_fails_its_criterion(checks, monkeypatch):
         test_criterion_14_fix_term_form(broken)
 
 
+class Tracked(Dyadic):
+    """A Dyadic that takes weak references."""
+
+    __slots__ = ("__weakref__",)
+
+
+def tracking_last(values, alive):
+    """``values`` with its last entry, which every window from a burn-in
+    holds, swapped for a weakly referenced equal one."""
+    last = values[-1] = Tracked(values[-1].numerator, values[-1].shift)
+    alive.append(weakref.ref(last))
+    return values
+
+
 def test_run_checks_builds_each_ratio_series_once(monkeypatch):
     built = []
     original = asymptotics.ratio_series
@@ -203,10 +218,8 @@ def test_direct_check_calls_keep_nothing_for_run_checks(monkeypatch):
         alive.append(weakref.ref(table))
         return table
 
-    def recorded_ratio(table, *args):
-        points = original_ratio(table, *args)
-        alive.append(weakref.ref(points[0]))
-        return points
+    def recorded_ratio(table):
+        return tracking_last(original_ratio(table), alive)
 
     def assert_nothing_alive():
         gc.collect()
@@ -221,6 +234,38 @@ def test_direct_check_calls_keep_nothing_for_run_checks(monkeypatch):
     assert all(r.passed for r in verify.run_checks(300))
     assert built.count((THREE_ADIC_EXTENSION, 300)) == 1
     assert built.count((CIRCLE_DOUBLING, 300)) == 1
+    assert_nothing_alive()
+
+
+def test_run_checks_builds_ln_x_once_and_keeps_none(monkeypatch):
+    built, alive, alive_at_gap = [], [], []
+    original_log, original_gap = asymptotics.log_table, asymptotics.delta_gap
+
+    def recorded_log(n, bits):
+        built.append((n, bits))
+        return tracking_last(original_log(n, bits), alive)
+
+    def recorded_gap(*tables):
+        gc.collect()
+        alive_at_gap.append(sum(ref() is not None for ref in alive))
+        return original_gap(*tables)
+
+    def assert_nothing_alive():
+        gc.collect()
+        assert [ref for ref in alive if ref() is not None] == []
+
+    monkeypatch.setattr(asymptotics, "log_table", recorded_log)
+    monkeypatch.setattr(asymptotics, "delta_gap", recorded_gap)
+    assert all(r.passed for r in verify.run_checks(300))
+    assert built == [(300, asymptotics.MERTEN_PRECISION_BITS)]
+    # delta-gap-bound runs after merten-doubling-baseline dropped the table.
+    assert alive_at_gap == [0]
+    assert_nothing_alive()
+    # A check called on its own builds its own table and keeps it no longer.
+    built.clear()
+    for name in ("merten-sandwich", "merten-doubling-baseline"):
+        assert verify.CHECKS[name](300).passed
+    assert built == [(300, asymptotics.MERTEN_PRECISION_BITS)] * 2
     assert_nothing_alive()
 
 
@@ -286,8 +331,6 @@ def test_pi_sum_spot_values():
     # anchors the aggregate counts used across the criteria
     table_f = build_table(THREE_ADIC_EXTENSION, 6)
     table_g = build_table(CIRCLE_DOUBLING, 6)
-    last_f = ratio_series(table_f, burn_in=5)[-1]
-    last_g = ratio_series(table_g, burn_in=5)[-1]
-    assert last_f.ratio.numerator // last_f.X == 10  # pi(6)
-    assert last_g.ratio.numerator // last_g.X == 22
+    assert ratio_series(table_f)[-1].numerator // 6 == 10  # pi(6)
+    assert ratio_series(table_g)[-1].numerator // 6 == 22
     assert delta_gap(table_f, table_g)[-1] == (12, 13)

@@ -8,10 +8,11 @@ from orbitkit.arith import ExactnessError
 from orbitkit.arith import Dyadic
 from orbitkit.asymptotics import (
     MERTEN_PRECISION_BITS,
-    _log_table,
     _round,
     cluster_ratios,
     delta_gap,
+    log_table,
+    merten_normalized,
     merten_series,
     ratio_series,
 )
@@ -58,20 +59,19 @@ def tg6():
 def test_pi_sum_examples(tf6, tg6):
     # pi(X), the number of closed orbits of length <= X, for X = 1..6
     # read off the ratio X*pi(X)/2**(X+1), whose numerator is kept unreduced
-    pi_f = [p.ratio.numerator // p.X for p in ratio_series(tf6, burn_in=1)]
-    pi_g = [p.ratio.numerator // p.X for p in ratio_series(tg6, burn_in=1)]
+    pi_f = [ratio.numerator // X for X, ratio in enumerate(ratio_series(tf6), start=1)]
+    pi_g = [ratio.numerator // X for X, ratio in enumerate(ratio_series(tg6), start=1)]
     assert pi_f == [1, 1, 3, 4, 10, 10]
     assert pi_g == [1, 2, 4, 7, 13, 22]
 
 
 def test_ratio_series_values(tf6):
-    points = ratio_series(tf6, burn_in=1)
-    assert [p.X for p in points] == [1, 2, 3, 4, 5, 6]
-    assert points[0].ratio == Fraction(1, 4)
-    assert points[-1].ratio.numerator // points[-1].X == 10
-    assert points[-1].ratio == Fraction(60, 128)
+    ratios = ratio_series(tf6)
+    assert len(ratios) == 6
+    assert ratios[-1].numerator // 6 == 10
+    assert ratios[-1] == Fraction(60, 128)
     # hand-computed ratios: 1/4, 1/4, 9/16, 1/2, 25/32, 15/32
-    assert [p.ratio for p in points] == [
+    assert ratios == [
         Fraction(1, 4),
         Fraction(1, 4),
         Fraction(9, 16),
@@ -79,23 +79,6 @@ def test_ratio_series_values(tf6):
         Fraction(25, 32),
         Fraction(15, 32),
     ]
-
-
-def test_ratio_series_running_extrema(tf6):
-    points = ratio_series(tf6, burn_in=3)
-    assert points[0].running_min == points[0].running_max == Fraction(9, 16)
-    final = points[-1]
-    assert final.running_min == Fraction(15, 32)
-    assert final.running_max == Fraction(25, 32)
-    for p in points:
-        assert p.running_min <= p.ratio <= p.running_max
-
-
-def test_ratio_series_validation(tf6):
-    with pytest.raises(ValueError):
-        ratio_series(tf6, burn_in=6)
-    with pytest.raises(ValueError):
-        ratio_series(tf6, burn_in=0)
 
 
 @pytest.mark.parametrize("spec", [iterate(CIRCLE_DOUBLING, 2), iterate(THREE_ADIC_EXTENSION, 2),
@@ -139,31 +122,30 @@ def test_delta_gap_unequal_ranges(tf, tg, tf6, tg6):
 
 
 def test_merten_examples():
-    assert [p.sum for p in merten_series(build_table(THREE_ADIC_EXTENSION, 3))] == [
+    assert merten_series(build_table(THREE_ADIC_EXTENSION, 3)) == [
         Fraction(1, 2),
         Fraction(1, 2),
         Fraction(3, 4),
     ]
-    assert merten_series(build_table(CIRCLE_DOUBLING, 3))[-1].sum == Fraction(1)
-    assert merten_series(build_table(THREE_ADIC_EXTENSION, 1))[-1].sum == Fraction(1, 2)
+    assert merten_series(build_table(CIRCLE_DOUBLING, 3))[-1] == Fraction(1)
+    assert merten_series(build_table(THREE_ADIC_EXTENSION, 1)) == [Fraction(1, 2)]
 
 
 def test_merten_denominator_is_power_of_two(tf):
-    for p in merten_series(tf):
-        assert isinstance(p.sum, Dyadic)
-        assert p.sum.shift == p.X
+    for X, total in enumerate(merten_series(tf), start=1):
+        assert isinstance(total, Dyadic)
+        assert total.shift == X
 
 
 def test_merten_normalized_matches_sum(tf):
-    points = merten_series(tf)
-    assert points[0].normalized is None
-    assert points[0].log_x == 0
-    for p in points[1:]:
-        log_x = fraction(p.log_x)
-        normalized = fraction(p.normalized)
+    sums, logs = merten_series(tf), log_table(tf.n_max, MERTEN_PRECISION_BITS)
+    assert logs[0] == 0
+    with pytest.raises(ValueError, match="X >= 2"):
+        merten_normalized(sums[0], logs[0])
+    for total, log_x in zip(sums[1:], logs[1:]):
+        normalized = fraction(merten_normalized(total, log_x))
         # normalized = sum / log X up to two 64-bit roundings
-        total = Fraction(p.sum.numerator, 2**p.X)
-        assert abs(normalized * log_x - total) < Fraction(1, 10**15)
+        assert abs(normalized * fraction(log_x) - fraction(total)) < Fraction(1, 10**15)
 
 
 def nearest_even(x, bits):
@@ -242,32 +224,35 @@ maps = pytest.mark.parametrize("spec", [THREE_ADIC_EXTENSION, CIRCLE_DOUBLING],
 @maps
 @pytest.mark.parametrize("burn_in", [1, 64])
 def test_ratio_series_against_fraction_oracle(spec, burn_in):
+    # The window from X = burn_in, as pnt and verify slice it; verify reads
+    # its observed range as the window's min and max.
     table = build_table(spec, 300)
-    points = ratio_series(table, burn_in)
-    assert [p.X for p in points] == list(range(burn_in, 301))
-    ratios = []
-    for p in points:
-        pi = sum(table.orbit_counts[:p.X])
-        ratios.append(Fraction(p.X * pi, 2 ** (p.X + 1)))
-        assert p.ratio.numerator // p.X == pi
-        assert p.ratio == ratios[-1]
-        assert p.running_min == min(ratios)
-        assert p.running_max == max(ratios)
+    ratios = ratio_series(table)
+    assert len(ratios) == 300
+    window = ratios[burn_in - 1:]
+    expected = []
+    for X, ratio in enumerate(window, start=burn_in):
+        pi = sum(table.orbit_counts[:X])
+        expected.append(Fraction(X * pi, 2 ** (X + 1)))
+        assert ratio.numerator // X == pi
+        assert ratio == expected[-1]
+    assert (min(window), max(window)) == (min(expected), max(expected))
 
 
 @maps
 def test_merten_series_against_fraction_oracle(spec):
     table = build_table(spec, 300)
     total = Fraction(0)
+    logs = log_table(300, MERTEN_PRECISION_BITS)
     with mpmath.workprec(64):
-        for p in merten_series(table):
-            total += Fraction(table.orbit_counts[p.X - 1], 2**p.X)
-            assert p.sum == total
-            log_x = mpmath.log(p.X)
-            assert p.log_x == exact(log_x)
-            if p.X >= 2:
-                expected = mpmath.fdiv(total.numerator, total.denominator) / log_x
-                assert p.normalized == exact(expected)
+        for X, (value, log_x) in enumerate(zip(merten_series(table), logs), start=1):
+            total += Fraction(table.orbit_counts[X - 1], 2**X)
+            assert value == total
+            reference = mpmath.log(X)
+            assert log_x == exact(reference)
+            if X >= 2:
+                expected = mpmath.fdiv(total.numerator, total.denominator) / reference
+                assert merten_normalized(value, log_x) == exact(expected)
 
 
 def mpmath_logs(n_max, bits):
@@ -292,17 +277,19 @@ def mpmath_columns(table, bits):
 
 
 def merten_columns(table):
-    return [(fraction(p.log_x), None if p.normalized is None else fraction(p.normalized))
-            for p in merten_series(table)]
+    """merten's (ln X, sum/ln X) columns before they are printed."""
+    logs = log_table(table.n_max, MERTEN_PRECISION_BITS)
+    return [(fraction(log_x), fraction(merten_normalized(total, log_x)) if X >= 2 else None)
+            for X, (total, log_x) in enumerate(zip(merten_series(table), logs), start=1)]
 
 
 @pytest.mark.parametrize("bits, n_max", [(64, 10_000), (60, 1000), (113, 1000),
                                          (200, 1000), (1000, 1000), (10_000, 100)])
 @maps
 def test_merten_columns_match_mpmath(spec, bits, n_max):
-    # ln X at any width through _log_table; the columns of merten_series at
-    # their fixed 64 bits.
-    assert [fraction(log_x) for log_x in _log_table(n_max, bits)] == mpmath_logs(n_max, bits)
+    # ln X at any width through log_table; merten's columns at their fixed
+    # 64 bits.
+    assert [fraction(log_x) for log_x in log_table(n_max, bits)] == mpmath_logs(n_max, bits)
     table = build_table(spec, n_max)
     assert merten_columns(table) == mpmath_columns(table, MERTEN_PRECISION_BITS)
 
@@ -315,6 +302,6 @@ def test_merten_columns_match_mpmath_from_one_guard_bit(spec, monkeypatch):
     # rounding through from one of those narrow passes.
     monkeypatch.setattr(asymptotics, "_GUARD_BITS", 1)
     for bits in (60, 64, 200):
-        assert [fraction(log_x) for log_x in _log_table(1000, bits)] == mpmath_logs(1000, bits)
+        assert [fraction(log_x) for log_x in log_table(1000, bits)] == mpmath_logs(1000, bits)
     table = build_table(spec, 1000)
     assert merten_columns(table) == mpmath_columns(table, MERTEN_PRECISION_BITS)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
 
@@ -158,9 +159,32 @@ def test_pnt_final_ratio(capsys):
 
 
 def test_pnt_default_burn_in_needs_room(capsys):
-    code, _, err = run_cli(capsys, "pnt", "--map", "f", "--max", "6")
-    assert code == 1
-    assert "burn_in" in err
+    code, out, err = run_cli(capsys, "pnt", "--map", "f", "--max", "6")
+    assert (code, out) == (1, "")
+    assert err == ("orbitkit: error: --burn-in must be at least 1 and below --max, "
+                   "got --burn-in 64 and --max 6\n")
+
+
+def test_pnt_burn_in_range(capsys):
+    for burn_in in ("0", "-3", "6"):
+        code, out, err = run_cli(capsys, "pnt", "--map", "f", "--max", "6", "--burn-in", burn_in)
+        assert (code, out) == (1, "")
+        assert err.startswith("orbitkit: error: --burn-in must be at least 1 and below --max")
+    code, out, _ = run_cli(capsys, "pnt", "--map", "f", "--max", "6", "--burn-in", "5")
+    assert code == 0
+    assert [row[0] for row in csv_rows(out)[1]] == ["5", "6"]
+
+
+def test_pnt_running_extrema(capsys):
+    # f's ratios from X = 3 are 9/16, 1/2, 25/32, 15/32.
+    code, out, _ = run_cli(capsys, "pnt", "--map", "f", "--max", "6", "--burn-in", "3")
+    assert code == 0
+    assert [(row[2], row[4], row[5]) for row in csv_rows(out)[1]] == [
+        ("9/16", "9/16", "9/16"),
+        ("1/2", "1/2", "9/16"),
+        ("25/32", "1/2", "25/32"),
+        ("15/32", "15/32", "25/32"),
+    ]
 
 
 def test_merten_values(capsys):
@@ -297,6 +321,49 @@ def test_zeta_boundary_validation(capsys):
     assert code == 1
     assert out == ""
     assert err == "orbitkit: error: --terms must lie in 0..100, got 650\n"
+
+
+BOUNDARY_TAIL = ("--terms", "2", "--degree", "20")
+
+
+def assert_boundary_refused(capsys, angle, radii, option, value):
+    code, out, err = run_cli(capsys, "zeta", "boundary", "--angle", angle, "--radii", radii,
+                             *BOUNDARY_TAIL)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"orbitkit: error: {option} must be ")
+    assert err.endswith(f", got {value!r}\n")
+
+
+def test_zeta_boundary_refuses_an_underscore_in_the_angle(capsys):
+    # Fraction() alone reads 1_0/3 as 10/3.
+    assert_boundary_refused(capsys, "1_0/3", "0.1", "--angle", "1_0/3")
+
+
+def test_zeta_boundary_refuses_non_ascii_digits_in_the_angle(capsys):
+    assert_boundary_refused(capsys, "\u0663/7", "0.1", "--angle", "\u0663/7")  # Arabic-Indic 3
+
+
+def test_zeta_boundary_refuses_an_underscore_in_the_radii(capsys):
+    # float() alone reads " 0.4_9" as 0.49.
+    assert_boundary_refused(capsys, "1/3", " 0.4_9", "--radii", " 0.4_9")
+
+
+def test_zeta_boundary_refuses_non_ascii_digits_in_the_radii(capsys):
+    assert_boundary_refused(capsys, "1/3", "\u0660.\u0664", "--radii", "\u0660.\u0664")
+
+
+def test_zeta_boundary_refuses_an_empty_radius(capsys):
+    for radii in ("0.4,,0.3,", "0.4,", ",0.4", "", " "):
+        assert_boundary_refused(capsys, "1/3", radii, "--radii", radii)
+
+
+def test_zeta_boundary_radii_keep_spaces_and_exponents(capsys):
+    code, spaced, _ = run_cli(capsys, "zeta", "boundary", "--angle", "1/3",
+                              "--radii", " 0.49, 4.99e-1 ", *BOUNDARY_TAIL)
+    assert code == 0
+    code, plain, _ = run_cli(capsys, "zeta", "boundary", "--angle", "1/3",
+                             "--radii", "0.49,0.499", *BOUNDARY_TAIL)
+    assert (code, spaced) == (0, plain)
 
 
 def test_json_output(capsys):
@@ -470,13 +537,18 @@ def test_pnt_columns_match_str_and_format_fraction(capsys, spec, name, burn_in):
     assert code == 0
     _, rows = csv_rows(out)
     table = build_table(spec, 2000)
-    points = ratio_series(table, int(burn_in))
+    first = int(burn_in)
     pi = list(accumulate(table.orbit_counts))  # pi(X) = pi[X - 1]
+    # The running extrema against min and max of Fraction prefixes.
+    ratios = [Fraction(X * pi[X - 1], 2 ** (X + 1)) for X in range(first, 2001)]
+    lows, highs = accumulate(ratios, min), accumulate(ratios, max)
     assert [(X, pi, ratio, lo, hi) for X, pi, ratio, _, lo, hi in rows] == [
-        (str(p.X), str(pi[p.X - 1]), format_fraction(p.ratio), format_fraction(p.running_min),
-         format_fraction(p.running_max))
-        for p in points
+        (str(X), str(pi[X - 1]), format_fraction(ratio), format_fraction(lo),
+         format_fraction(hi))
+        for X, ratio, lo, hi in zip(range(first, 2001), ratios, lows, highs)
     ]
+    # The library's exact ratios are the same values.
+    assert ratio_series(table)[first - 1:] == ratios
 
 
 @pytest.mark.parametrize("command", ["table", "pnt", "merten"])
@@ -500,9 +572,9 @@ def test_merten_sum_matches_format_fraction(capsys, spec, name):
     code, out, _ = run_cli(capsys, "merten", "--map", name, "--max", "2000")
     assert code == 0
     _, rows = csv_rows(out)
-    points = merten_series(build_table(spec, 2000))
+    sums = merten_series(build_table(spec, 2000))
     assert [(row[0], row[1]) for row in rows] == [
-        (str(p.X), format_fraction(p.sum)) for p in points
+        (str(X), format_fraction(total)) for X, total in enumerate(sums, start=1)
     ]
 
 
@@ -586,6 +658,27 @@ def test_zeta_commands_print_pinned_bytes_without_an_orbit_table(
 
     monkeypatch.setattr(cli, "build_table", no_table)
     _assert_pinned_output(capsys, tmp_path, argv, sha256)
+
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+
+
+def output_rows(out):
+    """The data rows of a CSV or JSON table."""
+    if out.startswith("{"):
+        return len(json.loads(out)["rows"])
+    return len(csv_rows(out)[1])
+
+
+@pytest.mark.parametrize("command", json.loads(DIGESTS.read_text(encoding="utf-8")))
+def test_benchmark_digests_hold(capsys, command):
+    # The benchmark compares these outputs with the digests it pins; a byte
+    # that drifts at --max 10000 or --degree 10000 fails here first.
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))[command]
+    code, out, _ = run_cli(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == pinned["sha256"]
+    assert output_rows(out) == pinned["rows"]
 
 
 @pytest.mark.parametrize("argv, sha256", [

@@ -137,7 +137,7 @@ def test_term_route_equals_orbit_product(spec, degree):
 @given(st.one_of(closed_form_maps, orbit_data.map(custom_orbits)))
 def test_normalised_series_take_exactly_entropy_log2(spec):
     table = build_table(spec, 8)
-    for series in (lambda t: ratio_series(t, 1), merten_series):
+    for series in (ratio_series, merten_series):
         try:
             series(table)
         except ValueError:
