@@ -19,6 +19,10 @@ The big integers of ``table``, ``pnt`` and ``merten`` are rendered from
 exact ``Decimal`` twins of the int counts and sums, built beside them in
 ``EXACT_DECIMAL``, in which every command runs: their strings take time
 linear in the digits, where ``str`` of an int takes quadratic time.
+``table`` holds one list of big counts: the Decimal orbit counts of
+``build_table``, zipped with the stream of Decimal fix counts, which it
+reads once.  ``zeta boundary`` reads the stream of fix counts into one
+float per degree and holds none.
 
 A command loads only what it runs: the check suite, ``orbitkit.verify``,
 is loaded only by ``verify``.
@@ -140,7 +144,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     meta = {"command": "table", "map": spec.label, "max": args.max}
     if spec.entropy_base is not None:
         meta["entropy"] = f"log({spec.entropy_base})"
-    # The products are exact: every command runs in EXACT_DECIMAL.
+    # The products are exact: every command runs in EXACT_DECIMAL.  The fix
+    # counts stream beside the table, so only its orbit counts are held.
     rows = (
         (str(n), str(fix), str(n * orbits), str(orbits))
         for n, (fix, orbits) in enumerate(

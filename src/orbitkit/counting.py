@@ -22,8 +22,12 @@ them.  The same routines also build them as ``decimal.Decimal`` integers,
 whose decimal strings take time linear in their digits (``str`` of an int
 takes quadratic time), so the CLI renders its big columns from that twin.
 ``fix_counts`` gives the fix counts alone, without the sieve that yields
-the orbit counts: the zeta series, the boundary scan, ``verify`` and the
-``table`` command's fix column read them from there.
+the orbit counts, as a stream: one count at a time, so a single pass
+never holds the list.  The ``table`` command's fix column, the inner zeta
+sum and the boundary scan read the stream once.  Readers that index the
+counts list them: ``build_table``'s sieve, the convolution of custom
+orbit data in the zeta series, and ``verify``, whose checks share and
+index them.
 
 Every closed-form map also has a term form (``fix_terms``): its fix counts
 are a short sum of gated geometric terms,
@@ -42,7 +46,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, localcontext
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .arith import EXACT_DECIMAL, ExactnessError, divisors, mobius, ord_p
 
@@ -225,15 +229,16 @@ def build_table(spec: MapSpec, n_max: int, number: type = int) -> OrbitTable:
     """Compute orbit counts for n = 1..n_max, as a fresh table whose counts
     are ``number`` values: int, or ``Decimal`` for rendering.
 
-    One sieve pass inverts the divisor sum in place, on the fresh list of
-    fix counts that ``fix_counts`` returns: the count at m starts at
-    fix(m), and once least(n) is final it is subtracted at every multiple m
-    of n and replaced by orbits(n), its exact division by n.  Decimal
-    arithmetic runs in ``EXACT_DECIMAL``, so it rounds nothing.
+    One sieve pass inverts the divisor sum in place, on the list of fix
+    counts that ``fix_counts`` streams: the count at m starts at fix(m),
+    and once least(n) is final it is subtracted at every multiple m of n
+    and replaced by orbits(n), its exact division by n.  That list is the
+    one list of counts the build holds.  Decimal arithmetic runs in
+    ``EXACT_DECIMAL``, so it rounds nothing.
     """
     if n_max < 1:
         raise ValueError(f"build_table requires n_max >= 1, got {n_max}")
-    counts = fix_counts(spec, n_max, number)  # least(n) until n's turn, then orbits(n)
+    counts = list(fix_counts(spec, n_max, number))  # least(n) until n's turn, then orbits(n)
     with localcontext(EXACT_DECIMAL):
         for n in range(1, n_max + 1):
             count = counts[n - 1]  # final: every proper divisor of n is below n
@@ -248,45 +253,61 @@ def build_table(spec: MapSpec, n_max: int, number: type = int) -> OrbitTable:
     return OrbitTable(spec=spec, orbit_counts=tuple(counts))
 
 
-def fix_counts(spec: MapSpec, n_max: int, number: type = int) -> list:
-    """fix(n) for n = 1..n_max as a fresh list of ``number`` integers, int
-    or ``Decimal`` (computed in ``EXACT_DECIMAL``, so exact in any caller's
-    context).  n_max = 0 gives an empty list.
+def fix_counts(spec: MapSpec, n_max: int, number: type = int) -> Iterator:
+    """fix(n) for n = 1..n_max as a stream of ``number`` integers, int or
+    ``Decimal``; n_max = 0 gives an empty stream.  A bad ``n_max`` or
+    ``number`` raises ValueError here, at the call, not at the first value.
+
+    Each value is read once and then dropped, so a single pass holds one
+    count at a time; a reader that indexes the counts or reads them twice
+    lists them first.  Decimals are computed exactly in any caller's
+    context, with the methods of a private copy of ``EXACT_DECIMAL``, and
+    the stream never yields inside a switched context: a generator
+    suspended in ``localcontext`` would leave the caller's context switched.
 
     2**(n*p) comes from its predecessor by one multiplication by 2**p, and
     the extension's count is 2**(n*p) - 1 divided exactly by
     3**padic_factor(n*p): each step is linear in the digits.  Custom data
-    is converted once, count by count, for d <= n_max*p, and a sieve adds
-    d * orbits(d) at every n with d | n*p, that is at every multiple of
-    d/gcd(d, p).  ``fix_count`` is the per-n reference these values are
-    tested against; the zeta series read these, and ``build_table`` sieves
-    them in place.
+    is the exception: its counts are the input, converted once, count by
+    count, for d <= n_max*p, and a sieve over one list adds d * orbits(d)
+    at every n with d | n*p, that is at every multiple of d/gcd(d, p).
+    ``fix_count`` is the per-n reference these values are tested against.
     """
     if n_max < 0:
         raise ValueError(f"fix_counts requires n_max >= 0, got {n_max}")
     if number not in (int, Decimal):
         raise ValueError(f"fix counts are int or Decimal, got {number!r}")
+    return _fix_stream(spec, n_max, number)
+
+
+def _fix_stream(spec: MapSpec, n_max: int, number: type) -> Iterator:
+    """The generator behind ``fix_counts``, which checks its arguments."""
     p = spec.power
-    with localcontext(EXACT_DECIMAL):
-        if spec.kind == _CUSTOM:
-            fix = [number(0)] * n_max
+    if spec.kind == _CUSTOM:
+        fix = [number(0)] * n_max
+        with localcontext(EXACT_DECIMAL):  # left before the first yield
             for d, count in enumerate(spec.counts[:n_max * p], start=1):
                 if count:
                     weighted, step = d * number(count), d // gcd(d, p)
                     for i in range(step - 1, n_max, step):
                         fix[i] += weighted
-            return fix
-        step, power, fix = number(1 << p), number(1), []
-        for n in range(p, n_max * p + 1, p):
-            power *= step
-            count = power - 1
-            if spec.kind == _EXTENSION:
-                valuation = padic_factor(n)
-                count, remainder = divmod(count, 3**valuation)
-                if remainder:
-                    raise ExactnessError(f"3**{valuation} does not divide 2**{n} - 1")
-            fix.append(count)
-        return fix
+        yield from fix
+        return
+    if number is Decimal:
+        exact = EXACT_DECIMAL.copy()  # its own flags, shared with no caller
+        mul, sub, div = exact.multiply, exact.subtract, exact.divmod
+    else:
+        mul, sub, div = operator.mul, operator.sub, divmod
+    step, power = number(1 << p), number(1)
+    for n in range(p, n_max * p + 1, p):
+        power = mul(power, step)
+        count = sub(power, 1)
+        if spec.kind == _EXTENSION:
+            valuation = padic_factor(n)
+            count, remainder = div(count, 3**valuation)
+            if remainder:
+                raise ExactnessError(f"3**{valuation} does not divide 2**{n} - 1")
+        yield count
 
 
 def orbit_count_iterate(base: OrbitTable, k: int, n: int) -> int:

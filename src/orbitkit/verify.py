@@ -75,6 +75,8 @@ CHECKS: dict[str, Callable[[int], CheckResult]] = {}
 # ln X table of the two Merten checks; each check computes what it reports
 # from them (a window's min and max, sum - ln X).  None outside such a call,
 # so a check called on its own builds what it reads and leaves nothing behind.
+# Every shared value is a list, a tuple or a table, never a stream: a second
+# reader zipping over a used-up ``fix_counts`` stream would check nothing.
 _SHARED: ContextVar["dict | None"] = ContextVar("verify_shared", default=None)
 
 
@@ -187,7 +189,8 @@ def _check_inversion_roundtrip(max_n: int) -> tuple:
     for spec, label in ((THREE_ADIC_EXTENSION, "f"), (CIRCLE_DOUBLING, "g")):
         # build_table raises ExactnessError where n does not divide least(n)
         table = _table(spec, max_n)
-        fix = _once(("fix", spec, max_n), lambda: fix_counts(spec, max_n))  # also fix-term-form's
+        # Listed: fix-term-form reads the same list after this check.
+        fix = _once(("fix", spec, max_n), lambda: list(fix_counts(spec, max_n)))
         for n, ds in enumerate(lists, start=1):
             rebuilt = sum(d * table.orbit_counts[d - 1] for d in ds)
             if rebuilt != fix[n - 1]:
@@ -251,7 +254,7 @@ def _check_fix_term_form(max_n: int) -> tuple:
     for base in (THREE_ADIC_EXTENSION, CIRCLE_DOUBLING):
         for spec, top in ((base, max_n), (iterate(base, 2), k2), (iterate(base, 3), k3)):
             den, terms = fix_terms(spec, top)
-            fix = _once(("fix", spec, top), lambda: fix_counts(spec, top))
+            fix = _once(("fix", spec, top), lambda: list(fix_counts(spec, top)))
             _drop(("fix", spec, top))  # the last reader: free the list before later checks
             for n in range(1, top + 1):
                 total = sum(w << (s * n // m) for w, s, m in terms if n % m == 0)
@@ -455,7 +458,7 @@ def _check_fix_ratio_witnesses(max_n: int) -> tuple:
     params = f"n<={top}, witnesses > 2.2 and < 1.0"
     if top < 6:
         return True, params, _VACUOUS
-    fix = fix_counts(THREE_ADIC_EXTENSION, top)
+    fix = list(fix_counts(THREE_ADIC_EXTENSION, top))
     above = below = None
     for n in range(1, top):
         if above is None and 5 * fix[n] > 11 * fix[n - 1]:  # fix[n]/fix[n-1] > 11/5
@@ -474,7 +477,7 @@ def _check_custom_example(max_n: int) -> tuple:
     if top < 2:
         return True, params, _VACUOUS
     spec_a, spec_b = custom_orbits((1, 3)), custom_orbits((6, 1))
-    fix_a, fix_b = fix_counts(spec_a, top), fix_counts(spec_b, top)
+    fix_a, fix_b = list(fix_counts(spec_a, top)), list(fix_counts(spec_b, top))
     for n in range(1, top + 1):
         expected_a = 4 + 3 * (-1) ** n
         expected_b = 7 + (-1) ** n

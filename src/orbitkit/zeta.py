@@ -17,8 +17,11 @@ u_i = 2**s_i z**m_i.  One running sum per term,
 gives each coefficient in O(T) shifts and adds: O(D*T) big-integer
 operations for degree D and T terms, instead of the D**2/2 products of the
 convolution n*c_n = sum F_k c_{n-k}.  Custom orbit data has no term form
-and keeps that convolution over its fix counts (``counting.fix_counts``).
-Each series takes the map and the degree it reads, and no orbit table.
+and keeps that convolution over its fix counts, listed from the stream of
+``counting.fix_counts`` because every coefficient reads them again.  The inner
+sum (``xi_series``) and the boundary scan's series read the stream once
+and hold no list of big counts.  Each series takes the map and the degree
+it reads, and no orbit table.
 ``orbit_product_series`` alone takes a table: it expands the product with
 binomial coefficients from the table's orbit counts, and the two routes
 must agree coefficientwise.
@@ -76,7 +79,8 @@ def _add_scaled(
 
 
 def xi_series(spec: MapSpec, degree: int) -> tuple[Fraction, ...]:
-    """The inner sum of the zeta exponential: coefficients F_n/n, a_0 = 0."""
+    """The inner sum of the zeta exponential: coefficients F_n/n, a_0 = 0,
+    read from the stream of fix counts."""
     fix = fix_counts(spec, degree)
     return (Fraction(0), *(Fraction(count, n) for n, count in enumerate(fix, start=1)))
 
@@ -87,14 +91,15 @@ def zeta_series(spec: MapSpec, degree: int) -> tuple[int, ...]:
     Maps with a term form run the per-term running sums of the module
     docstring, O(degree * terms) shifts and adds.  Each sum U_i only needs
     its value m_i steps back, so it keeps a window of its last m_i values.
-    Custom orbit data runs the convolution over ``fix_counts(spec, degree)``.
+    Custom orbit data runs the convolution over ``fix_counts(spec, degree)``,
+    listed, since each coefficient reads every count below it.
     Every coefficient must come out a non-negative integer (the orbit
     product forces this for genuine orbit data); anything else is a defect.
     """
     form = fix_terms(spec, degree)
     coeffs = [1]
     if form is None:
-        fix = fix_counts(spec, degree)
+        fix = list(fix_counts(spec, degree))
         for n in range(1, degree + 1):
             _append_coefficient(coeffs, sum(map(operator.mul, fix[:n], reversed(coeffs))), n)
         return tuple(coeffs)
@@ -281,7 +286,8 @@ def series_modulus(spec: MapSpec, degree: int, point: BoundaryPoint) -> float:
 
 
 def _scaled_fix_terms(spec: MapSpec, degree: int) -> list[float]:
-    """(F_n/2**n)/n for n = 1..degree: the series' coefficients in 2z."""
+    """(F_n/2**n)/n for n = 1..degree: the series' coefficients in 2z, read
+    from the stream of fix counts, so no list of big counts is held."""
     # fix / 2**n is an exact int ratio, rounded once.
     return [fix / (1 << n) / n for n, fix in enumerate(fix_counts(spec, degree), start=1)]
 

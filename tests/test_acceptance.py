@@ -16,7 +16,13 @@ import pytest
 from orbitkit import asymptotics, verify
 from orbitkit.arith import Dyadic
 from orbitkit.asymptotics import delta_gap, ratio_series
-from orbitkit.counting import CIRCLE_DOUBLING, THREE_ADIC_EXTENSION, build_table, fix_terms
+from orbitkit.counting import (
+    CIRCLE_DOUBLING,
+    THREE_ADIC_EXTENSION,
+    OrbitTable,
+    build_table,
+    fix_terms,
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,10 +58,10 @@ def test_inversion_roundtrip_reports_divisibility(monkeypatch):
 
     def fix_of_f_off_at_5(spec, n_max, number):
         # fix(5) = 32 makes least(5) = 31, which 5 does not divide
-        fix = original(spec, n_max, number)
+        fix = list(original(spec, n_max, number))
         if spec == THREE_ADIC_EXTENSION and n_max >= 5:
             fix[4] += 1
-        return fix
+        return iter(fix)
 
     monkeypatch.setattr(counting, "fix_counts", fix_of_f_off_at_5)
     result = verify.CHECKS["inversion-roundtrip"](300)
@@ -267,6 +273,28 @@ def test_run_checks_builds_ln_x_once_and_keeps_none(monkeypatch):
         assert verify.CHECKS[name](300).passed
     assert built == [(300, asymptotics.MERTEN_PRECISION_BITS)] * 2
     assert_nothing_alive()
+
+
+def test_run_checks_shares_lists_never_streams(monkeypatch):
+    # A second reader zipping over a used-up stream would check nothing, so
+    # every value the checks share must be a list, a tuple or a table of
+    # tuples, never an iterator such as fix_counts' stream.
+    shared = {}
+    original = verify._once
+
+    def recorded(key, build):
+        value = original(key, build)
+        shared.update(verify._SHARED.get())
+        return value
+
+    monkeypatch.setattr(verify, "_once", recorded)
+    assert all(r.passed for r in verify.run_checks(500))
+    assert ("fix", THREE_ADIC_EXTENSION, 500) in shared
+    assert ("fix", CIRCLE_DOUBLING, 500) in shared
+    for key, value in shared.items():
+        if isinstance(value, OrbitTable):
+            value = value.orbit_counts
+        assert isinstance(value, (list, tuple)), (key, type(value))
 
 
 def test_run_checks_lists_divisors_once_and_drops_them(monkeypatch):

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -511,7 +513,7 @@ def test_table_columns_match_str_of_int(capsys, tmp_path, name):
                            "--max", "2000")
     assert code == 0
     _, rows = csv_rows(out)
-    fix, orbits = fix_counts(spec, 2000), build_table(spec, 2000).orbit_counts
+    fix, orbits = list(fix_counts(spec, 2000)), build_table(spec, 2000).orbit_counts
     assert rows == [[str(n), str(fix[n - 1]), str(n * orbits[n - 1]), str(orbits[n - 1])]
                     for n in range(1, 2001)]
 
@@ -565,6 +567,25 @@ def test_table_commands_build_through_cli_build_table(monkeypatch, capsys, comma
     code, _, _ = run_cli(capsys, command, "--map", "f", "--max", "100")
     assert code == 0
     assert calls and set(calls) == {(THREE_ADIC_EXTENSION, 100)}
+
+
+def test_table_holds_one_list_of_counts():
+    # The fix column streams beside the Decimal orbit table, so the command
+    # peaks near the size of that table alone; a second list of Decimal
+    # counts would double it.
+    spec = iterate(CIRCLE_DOUBLING, 2)
+    tracemalloc.start()
+    try:
+        table = build_table(spec, 3000, Decimal)
+        size = tracemalloc.get_traced_memory()[0]
+        del table
+        tracemalloc.stop()
+        tracemalloc.start()
+        assert main(["table", "--map", "g2", "--max", "3000", "--output", os.devnull]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * size, (peak, size)
 
 
 @pytest.mark.parametrize("spec, name", [(THREE_ADIC_EXTENSION, "f"), (CIRCLE_DOUBLING, "g")])

@@ -1,8 +1,9 @@
+import gc
 import os
 import subprocess
 import sys
 import tracemalloc
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal, getcontext, localcontext
 from pathlib import Path
 
 import pytest
@@ -120,7 +121,7 @@ def test_decimal_custom_fix_counts_match_fix_count(n_max):
     for spec in specs:
         expected = [fix_count(spec, n) for n in range(1, n_max + 1)]
         for number in (int, Decimal):
-            fix = fix_counts(spec, n_max, number)
+            fix = list(fix_counts(spec, n_max, number))
             assert all(type(c) is number for c in fix), (spec.label, number)
             assert fix == expected, (spec.label, number)
             orbits = build_table(spec, n_max, number).orbit_counts
@@ -132,14 +133,42 @@ def test_decimal_custom_fix_counts_match_fix_count(n_max):
 
 
 def test_decimal_fix_counts_are_exact_in_the_default_context():
-    # fix(300) of f has 90 digits, far past the default context's 28: a
-    # standalone call must not round them.
-    with localcontext(Context()):
-        decimals = fix_counts(THREE_ADIC_EXTENSION, 300, Decimal)
-    ints = fix_counts(THREE_ADIC_EXTENSION, 300)
-    assert all(type(c) is Decimal for c in decimals)
-    assert [str(c) for c in decimals] == [str(c) for c in ints]
-    assert fix_counts(THREE_ADIC_EXTENSION, 0) == []
+    # fix(300) of f has 90 digits and the custom data's fix counts 41, far
+    # past the default context's 28: a standalone stream must not round them.
+    for spec in (THREE_ADIC_EXTENSION, custom_orbits((3, 0, 10**40, 1))):
+        ints = [str(c) for c in fix_counts(spec, 300)]
+        with localcontext(Context()):
+            decimals = list(fix_counts(spec, 300, Decimal))
+        assert all(type(c) is Decimal for c in decimals)
+        assert [str(c) for c in decimals] == ints
+        assert list(fix_counts(spec, 0)) == []
+
+        # Created in one context and read in another, the values stay exact.
+        with localcontext(EXACT_DECIMAL):
+            stream = fix_counts(spec, 300, Decimal)
+        with localcontext(Context()):
+            assert [str(c) for c in stream] == ints
+
+        # The caller's context stays its own between two values, and after
+        # the stream is dropped half-way: the stream never yields inside a
+        # switched context.
+        with localcontext(Context(prec=7)) as mine:
+            stream = fix_counts(spec, 300, Decimal)
+            assert str(next(stream)) == ints[0]
+            assert getcontext() is mine
+            assert str(Decimal(1) / 3) == "0.3333333"
+            assert str(next(stream)) == ints[1]
+            assert getcontext() is mine
+            del stream
+            gc.collect()
+            assert getcontext() is mine
+            assert str(Decimal(2) / 3) == "0.6666667"
+
+        # A bad range or number type raises at the call, before any value.
+        with pytest.raises(ValueError, match="n_max >= 0"):
+            fix_counts(spec, -1)
+        with pytest.raises(ValueError, match="int or Decimal"):
+            fix_counts(spec, 5, float)
 
 
 def test_fix_count_rejects_zero():
@@ -200,9 +229,9 @@ def test_entropy_constants():
 def test_tables_match_spec_values():
     tf = build_table(THREE_ADIC_EXTENSION, 6)
     tg = build_table(CIRCLE_DOUBLING, 6)
-    assert fix_counts(THREE_ADIC_EXTENSION, 6) == [1, 1, 7, 5, 31, 7]
+    assert list(fix_counts(THREE_ADIC_EXTENSION, 6)) == [1, 1, 7, 5, 31, 7]
     assert tf.orbit_counts == (1, 0, 2, 1, 6, 0)
-    assert fix_counts(CIRCLE_DOUBLING, 6) == [1, 3, 7, 15, 31, 63]
+    assert list(fix_counts(CIRCLE_DOUBLING, 6)) == [1, 3, 7, 15, 31, 63]
     assert tg.orbit_counts == (1, 1, 2, 3, 6, 9)
 
 
@@ -214,7 +243,7 @@ def test_table_against_direct_dynamics():
 
 def test_table_inversion_roundtrip():
     for spec in (THREE_ADIC_EXTENSION, CIRCLE_DOUBLING):
-        fix = fix_counts(spec, 200)
+        fix = list(fix_counts(spec, 200))
         orbits = build_table(spec, 200).orbit_counts
         for n in range(1, 201):
             rebuilt = sum(d * orbits[d - 1] for d in divisors(n))  # least(d) = d * orbits(d)
@@ -229,7 +258,7 @@ def test_orbit_domination_small():
 
 
 def test_killed_orbits():
-    fix = fix_counts(THREE_ADIC_EXTENSION, 6)
+    fix = list(fix_counts(THREE_ADIC_EXTENSION, 6))
     orbits = build_table(THREE_ADIC_EXTENSION, 6).orbit_counts
     assert 2 * orbits[1] == fix[1] - fix[0] == 0  # least(2) = fix(2) - fix(1)
     assert orbits[1] == 0
@@ -237,8 +266,8 @@ def test_killed_orbits():
 
 
 def test_custom_example_tables():
-    assert fix_counts(custom_orbits((1, 3)), 2) == [1, 7]
-    assert fix_counts(custom_orbits((6, 1)), 2) == [6, 8]
+    assert list(fix_counts(custom_orbits((1, 3)), 2)) == [1, 7]
+    assert list(fix_counts(custom_orbits((6, 1)), 2)) == [6, 8]
     assert build_table(custom_orbits((1, 3)), 2).orbit_counts == (1, 3)
     assert build_table(custom_orbits((6, 1)), 2).orbit_counts == (6, 1)
 
@@ -278,7 +307,7 @@ def test_build_table_prefix_consistency():
     again = build_table(CIRCLE_DOUBLING, 10)
     assert small == again
     assert large.orbit_counts[:10] == small.orbit_counts
-    assert fix_counts(CIRCLE_DOUBLING, 20)[:10] == fix_counts(CIRCLE_DOUBLING, 10)
+    assert list(fix_counts(CIRCLE_DOUBLING, 20))[:10] == list(fix_counts(CIRCLE_DOUBLING, 10))
 
 
 def test_build_table_from_two_threads():
@@ -312,7 +341,7 @@ def test_build_table_inexactness_is_hard_error(monkeypatch):
 
     # 2 does not divide fix(2) - fix(1) = 1 here, which no genuine map allows.
     def fake_fix(spec, n_max, number):
-        return [number(1), number(2)]
+        return iter([number(1), number(2)])
 
     monkeypatch.setattr(counting, "fix_counts", fake_fix)
     with pytest.raises(ExactnessError):
@@ -323,7 +352,7 @@ def test_build_table_negative_least_is_hard_error(monkeypatch):
     import orbitkit.counting as counting
 
     def fake_fix(spec, n_max, number):
-        return [number(5), number(1)]
+        return iter([number(5), number(1)])
 
     monkeypatch.setattr(counting, "fix_counts", fake_fix)
     with pytest.raises(ExactnessError):

@@ -36,7 +36,7 @@ def test_mobius_round_trip(counts):
     spec = custom_orbits(counts)
     table = build_table(spec, n_max)
     assert table.orbit_counts == tuple(counts) + (0,) * len(counts)
-    fix = fix_counts(spec, n_max)
+    fix = list(fix_counts(spec, n_max))
     for n in range(1, n_max + 1):
         least = [d * table.orbit_counts[d - 1] for d in range(1, n + 1) if n % d == 0]
         assert fix[n - 1] == sum(least)
@@ -54,7 +54,7 @@ def test_decimal_table_renders_as_str_of_the_int_table(counts, big, where):
 
     def rows(number):
         # The table command's columns; a Decimal least must not round.
-        fix = fix_counts(spec, n_max, number)
+        fix = list(fix_counts(spec, n_max, number))
         orbits = build_table(spec, n_max, number).orbit_counts
         with localcontext(EXACT_DECIMAL):
             return [tuple(map(str, (n, fix[n - 1], n * orbits[n - 1], orbits[n - 1])))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -92,10 +93,10 @@ def test_zeta_coefficients_nonnegative_integers():
 def test_zeta_hard_error_on_corrupt_table(monkeypatch):
     # Custom data runs the convolution over fix_counts; no genuine orbit
     # data has these fix counts.  With F = (2, 1), 2*c_2 = 2*2 + 1 is odd.
-    monkeypatch.setattr(zeta, "fix_counts", lambda spec, n_max: [2, 1][:n_max])
+    monkeypatch.setattr(zeta, "fix_counts", lambda spec, n_max: iter([2, 1][:n_max]))
     with pytest.raises(ExactnessError):
         zeta_series(custom_orbits((5, 5)), 2)
-    monkeypatch.setattr(zeta, "fix_counts", lambda spec, n_max: [-2][:n_max])  # c_1 = -2
+    monkeypatch.setattr(zeta, "fix_counts", lambda spec, n_max: iter([-2][:n_max]))  # c_1 = -2
     with pytest.raises(ExactnessError):
         zeta_series(custom_orbits((4, 4)), 1)
 
@@ -258,6 +259,18 @@ def test_scan_series_column_is_series_modulus(degree):
             assert row.series_modulus == series_modulus(F, degree, point)
 
 
+def test_scan_holds_no_list_of_fix_counts():
+    # At degree 10000 a list of f's fix counts holds about 6 MB of ints;
+    # the scan reads them as a stream into one float each.
+    tracemalloc.start()
+    try:
+        radial_scan(Fraction(1, 3), [0.49], 10, 10000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
 def test_series_modulus_matches_direct_sum():
     # doubling map at real z: exponent sum has the closed value
     # sum (2^n - 1) z^n / n = log((1-z)/(1-2z)) as the degree grows
@@ -276,7 +289,7 @@ def test_coefficient_growth_window():
 
 
 def test_fix_ratio_witnesses():
-    fix = fix_counts(F, 150)
+    fix = list(fix_counts(F, 150))
     ratios = [Fraction(fix[n], fix[n - 1]) for n in range(1, 150)]
     assert any(r > Fraction(11, 5) for r in ratios)
     assert any(r < 1 for r in ratios)
