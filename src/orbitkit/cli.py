@@ -159,12 +159,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_pnt(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
-    ratios = ratio_series(build_table(spec, args.max))
     first = args.burn_in
-    if not 1 <= first < args.max:
+    # Checked before any table is built; a map that ratio_series refuses
+    # (entropy other than log 2) gets that refusal, as it always has.
+    if spec.entropy_base == 2 and not 1 <= first < args.max:
         raise ValueError(f"--burn-in must be at least 1 and below --max, "
                          f"got --burn-in {first} and --max {args.max}")
-    ratios = ratios[first - 1:]
+    ratios = ratio_series(build_table(spec, args.max))[first - 1:]
     clusters = cluster_ratios(ratios)
     meta = {
         "command": "pnt",

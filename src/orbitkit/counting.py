@@ -24,10 +24,10 @@ takes quadratic time), so the CLI renders its big columns from that twin.
 ``fix_counts`` gives the fix counts alone, without the sieve that yields
 the orbit counts, as a stream: one count at a time, so a single pass
 never holds the list.  The ``table`` command's fix column, the inner zeta
-sum and the boundary scan read the stream once.  Readers that index the
-counts list them: ``build_table``'s sieve, the convolution of custom
-orbit data in the zeta series, and ``verify``, whose checks share and
-index them.
+sum, the boundary scan and two of ``verify``'s checks read the stream
+once.  Readers that index the counts list them: ``build_table``'s sieve,
+the convolution of custom orbit data in the zeta series, and the other
+``verify`` checks that read them.
 
 Every closed-form map also has a term form (``fix_terms``): its fix counts
 are a short sum of gated geometric terms,

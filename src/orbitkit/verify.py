@@ -9,16 +9,19 @@ their findings in the detail column.
 
 ``CHECKS`` maps each check's name to the check, a function of the maximum
 that returns its ``CheckResult``; ``run_checks`` walks it in the order the
-checks are defined below.  The acceptance tests assert these same results,
-so every criterion has this one implementation.
+checks are defined below, and hands every check one per-run object that
+builds f's and g's tables, the divisor lists and ln X once for all their
+readers.  Everything else a check reads (fix counts, a ratio window) it
+builds itself and frees when it returns.  The acceptance tests assert these
+same results, so every criterion has this one implementation.
 """
 
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from . import asymptotics, zeta
@@ -68,49 +71,35 @@ class CheckResult:
     detail: str = ""
 
 
-CHECKS: dict[str, Callable[[int], CheckResult]] = {}
-
-# What the checks of one ``run_checks`` call share: f's and g's tables and
-# fix counts, the divisor lists, f's ratios from X = DEFAULT_BURN_IN and the
-# ln X table of the two Merten checks; each check computes what it reports
-# from them (a window's min and max, sum - ln X).  None outside such a call,
-# so a check called on its own builds what it reads and leaves nothing behind.
-# Every shared value is a list, a tuple or a table, never a stream: a second
-# reader zipping over a used-up ``fix_counts`` stream would check nothing.
-_SHARED: ContextVar["dict | None"] = ContextVar("verify_shared", default=None)
+CHECKS: dict[str, Callable[..., CheckResult]] = {}
 
 
-def _once(key, build: Callable):
-    """``build()``, kept for the rest of the current ``run_checks`` call."""
-    shared = _SHARED.get()
-    if shared is None:
-        return build()
-    if key not in shared:
-        shared[key] = build()
-    return shared[key]
+class _Shared:
+    """The values of one run that cost enough to build once for all their
+    readers: f's and g's tables at ``max_n``, the divisor lists of
+    n <= ``max_n`` and the ln X table of the two Merten checks.  Each is
+    built on its first read; checks with smaller windows read a prefix.
+    Each is a list or a table, never a stream: a second reader zipping over
+    a used-up ``fix_counts`` stream would check nothing."""
 
+    def __init__(self, max_n: int):
+        self.max_n = max_n
 
-def _table(spec, max_n: int):
-    """f's or g's table at ``max_n``; smaller windows read a prefix of it."""
-    return _once((spec, max_n), lambda: build_table(spec, max_n))
+    @cached_property
+    def f(self):
+        return build_table(THREE_ADIC_EXTENSION, self.max_n)
 
+    @cached_property
+    def g(self):
+        return build_table(CIRCLE_DOUBLING, self.max_n)
 
-def _divisor_lists(max_n: int, top: int) -> list[list[int]]:
-    """``divisors(n)`` for n = 1..top, top <= max_n.
+    @cached_property
+    def divisor_lists(self) -> list[list[int]]:
+        return [divisors(n) for n in range(1, self.max_n + 1)]
 
-    One ``run_checks`` call lists them to ``max_n`` once for all its
-    readers; a check called on its own lists only its window.
-    """
-    if _SHARED.get() is None:
-        return [divisors(n) for n in range(1, top + 1)]
-    return _once(("divisors", max_n), lambda: [divisors(n) for n in range(1, max_n + 1)])[:top]
-
-
-def _drop(key) -> None:
-    """Free a shared value after its last reader in a ``run_checks`` call."""
-    shared = _SHARED.get()
-    if shared is not None:
-        shared.pop(key, None)
+    @cached_property
+    def logs(self) -> list[Dyadic]:
+        return asymptotics.log_table(self.max_n, asymptotics.MERTEN_PRECISION_BITS)
 
 
 def _check(name: str):
@@ -118,13 +107,15 @@ def _check(name: str):
 
     The decorated function returns ``(passed, params)`` or
     ``(passed, params, detail)``; the registered check wraps that in a
-    ``CheckResult`` named ``name``; an ``ExactnessError`` is a FAIL.
+    ``CheckResult`` named ``name``; an ``ExactnessError`` is a FAIL.  It reads
+    the costly values from ``run``, its run's ``_Shared``; called on its own,
+    it gets a fresh one, so it builds only what it reads and keeps nothing.
     """
 
     def register(fn):
-        def check(max_n: int) -> CheckResult:
+        def check(max_n: int, run: "_Shared | None" = None) -> CheckResult:
             try:
-                return CheckResult(name, *fn(max_n))
+                return CheckResult(name, *fn(max_n, _Shared(max_n) if run is None else run))
             except ExactnessError as exc:
                 return CheckResult(name, False, "", f"ExactnessError: {exc}")
 
@@ -135,11 +126,11 @@ def _check(name: str):
 
 
 @_check("mobius-divisor-sum")
-def _check_mobius_sum(max_n: int) -> tuple:
+def _check_mobius_sum(max_n: int, run: _Shared) -> tuple:
     top = min(max_n, 10000)
     params = f"n<=min(max,10000)={top}"
     mu = [mobius(d) for d in range(1, top + 1)]
-    for n, ds in enumerate(_divisor_lists(max_n, top), start=1):
+    for n, ds in enumerate(run.divisor_lists[:top], start=1):
         total = sum(mu[d - 1] for d in ds)
         if total != (1 if n == 1 else 0):
             return False, params, f"sum over divisors of {n} is {total}"
@@ -147,16 +138,16 @@ def _check_mobius_sum(max_n: int) -> tuple:
 
 
 @_check("divisor-pairing")
-def _check_divisor_pairing(max_n: int) -> tuple:
+def _check_divisor_pairing(max_n: int, run: _Shared) -> tuple:
     top = min(max_n, 2000)
-    for n, ds in enumerate(_divisor_lists(max_n, top), start=1):
+    for n, ds in enumerate(run.divisor_lists[:top], start=1):
         if sorted(n // d for d in ds) != ds:
             return False, f"n<={top}", f"fails at {n}"
     return True, f"n<={top}"
 
 
 @_check("padic-abs-range")
-def _check_padic_range(max_n: int) -> tuple:
+def _check_padic_range(max_n: int, run: _Shared) -> tuple:
     for n in range(1, max_n + 1):
         value = padic_abs(n, 3)
         if not (0 < value <= 1 and value >= Fraction(1, n)):
@@ -165,7 +156,7 @@ def _check_padic_range(max_n: int) -> tuple:
 
 
 @_check("padic-closed-form")
-def _check_padic_closed_form(max_n: int) -> tuple:
+def _check_padic_closed_form(max_n: int, run: _Shared) -> tuple:
     mersenne = 0
     for n in range(1, max_n + 1):
         mersenne = (mersenne << 1) + 1
@@ -175,7 +166,7 @@ def _check_padic_closed_form(max_n: int) -> tuple:
 
 
 @_check("even-power-divisibility")
-def _check_even_divisibility(max_n: int) -> tuple:
+def _check_even_divisibility(max_n: int, run: _Shared) -> tuple:
     for n in range(2, max_n + 1, 2):
         power = 3 ** (1 + ord_p(n, 3))
         if ((1 << n) - 1) % power != 0:
@@ -184,35 +175,31 @@ def _check_even_divisibility(max_n: int) -> tuple:
 
 
 @_check("inversion-roundtrip")
-def _check_inversion_roundtrip(max_n: int) -> tuple:
-    lists = _divisor_lists(max_n, max_n)
-    for spec, label in ((THREE_ADIC_EXTENSION, "f"), (CIRCLE_DOUBLING, "g")):
-        # build_table raises ExactnessError where n does not divide least(n)
-        table = _table(spec, max_n)
-        # Listed: fix-term-form reads the same list after this check.
-        fix = _once(("fix", spec, max_n), lambda: list(fix_counts(spec, max_n)))
-        for n, ds in enumerate(lists, start=1):
+def _check_inversion_roundtrip(max_n: int, run: _Shared) -> tuple:
+    lists = run.divisor_lists
+    # build_table raises ExactnessError where n does not divide least(n)
+    for table, label in ((run.f, "f"), (run.g, "g")):
+        fix = fix_counts(table.spec, max_n)
+        for n, (ds, fix_n) in enumerate(zip(lists, fix, strict=True), start=1):
             rebuilt = sum(d * table.orbit_counts[d - 1] for d in ds)
-            if rebuilt != fix[n - 1]:
+            if rebuilt != fix_n:
                 return False, f"n<={max_n}", f"{label} at n={n}"
     return True, f"n<={max_n}, maps f and g"
 
 
 @_check("orbit-domination")
-def _check_orbit_domination(max_n: int) -> tuple:
-    tf = _table(THREE_ADIC_EXTENSION, max_n)
-    tg = _table(CIRCLE_DOUBLING, max_n)
-    for n in range(1, max_n + 1):
-        if tf.orbit_counts[n - 1] > tg.orbit_counts[n - 1]:
+def _check_orbit_domination(max_n: int, run: _Shared) -> tuple:
+    for n, (orbits_f, orbits_g) in enumerate(zip(run.f.orbit_counts, run.g.orbit_counts), start=1):
+        if orbits_f > orbits_g:
             return False, f"n<={max_n}", f"fails at {n}"
     return True, f"n<={max_n}"
 
 
 @_check("proper-divisor-sum-bound")
-def _check_divisor_sum_bound(max_n: int) -> tuple:
+def _check_divisor_sum_bound(max_n: int, run: _Shared) -> tuple:
     # 3 * sum_{d|n, d<n} (2^d - 1) <= 2 * (2^n - 1), all integers
-    lists = _divisor_lists(max_n, max_n)
-    _drop(("divisors", max_n))  # the last reader: free the lists before later checks
+    lists = run.divisor_lists
+    del run.divisor_lists  # the last reader: later checks build without the lists
     for n, ds in enumerate(lists, start=1):
         proper = sum((1 << d) - 1 for d in ds if d < n)
         if 3 * proper > 2 * ((1 << n) - 1):
@@ -221,7 +208,7 @@ def _check_divisor_sum_bound(max_n: int) -> tuple:
 
 
 @_check("iterate-double-sum")
-def _check_iterate_double_sum(max_n: int) -> tuple:
+def _check_iterate_double_sum(max_n: int, run: _Shared) -> tuple:
     top = min(max_n, 200)
     params = f"n<={top}, k in (2,3), bases f and g"
     for spec in (CIRCLE_DOUBLING, THREE_ADIC_EXTENSION):
@@ -235,7 +222,7 @@ def _check_iterate_double_sum(max_n: int) -> tuple:
 
 
 @_check("square-iterate-identity")
-def _check_square_identity(max_n: int) -> tuple:
+def _check_square_identity(max_n: int, run: _Shared) -> tuple:
     top = min(max_n, 500)
     params = f"n<={top}, bases f and g"
     for spec in (CIRCLE_DOUBLING, THREE_ADIC_EXTENSION):
@@ -248,61 +235,52 @@ def _check_square_identity(max_n: int) -> tuple:
 
 
 @_check("fix-term-form")
-def _check_fix_term_form(max_n: int) -> tuple:
+def _check_fix_term_form(max_n: int, run: _Shared) -> tuple:
     k2, k3 = min(max_n, 500), min(max_n, 200)
     params = f"n<={max_n} for f and g, n<={k2} for k=2, n<={k3} for k=3"
     for base in (THREE_ADIC_EXTENSION, CIRCLE_DOUBLING):
         for spec, top in ((base, max_n), (iterate(base, 2), k2), (iterate(base, 3), k3)):
             den, terms = fix_terms(spec, top)
-            fix = _once(("fix", spec, top), lambda: list(fix_counts(spec, top)))
-            _drop(("fix", spec, top))  # the last reader: free the list before later checks
-            for n in range(1, top + 1):
+            for n, fix in enumerate(fix_counts(spec, top), start=1):
                 total = sum(w << (s * n // m) for w, s, m in terms if n % m == 0)
-                if total != den * fix[n - 1]:
+                if total != den * fix:
                     return False, params, f"{spec.label} at n={n}"
     return True, params
 
 
 @_check("killed-orbits")
-def _check_killed_orbits(max_n: int) -> tuple:
+def _check_killed_orbits(max_n: int, run: _Shared) -> tuple:
     if max_n < 6:
         return True, "n in (2, 6)", _VACUOUS
-    table = _table(THREE_ADIC_EXTENSION, max_n)
-    orbits_2, orbits_6 = table.orbit_counts[1], table.orbit_counts[5]
+    orbits_2, orbits_6 = run.f.orbit_counts[1], run.f.orbit_counts[5]
     ok = orbits_2 == 0 and orbits_6 == 0
     detail = "" if ok else f"orbits(2)={orbits_2}, orbits(6)={orbits_6}"
     return ok, "n in (2, 6)", detail
 
 
 @_check("pi-domination")
-def _check_pi_domination(max_n: int) -> tuple:
-    tf = _table(THREE_ADIC_EXTENSION, max_n)
-    tg = _table(CIRCLE_DOUBLING, max_n)
+def _check_pi_domination(max_n: int, run: _Shared) -> tuple:
     total_f = total_g = 0
-    for X in range(1, max_n + 1):
-        total_f += tf.orbit_counts[X - 1]
-        total_g += tg.orbit_counts[X - 1]
+    for X, (orbits_f, orbits_g) in enumerate(zip(run.f.orbit_counts, run.g.orbit_counts), start=1):
+        total_f += orbits_f
+        total_g += orbits_g
         if total_f > total_g:
             return False, f"X<={max_n}", f"fails at X={X}"
     return True, f"X<={max_n}"
 
 
-def _ratio_window(spec, max_n: int) -> "list[Dyadic] | None":
-    """A map's ratios for DEFAULT_BURN_IN <= X <= max_n; f's are built once
-    for the two checks that read them."""
-    if max_n <= asymptotics.DEFAULT_BURN_IN:
-        return None
-    table = _table(spec, max_n)
-    return _once(("ratio", spec),
-                 lambda: asymptotics.ratio_series(table)[asymptotics.DEFAULT_BURN_IN - 1:])
+def _ratio_window(table) -> list[Dyadic]:
+    """A map's ratios for DEFAULT_BURN_IN <= X <= the table's end, built for
+    the one check that reads them."""
+    return asymptotics.ratio_series(table)[asymptotics.DEFAULT_BURN_IN - 1:]
 
 
 @_check("extension-ratio-band")
-def _check_ratio_band(max_n: int) -> tuple:
+def _check_ratio_band(max_n: int, run: _Shared) -> tuple:
     params = f"64<=X<={max_n}, band [1/3-0.02, 1+0.02]"
-    ratios = _ratio_window(THREE_ADIC_EXTENSION, max_n)
-    if ratios is None:
+    if max_n <= asymptotics.DEFAULT_BURN_IN:
         return True, params, _VACUOUS
+    ratios = _ratio_window(run.f)
     low, high = asymptotics.RATIO_BAND
     for X, ratio in enumerate(ratios, start=asymptotics.DEFAULT_BURN_IN):
         if not low <= ratio <= high:
@@ -312,12 +290,11 @@ def _check_ratio_band(max_n: int) -> tuple:
 
 
 @_check("ratio-cluster-report")
-def _check_ratio_clusters(max_n: int) -> tuple:
+def _check_ratio_clusters(max_n: int, run: _Shared) -> tuple:
     params = f"64<=X<={max_n}"
-    ratios = _ratio_window(THREE_ADIC_EXTENSION, max_n)
-    _drop(("ratio", THREE_ADIC_EXTENSION))  # the last reader: free the ratios
-    if ratios is None:
+    if max_n <= asymptotics.DEFAULT_BURN_IN:
         return True, params, _VACUOUS
+    ratios = _ratio_window(run.f)
     clusters = asymptotics.cluster_ratios(ratios)
     summary = "; ".join(f"{mean:.4f} x{count}" for mean, count in clusters[:8])
     if len(clusters) > 8:
@@ -326,35 +303,31 @@ def _check_ratio_clusters(max_n: int) -> tuple:
 
 
 @_check("doubling-ratio-limit")
-def _check_doubling_ratio(max_n: int) -> tuple:
+def _check_doubling_ratio(max_n: int, run: _Shared) -> tuple:
     params = f"64<=X<={max_n}, |ratio-1| < 0.02"
-    ratios = _ratio_window(CIRCLE_DOUBLING, max_n)
-    _drop(("ratio", CIRCLE_DOUBLING))  # read by this check only
-    if ratios is None:
+    if max_n <= asymptotics.DEFAULT_BURN_IN:
         return True, params, _VACUOUS
+    ratios = _ratio_window(run.g)
     worst = max(abs(ratio - 1) for ratio in ratios)
     ok = worst < asymptotics.RATIO_BAND_TOLERANCE
     return ok, params, f"max |ratio-1| = {float(worst):.6f}"
 
 
-def _merten_window(spec, max_n: int):
-    """(X, sum, ln X) for 16 <= X <= max_n, each exact; one ``run_checks``
-    call builds the ln X table once for both Merten checks."""
-    bits = asymptotics.MERTEN_PRECISION_BITS
-    logs = _once("logs", lambda: asymptotics.log_table(max_n, bits))
-    sums = asymptotics.merten_series(_table(spec, max_n))
+def _merten_window(max_n: int, logs: list[Dyadic], table):
+    """(X, sum, ln X) for 16 <= X <= max_n, each exact."""
+    sums = asymptotics.merten_series(table)
     return zip(range(16, max_n + 1), sums[15:], logs[15:], strict=True)
 
 
 @_check("merten-sandwich")
-def _check_merten_sandwich(max_n: int) -> tuple:
+def _check_merten_sandwich(max_n: int, run: _Shared) -> tuple:
     params = f"16<=X<={max_n}, 0.5*ln X - 2 <= sum <= ln X + 2"
     if max_n < 16:
         return True, params, _VACUOUS
     slack = asymptotics.MERTEN_SLACK
     neg_slack = -slack
     lowest = highest = None
-    for X, total, log_x in _merten_window(THREE_ADIC_EXTENSION, max_n):
+    for X, total, log_x in _merten_window(max_n, run.logs, run.f):
         dev_full = total - log_x
         dev_half = total - Dyadic(log_x.numerator, log_x.shift + 1)  # sum - ln X / 2
         if dev_half < neg_slack or dev_full > slack:
@@ -370,14 +343,12 @@ def _check_merten_sandwich(max_n: int) -> tuple:
 
 
 @_check("merten-doubling-baseline")
-def _check_merten_doubling(max_n: int) -> tuple:
+def _check_merten_doubling(max_n: int, run: _Shared) -> tuple:
     params = f"16<=X<={max_n}, |sum - ln X| <= 2"
     if max_n < 16:
         return True, params, _VACUOUS
-    window = _merten_window(CIRCLE_DOUBLING, max_n)
-    _drop("logs")  # the last reader: free ln X before later checks
     worst = Dyadic(0, 0)
-    for X, total, log_x in window:
+    for X, total, log_x in _merten_window(max_n, run.logs, run.g):
         deviation = abs(total - log_x)
         if deviation > worst:
             worst = deviation
@@ -387,11 +358,9 @@ def _check_merten_doubling(max_n: int) -> tuple:
 
 
 @_check("delta-gap-bound")
-def _check_delta_gap(max_n: int) -> tuple:
+def _check_delta_gap(max_n: int, run: _Shared) -> tuple:
     params = f"X<={max_n}; rescaled band [0.3, 1.5] for even X>=64"
-    tf = _table(THREE_ADIC_EXTENSION, max_n)
-    tg = _table(CIRCLE_DOUBLING, max_n)
-    gaps = asymptotics.delta_gap(tf, tg)
+    gaps = asymptotics.delta_gap(run.f, run.g)
     low, high = Fraction(3, 10), Fraction(3, 2)
     for X, (gap, even_bound) in enumerate(gaps, start=1):
         if gap > even_bound:
@@ -404,14 +373,13 @@ def _check_delta_gap(max_n: int) -> tuple:
 
 
 @_check("zeta-two-routes")
-def _check_zeta_oracle(max_n: int) -> tuple:
+def _check_zeta_oracle(max_n: int, run: _Shared) -> tuple:
     degree = min(max_n, 400)
     params = f"degree {degree}, maps f and g"
-    table_f = _table(THREE_ADIC_EXTENSION, max_n)
-    if zeta_series(THREE_ADIC_EXTENSION, degree) != orbit_product_series(table_f, degree):
+    if zeta_series(THREE_ADIC_EXTENSION, degree) != orbit_product_series(run.f, degree):
         return False, params, "f series differ"
     series_g = zeta_series(CIRCLE_DOUBLING, degree)
-    if series_g != orbit_product_series(_table(CIRCLE_DOUBLING, max_n), degree):
+    if series_g != orbit_product_series(run.g, degree):
         return False, params, "g series differ"
     for n in range(degree + 1):
         expected = 1 if n == 0 else 1 << (n - 1)
@@ -421,7 +389,7 @@ def _check_zeta_oracle(max_n: int) -> tuple:
 
 
 @_check("xi1-identity")
-def _check_xi1_identity(max_n: int) -> tuple:
+def _check_xi1_identity(max_n: int, run: _Shared) -> tuple:
     degree = min(max_n, 500)
     params = f"degree {degree}"
     if degree < 2:
@@ -430,7 +398,7 @@ def _check_xi1_identity(max_n: int) -> tuple:
 
 
 @_check("exponent-decomposition")
-def _check_decomposition(max_n: int) -> tuple:
+def _check_decomposition(max_n: int, run: _Shared) -> tuple:
     degree = min(max_n, 400)
     params = f"degree {degree}"
     if degree < 2:
@@ -439,7 +407,7 @@ def _check_decomposition(max_n: int) -> tuple:
 
 
 @_check("coefficient-growth")
-def _check_coefficient_growth(max_n: int) -> tuple:
+def _check_coefficient_growth(max_n: int, run: _Shared) -> tuple:
     top = min(max_n, 400)
     params = f"200<=n<={top}, |log2(c_n)/n - 1| <= 0.05"
     if top < 200:
@@ -453,7 +421,7 @@ def _check_coefficient_growth(max_n: int) -> tuple:
 
 
 @_check("fix-ratio-witnesses")
-def _check_fix_ratio_witnesses(max_n: int) -> tuple:
+def _check_fix_ratio_witnesses(max_n: int, run: _Shared) -> tuple:
     top = min(max_n, 200)
     params = f"n<={top}, witnesses > 2.2 and < 1.0"
     if top < 6:
@@ -471,7 +439,7 @@ def _check_fix_ratio_witnesses(max_n: int) -> tuple:
 
 
 @_check("custom-counterexample")
-def _check_custom_example(max_n: int) -> tuple:
+def _check_custom_example(max_n: int, run: _Shared) -> tuple:
     top = min(max_n, 100)
     params = f"n<={top}"
     if top < 2:
@@ -492,7 +460,7 @@ def _check_custom_example(max_n: int) -> tuple:
 
 
 @_check("boundary-zeros")
-def _check_boundary_zeros(max_n: int) -> tuple:
+def _check_boundary_zeros(max_n: int, run: _Shared) -> tuple:
     params = "(j, r) in ((1,1), (1,2), (2,2)), terms 4"
     for j, r in ((1, 1), (1, 2), (2, 2)):
         point = BoundaryPoint(Fraction(1, 2), Fraction(j, 3**r))
@@ -503,7 +471,7 @@ def _check_boundary_zeros(max_n: int) -> tuple:
 
 
 @_check("boundary-decrease")
-def _check_boundary_decrease(max_n: int) -> tuple:
+def _check_boundary_decrease(max_n: int, run: _Shared) -> tuple:
     params = f"ray 2pi/3, radii {_DECREASE_RADII}, terms {_DECREASE_TERMS}"
     values = [
         modulus_product(BoundaryPoint(Fraction(r), Fraction(1, 3)), _DECREASE_TERMS)
@@ -516,7 +484,7 @@ def _check_boundary_decrease(max_n: int) -> tuple:
 
 
 @_check("interior-agreement")
-def _check_interior_agreement(max_n: int) -> tuple:
+def _check_interior_agreement(max_n: int, run: _Shared) -> tuple:
     params = (
         f"z={float(_INTERIOR_POINT.radius)}, terms={_INTERIOR_TERMS}, "
         f"degree={_INTERIOR_DEGREE}, tol={_INTERIOR_TOLERANCE}"
@@ -530,11 +498,14 @@ def _check_interior_agreement(max_n: int) -> tuple:
 
 
 def run_checks(max_n: int) -> list[CheckResult]:
-    """Run the full invariant suite with windows scaled to ``max_n``."""
+    """Run the full invariant suite with windows scaled to ``max_n``.
+
+    The checks share one ``_Shared``: f's and g's tables, the divisor lists
+    and ln X are built once, on their first read, and dropped when this
+    returns (the divisor lists after their last reader).  What only one
+    check reads, such as fix counts or a ratio window, stays in that check.
+    """
     if max_n < 1:
         raise ValueError(f"verification max must be >= 1, got {max_n}")
-    token = _SHARED.set({})  # f's and g's tables are built once per call and not kept
-    try:
-        return [check(max_n) for check in CHECKS.values()]
-    finally:
-        _SHARED.reset(token)
+    run = _Shared(max_n)
+    return [check(max_n, run) for check in CHECKS.values()]

@@ -9,12 +9,13 @@ with -s to see them); a failed assert is the FAIL line.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
 
 from orbitkit import asymptotics, verify
-from orbitkit.arith import Dyadic
+from orbitkit.arith import Dyadic, divisors
 from orbitkit.asymptotics import delta_gap, ratio_series
 from orbitkit.counting import (
     CIRCLE_DOUBLING,
@@ -182,7 +183,9 @@ def tracking_last(values, alive):
     return values
 
 
-def test_run_checks_builds_each_ratio_series_once(monkeypatch):
+def test_run_checks_builds_ratio_series_per_reader(monkeypatch):
+    # A ratio window lives only in the check that reads it: f's two readers
+    # build f's ratios each, and g's one reader g's.
     built = []
     original = asymptotics.ratio_series
 
@@ -192,7 +195,7 @@ def test_run_checks_builds_each_ratio_series_once(monkeypatch):
 
     monkeypatch.setattr(asymptotics, "ratio_series", counted)
     verify.run_checks(200)
-    assert sorted(built) == ["3-adic-extension", "circle-doubling"]
+    assert sorted(built) == ["3-adic-extension", "3-adic-extension", "circle-doubling"]
 
 
 def test_run_checks_builds_f_and_g_once_and_keeps_none(monkeypatch):
@@ -243,29 +246,31 @@ def test_direct_check_calls_keep_nothing_for_run_checks(monkeypatch):
     assert_nothing_alive()
 
 
+@pytest.mark.parametrize("max_n", [1, 6, 64, 65, 300])
+def test_direct_check_calls_match_run_checks(max_n):
+    # A check called on its own builds its inputs; in a run it reads the
+    # run's shared ones.  Both paths give the same result.
+    results = verify.run_checks(max_n)
+    assert [r.name for r in results] == list(verify.CHECKS)
+    for result in results:
+        assert verify.CHECKS[result.name](max_n) == result
+
+
 def test_run_checks_builds_ln_x_once_and_keeps_none(monkeypatch):
-    built, alive, alive_at_gap = [], [], []
-    original_log, original_gap = asymptotics.log_table, asymptotics.delta_gap
+    built, alive = [], []
+    original_log = asymptotics.log_table
 
     def recorded_log(n, bits):
         built.append((n, bits))
         return tracking_last(original_log(n, bits), alive)
-
-    def recorded_gap(*tables):
-        gc.collect()
-        alive_at_gap.append(sum(ref() is not None for ref in alive))
-        return original_gap(*tables)
 
     def assert_nothing_alive():
         gc.collect()
         assert [ref for ref in alive if ref() is not None] == []
 
     monkeypatch.setattr(asymptotics, "log_table", recorded_log)
-    monkeypatch.setattr(asymptotics, "delta_gap", recorded_gap)
     assert all(r.passed for r in verify.run_checks(300))
     assert built == [(300, asymptotics.MERTEN_PRECISION_BITS)]
-    # delta-gap-bound runs after merten-doubling-baseline dropped the table.
-    assert alive_at_gap == [0]
     assert_nothing_alive()
     # A check called on its own builds its own table and keeps it no longer.
     built.clear()
@@ -279,18 +284,23 @@ def test_run_checks_shares_lists_never_streams(monkeypatch):
     # A second reader zipping over a used-up stream would check nothing, so
     # every value the checks share must be a list, a tuple or a table of
     # tuples, never an iterator such as fix_counts' stream.
-    shared = {}
-    original = verify._once
+    runs, shared = [], {}
 
-    def recorded(key, build):
-        value = original(key, build)
-        shared.update(verify._SHARED.get())
-        return value
+    class Recorded(verify._Shared):
+        def __init__(self, max_n):
+            super().__init__(max_n)
+            runs.append(self)
 
-    monkeypatch.setattr(verify, "_once", recorded)
+        def __delattr__(self, name):  # a value dropped before the run ends
+            shared[name] = getattr(self, name)
+            super().__delattr__(name)
+
+    monkeypatch.setattr(verify, "_Shared", Recorded)
     assert all(r.passed for r in verify.run_checks(500))
-    assert ("fix", THREE_ADIC_EXTENSION, 500) in shared
-    assert ("fix", CIRCLE_DOUBLING, 500) in shared
+    [run] = runs
+    shared.update(vars(run))
+    assert shared.pop("max_n") == 500
+    assert sorted(shared) == ["divisor_lists", "f", "g", "logs"]
     for key, value in shared.items():
         if isinstance(value, OrbitTable):
             value = value.orbit_counts
@@ -321,10 +331,29 @@ def test_run_checks_lists_divisors_once_and_drops_them(monkeypatch):
     # inversion-roundtrip builds f's table while the lists are shared;
     # iterate-double-sum builds after proper-divisor-sum-bound dropped them.
     assert alive[0] == 300 and alive[-1] == 0
-    # A check called on its own lists only its window.
+    # A check called on its own lists to its max, as run_checks does.
     listed.clear()
     assert verify.CHECKS["divisor-pairing"](2500).passed
-    assert [n for n, _ in listed] == list(range(1, 2001))
+    assert [n for n, _ in listed] == list(range(1, 2501))
+
+
+def test_run_checks_peak_memory_is_near_what_it_shares():
+    # A run holds f's and g's tables and, until their last reader, the
+    # divisor lists; what a single check reads (fix counts, a ratio window)
+    # is freed when it returns, so the run peaks little above the three.
+    tracemalloc.start()
+    try:
+        shared = (build_table(THREE_ADIC_EXTENSION, 2000), build_table(CIRCLE_DOUBLING, 2000),
+                  [divisors(n) for n in range(1, 2001)])
+        size = tracemalloc.get_traced_memory()[0]
+        del shared
+        tracemalloc.stop()
+        tracemalloc.start()
+        verify.run_checks(2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.55 * size, (peak, size)
 
 
 def test_divisor_checks_still_read_every_n(monkeypatch):

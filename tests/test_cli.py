@@ -167,6 +167,18 @@ def test_pnt_default_burn_in_needs_room(capsys):
                    "got --burn-in 64 and --max 6\n")
 
 
+def test_pnt_checks_burn_in_before_building(capsys, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("pnt built a table for a rejected --burn-in")
+
+    monkeypatch.setattr(cli, "build_table", no_build)
+    for burn_in in ("100", "0"):
+        code, out, err = run_cli(capsys, "pnt", "--map", "f", "--max", "100", "--burn-in", burn_in)
+        assert (code, out) == (1, "")
+        assert err == ("orbitkit: error: --burn-in must be at least 1 and below --max, "
+                       f"got --burn-in {burn_in} and --max 100\n")
+
+
 def test_pnt_burn_in_range(capsys):
     for burn_in in ("0", "-3", "6"):
         code, out, err = run_cli(capsys, "pnt", "--map", "f", "--max", "6", "--burn-in", burn_in)
