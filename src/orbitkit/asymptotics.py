@@ -1,17 +1,20 @@
 """Aggregate orbit statistics over a growing length cutoff X.
 
 pi(X) counts all closed orbits of length at most X; ``ratio_series``
-returns the normalized ratio X*pi(X)/2**(X+1) for every X.  For the
+yields the normalized ratio X*pi(X)/2**(X+1) for every X.  For the
 doubling map pi(X) grows like 2**(X+1)/X, so the ratio tends to 1; for the
 3-adic extension it only oscillates inside [1/3, 1].  ``delta_gap`` returns
 the gap pi_g(X) - pi_f(X) for every X in the range of its two tables, with
 the even-length orbit count that bounds it, in one running-sum pass.
-``merten_series`` returns the weighted sums sum_{n<=X} orbits(n)/2**n, which
+``merten_series`` yields the weighted sums sum_{n<=X} orbits(n)/2**n, which
 track ln X for the doubling map and sit between (1/2) ln X and ln X for the
 extension.  Every series runs from X = 1 to X = n_max, the end of the table
-it is given; a reader that skips small X slices the list.  The ratio and
-the Merten sums normalise by 2**X, so both refuse (ValueError) a table whose
-map's entropy is not log 2: iterates and custom orbit data.
+it is given.  The ratio and the Merten sums are iterators: each value is
+computed as it is read, so a single pass holds one at a time, and a reader
+that skips small X slices the iterator, while one that indexes the values
+or reads them twice lists them or calls the series again.  Both normalise
+by 2**X, so both refuse (ValueError, at the call, before any value) a
+table whose map's entropy is not log 2: iterates and custom orbit data.
 
 The ratios and the sums are exact rationals with a power-of-two
 denominator, so they are carried as ``Dyadic`` values: an integer
@@ -20,7 +23,8 @@ N_X over 2**X grows by N_X = 2*N_{X-1} + orbits(X), the ratio's numerator
 is X*pi(X) over 2**(X+1), and two of them compare by shifting one
 numerator, so no step pays for a gcd.  The readers compute what they show:
 ``pnt`` tracks the running extrema of the ratio as it renders, and
-``verify`` takes the min and max of its window.
+``verify`` tracks the min and max of its window as it reads it.
+``cluster_ratios`` groups ratios given as floats.
 
 The one real is ln X.  ``log_table`` rounds it, for X = 1..n, to a
 ``Dyadic`` from integer bounds on it, and ``merten_normalized`` rounds
@@ -35,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from typing import Iterator
 
 from .arith import Dyadic, ExactnessError
 from .counting import OrbitTable
@@ -74,19 +79,22 @@ def _require_entropy_log2(table: OrbitTable, function: str) -> None:
                          f"entropy log 2 (f, g), got {table.spec.label}")
 
 
-def ratio_series(table: OrbitTable) -> list[Dyadic]:
-    """The exact ratio X*pi(X)/2**(X+1) for X = 1..n_max, as ``Dyadic``s.
+def ratio_series(table: OrbitTable) -> Iterator[Dyadic]:
+    """The exact ratio X*pi(X)/2**(X+1) for X = 1..n_max, as an iterator of
+    ``Dyadic``s computed as they are read.
 
     pi(X) is ``ratio.numerator // X``.  A table of a map whose entropy is
-    not log 2 raises ValueError.
+    not log 2 raises ValueError at the call.
     """
     _require_entropy_log2(table, "ratio_series")
-    ratios: list[Dyadic] = []
+    return _ratios(table.orbit_counts)
+
+
+def _ratios(orbit_counts) -> Iterator[Dyadic]:
     running = 0
-    for X, orbits in enumerate(table.orbit_counts, start=1):
+    for X, orbits in enumerate(orbit_counts, start=1):
         running += orbits
-        ratios.append(Dyadic(X * running, X + 1))
-    return ratios
+        yield Dyadic(X * running, X + 1)
 
 
 def delta_gap(table_f: OrbitTable, table_g: OrbitTable) -> list[tuple[int, int]]:
@@ -115,16 +123,19 @@ def delta_gap(table_f: OrbitTable, table_g: OrbitTable) -> list[tuple[int, int]]
     return pairs
 
 
-def merten_series(table: OrbitTable) -> list[Dyadic]:
+def merten_series(table: OrbitTable) -> Iterator[Dyadic]:
     """The exact weighted partial sums N_X/2**X, X = 1..n_max, for a map of
-    entropy log 2; any other map's table raises ValueError."""
+    entropy log 2, as an iterator of ``Dyadic``s computed as they are read;
+    any other map's table raises ValueError at the call."""
     _require_entropy_log2(table, "merten_series")
-    sums: list[Dyadic] = []
+    return _merten_sums(table.orbit_counts)
+
+
+def _merten_sums(orbit_counts) -> Iterator[Dyadic]:
     numerator = 0
-    for X, orbits in enumerate(table.orbit_counts, start=1):
+    for X, orbits in enumerate(orbit_counts, start=1):
         numerator = 2 * numerator + orbits
-        sums.append(Dyadic(numerator, X))
-    return sums
+        yield Dyadic(numerator, X)
 
 
 def merten_normalized(total: Dyadic, log_x: Dyadic) -> Dyadic:
@@ -209,8 +220,9 @@ def _round(num: int, den: int, bits: int) -> Dyadic:
 _CLUSTER_GAP = 0.01
 
 
-def cluster_ratios(values: "list[Dyadic | Fraction]") -> list[tuple[float, int]]:
-    """Group ratio values into clusters separated by more than ``_CLUSTER_GAP``.
+def cluster_ratios(values: "list[float]") -> list[tuple[float, int]]:
+    """Group ratio values, as floats, into clusters separated by more than
+    ``_CLUSTER_GAP``.
 
     Returns (cluster mean, member count) pairs in ascending order.  This is
     a qualitative report: the ratio sequence appears to have several
@@ -219,7 +231,7 @@ def cluster_ratios(values: "list[Dyadic | Fraction]") -> list[tuple[float, int]]
     """
     if not values:
         return []
-    floats = sorted(float(v) for v in values)
+    floats = sorted(values)
     clusters: list[tuple[float, int]] = []
     start = 0
     for i in range(1, len(floats) + 1):
@@ -228,4 +240,3 @@ def cluster_ratios(values: "list[Dyadic | Fraction]") -> list[tuple[float, int]]
             clusters.append((sum(members) / len(members), len(members)))
             start = i
     return clusters
-

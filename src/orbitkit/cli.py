@@ -10,9 +10,10 @@ in CSV or JSON.  Subcommands:
     verify   the full invariant suite, one PASS/FAIL line per check
 
 Exit status: 0 on success, 1 on a validation error, 2 on a verification
-failure.  ``pnt`` slices the exact ratios from ``--burn-in`` and tracks
-their running extrema as it renders them.  ``merten`` builds one ln X
-table, rounds sum/ln X per row with ``merten_normalized``, both to 64
+failure.  ``pnt`` reads the exact ratios from ``--burn-in`` twice, once as
+floats for its cluster report and once for the rows, tracking their
+running extrema as it renders them.  ``merten`` builds one ln X table,
+rounds sum/ln X per row with ``merten_normalized``, both to 64
 significant bits, and prints each rounded to the nearest double.
 
 The big integers of ``table``, ``pnt`` and ``merten`` are rendered from
@@ -21,11 +22,13 @@ exact ``Decimal`` twins of the int counts and sums, built beside them in
 linear in the digits, where ``str`` of an int takes quadratic time.
 ``table`` holds one list of big counts: the Decimal orbit counts of
 ``build_table``, zipped with the stream of Decimal fix counts, which it
-reads once.  ``zeta boundary`` reads the stream of fix counts into one
-float per degree and holds none.
+reads once.  ``pnt`` and ``merten`` hold one int table, from which their
+series are computed as they are read, and render from the stream of
+Decimal orbit counts.  ``zeta boundary`` reads the stream of fix counts
+into one float per degree and holds none.
 
 A command loads only what it runs: the check suite, ``orbitkit.verify``,
-is loaded only by ``verify``.
+is loaded only by ``verify``, and ``json`` only by JSON output.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from itertools import islice
+from typing import TYPE_CHECKING, Iterator
 
 from . import __version__
 from .arith import EXACT_DECIMAL, Dyadic
@@ -58,6 +62,7 @@ from .counting import (
     custom_orbits,
     fix_counts,
     iterate,
+    orbit_counts,
 )
 from .output import (
     format_dyadic,
@@ -140,7 +145,7 @@ def _add_map_option(parser: argparse.ArgumentParser) -> None:
 def _cmd_table(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
-    orbit_counts = build_table(spec, args.max, Decimal).orbit_counts
+    table = build_table(spec, args.max, Decimal)
     meta = {"command": "table", "map": spec.label, "max": args.max}
     if spec.entropy_base is not None:
         meta["entropy"] = f"log({spec.entropy_base})"
@@ -149,7 +154,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = (
         (str(n), str(fix), str(n * orbits), str(orbits))
         for n, (fix, orbits) in enumerate(
-            zip(fix_counts(spec, args.max, Decimal), orbit_counts), start=1)
+            zip(fix_counts(spec, args.max, Decimal), table.orbit_counts), start=1)
     )
     write_table(args.format, args.output, meta,
                 ("n", "fix_count", "least_count", "orbit_count"), rows)
@@ -165,8 +170,10 @@ def _cmd_pnt(args: argparse.Namespace) -> int:
     if spec.entropy_base == 2 and not 1 <= first < args.max:
         raise ValueError(f"--burn-in must be at least 1 and below --max, "
                          f"got --burn-in {first} and --max {args.max}")
-    ratios = ratio_series(build_table(spec, args.max))[first - 1:]
-    clusters = cluster_ratios(ratios)
+    table = build_table(spec, args.max)
+    # The ratios are read twice, once as floats for the clusters and once
+    # for the rows, so no list of them is held.
+    clusters = cluster_ratios([float(r) for r in islice(ratio_series(table), first - 1, None)])
     meta = {
         "command": "pnt",
         "map": spec.label,
@@ -178,21 +185,24 @@ def _cmd_pnt(args: argparse.Namespace) -> int:
     }
     write_table(args.format, args.output, meta,
                 ("X", "pi", "ratio", "ratio_decimal", "running_min", "running_max"),
-                _pnt_rows(ratios, first, build_table(spec, args.max, Decimal).orbit_counts,
-                          args.digits))
+                _pnt_rows(ratio_series(table), first,
+                          orbit_counts(spec, args.max, Decimal), args.digits))
     return EXIT_OK
 
 
-def _pnt_rows(ratios: list[Dyadic], first: int, orbit_counts: "tuple[Decimal, ...]",
+def _pnt_rows(ratios: Iterator[Dyadic], first: int, orbit_stream: Iterator[Decimal],
               digits: int):
-    """pnt's rows for X = first..n_max.  pi is the running sum of the
-    Decimal orbit counts, and the ratio X*pi/2**(X+1) is rendered from it
-    and a doubled power of two.  A running extremum is rendered once, at
-    the X that reaches it, and repeated until another X passes it."""
-    pi, power = sum(orbit_counts[:first - 1], Decimal(0)), Decimal(2) ** first
+    """pnt's rows for X = first..n_max, from the ratios and the Decimal
+    orbit counts of X = 1..n_max.  pi is the running sum of the orbit
+    counts, and the ratio X*pi/2**(X+1) is rendered from it and a doubled
+    power of two.  A running extremum is rendered once, at the X that
+    reaches it, and repeated until another X passes it."""
+    pi, power = Decimal(0), Decimal(2) ** first
+    for orbits in islice(orbit_stream, first - 1):
+        pi += orbits
     low = high = None
-    for X, (ratio, orbits) in enumerate(zip(ratios, orbit_counts[first - 1:], strict=True),
-                                        start=first):
+    for X, (ratio, orbits) in enumerate(
+            zip(islice(ratios, first - 1, None), orbit_stream, strict=True), start=first):
         pi += orbits
         power += power  # 2**(X+1)
         text = format_dyadic(ratio, X * pi, power)
@@ -220,16 +230,16 @@ def _cmd_merten(args: argparse.Namespace) -> int:
     write_table(args.format, args.output, meta,
                 ("X", "sum", "sum_decimal", "log_x", "normalized"),
                 _merten_rows(sums, log_table(args.max, MERTEN_PRECISION_BITS),
-                             build_table(spec, args.max, Decimal).orbit_counts, digits))
+                             orbit_counts(spec, args.max, Decimal), digits))
     return EXIT_OK
 
 
-def _merten_rows(sums: list[Dyadic], logs: list[Dyadic],
-                 orbit_counts: "tuple[Decimal, ...]", digits: int):
+def _merten_rows(sums: Iterator[Dyadic], logs: list[Dyadic],
+                 orbit_stream: Iterator[Decimal], digits: int):
     """merten's rows.  The sum N_X/2**X is rendered from the Decimal
     numerator N_X = 2*N_(X-1) + orbits(X) and a doubled power of two."""
     numerator, power = Decimal(0), Decimal(1)
-    for X, (total, log_x, orbits) in enumerate(zip(sums, logs, orbit_counts, strict=True),
+    for X, (total, log_x, orbits) in enumerate(zip(sums, logs, orbit_stream, strict=True),
                                                 start=1):
         numerator += numerator + orbits
         power += power  # 2**X

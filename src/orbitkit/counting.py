@@ -21,13 +21,13 @@ The counts of a table are ints: the asymptotics and verify compute with
 them.  The same routines also build them as ``decimal.Decimal`` integers,
 whose decimal strings take time linear in their digits (``str`` of an int
 takes quadratic time), so the CLI renders its big columns from that twin.
-``fix_counts`` gives the fix counts alone, without the sieve that yields
-the orbit counts, as a stream: one count at a time, so a single pass
-never holds the list.  The ``table`` command's fix column, the inner zeta
-sum, the boundary scan and two of ``verify``'s checks read the stream
-once.  Readers that index the counts list them: ``build_table``'s sieve,
-the convolution of custom orbit data in the zeta series, and the other
-``verify`` checks that read them.
+``fix_counts`` and ``orbit_counts`` give the fix and the orbit counts as
+streams: one count at a time, so a single pass never holds the list.  The
+``table`` command's fix column, the inner zeta sum, the boundary scan and
+two of ``verify``'s checks read the fix stream once; ``pnt`` and
+``merten`` render from the Decimal orbit stream.  Readers that index the
+counts list them: ``build_table``'s sieve, the convolution of custom orbit
+data in the zeta series, and the other ``verify`` checks that read them.
 
 Every closed-form map also has a term form (``fix_terms``): its fix counts
 are a short sum of gated geometric terms,
@@ -43,7 +43,7 @@ against.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from decimal import Decimal, localcontext
 from math import gcd
 from typing import Iterator, Sequence
@@ -62,6 +62,7 @@ __all__ = [
     "fix_counts",
     "fix_terms",
     "build_table",
+    "orbit_counts",
     "orbit_count_iterate",
     "iterate_square_identity",
 ]
@@ -71,8 +72,7 @@ _EXTENSION = "3-adic-extension"
 _CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class MapSpec:
+class MapSpec(namedtuple("MapSpec", ("kind", "power", "counts"))):
     """Which dynamical system a computation refers to: the ``power``-th
     iterate of the base map ``kind``.
 
@@ -82,19 +82,17 @@ class MapSpec:
     integer (2.0, 2.5, "2") raises TypeError here, not a later error.
     """
 
-    kind: str
-    power: int = 1
-    counts: tuple[int, ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in (_DOUBLING, _EXTENSION, _CUSTOM):
-            raise ValueError(f"unknown map kind {self.kind!r}")
-        object.__setattr__(self, "power", operator.index(self.power))
-        object.__setattr__(self, "counts", tuple(map(operator.index, self.counts)))
-        if self.power < 1:
-            raise ValueError(f"iterate power must be >= 1, got {self.power}")
-        if any(c < 0 for c in self.counts):
+    def __new__(cls, kind: str, power: int = 1, counts: Sequence[int] = ()) -> "MapSpec":
+        if kind not in (_DOUBLING, _EXTENSION, _CUSTOM):
+            raise ValueError(f"unknown map kind {kind!r}")
+        power, counts = operator.index(power), tuple(map(operator.index, counts))
+        if power < 1:
+            raise ValueError(f"iterate power must be >= 1, got {power}")
+        if any(c < 0 for c in counts):
             raise ValueError("custom orbit counts must be non-negative")
+        return super().__new__(cls, kind, power, counts)
 
     @property
     def entropy_base(self) -> int | None:
@@ -123,7 +121,7 @@ def iterate(spec: MapSpec, k: int) -> MapSpec:
     power, so iterates compose (k = 1 returns ``spec`` itself)."""
     if k == 1:
         return spec
-    return replace(spec, power=spec.power * k)
+    return MapSpec(spec.kind, spec.power * k, spec.counts)
 
 
 def custom_orbits(counts: Sequence[int]) -> MapSpec:
@@ -204,7 +202,6 @@ def fix_terms(spec: MapSpec, n_max: int) -> tuple[int, tuple[tuple[int, int, int
     return den, tuple(mapped)
 
 
-@dataclass(frozen=True)
 class OrbitTable:
     """Orbit counts for one map, for n = 1..``n_max``.
 
@@ -212,13 +209,24 @@ class OrbitTable:
     ``fix_counts`` and least-period counts are n * orbits(n): a table keeps
     neither.  ``n_max`` is the length of the orbit counts, the one
     statement of the table's range: the computations on a table run to its
-    end.  A built table is immutable and safe to share.  The counts are
-    ints, or ``Decimal`` integers in a table built for rendering (see
-    ``build_table``).
+    end.  A built table is not changed after it is built and is safe to
+    share.  The counts are ints, or ``Decimal`` integers in a table built
+    for rendering (see ``build_table``).
     """
 
-    spec: MapSpec
-    orbit_counts: "tuple[int, ...] | tuple[Decimal, ...]"
+    __slots__ = ("spec", "orbit_counts", "__weakref__")
+
+    def __init__(self, spec: MapSpec, orbit_counts: "tuple[int, ...] | tuple[Decimal, ...]"):
+        self.spec = spec
+        self.orbit_counts = orbit_counts
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.spec, self.orbit_counts) == (other.spec, other.orbit_counts)
+
+    def __hash__(self) -> int:
+        return hash((self.spec, self.orbit_counts))
 
     @property
     def n_max(self) -> int:
@@ -308,6 +316,47 @@ def _fix_stream(spec: MapSpec, n_max: int, number: type) -> Iterator:
             if remainder:
                 raise ExactnessError(f"3**{valuation} does not divide 2**{n} - 1")
         yield count
+
+
+def orbit_counts(spec: MapSpec, n_max: int, number: type = int) -> Iterator:
+    """orbits(n) for n = 1..n_max as a stream of ``number`` integers, int or
+    ``Decimal``: ``build_table(spec, n_max, number).orbit_counts`` one count
+    at a time.  n_max = 0 gives an empty stream; a bad ``n_max`` or
+    ``number`` raises ValueError here, at the call, not at the first value.
+
+    The sieve of ``build_table`` runs forward over the ``fix_counts``
+    stream: ``pending[m]`` holds the sum of least(d) over the divisors d of
+    m passed so far, so at n's turn least(n) = fix(n) - pending[n], slot n
+    is freed, and least(n) is added at every later multiple of n.  Those
+    sums are all the stream holds.  Like ``fix_counts``, it computes
+    Decimals exactly in any caller's context and never yields inside a
+    switched one.  A reader that indexes the counts builds a table.
+    """
+    if n_max < 0:
+        raise ValueError(f"orbit_counts requires n_max >= 0, got {n_max}")
+    if number not in (int, Decimal):
+        raise ValueError(f"orbit counts are int or Decimal, got {number!r}")
+    return _orbit_stream(spec, n_max, number)
+
+
+def _orbit_stream(spec: MapSpec, n_max: int, number: type) -> Iterator:
+    """The generator behind ``orbit_counts``, which checks its arguments."""
+    if number is Decimal:
+        exact = EXACT_DECIMAL.copy()  # its own flags, shared with no caller
+        add, sub, div = exact.add, exact.subtract, exact.divmod
+    else:
+        add, sub, div = operator.add, operator.sub, divmod
+    pending = [0] * (n_max + 1)  # pending[m]: least(d) summed over passed d | m
+    for n, fix in enumerate(fix_counts(spec, n_max, number), start=1):
+        count, pending[n] = sub(fix, pending[n]), None
+        if count < 0:
+            raise ExactnessError(f"negative least-period count {count} at n={n}")
+        orbit, remainder = div(count, n)
+        if remainder:
+            raise ExactnessError(f"{n} does not divide least-period count {count}")
+        for m in range(2 * n, n_max + 1, n):
+            pending[m] = add(pending[m], count)
+        yield orbit
 
 
 def orbit_count_iterate(base: OrbitTable, k: int, n: int) -> int:

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import json
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable, Mapping, Sequence
 
 from .arith import Dyadic
@@ -133,6 +131,10 @@ def _write_csv_rows(handle, header: Sequence[str], rows: Iterable[Sequence[str]]
 
 def _write_json(handle, meta: Mapping[str, Any], header: Sequence[str],
                 rows: Iterable[Sequence[str]]) -> None:
+    # Imported here, so that a command writing CSV never loads json.
+    import json
+    from json.encoder import encode_basestring_ascii
+
     # json.dump(payload, indent=2) nests "meta" one level deep and each row
     # object two.  Re-indenting meta's own dump gives its bytes: a JSON
     # string escapes its line breaks, so every newline is layout.

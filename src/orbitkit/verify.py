@@ -12,17 +12,19 @@ that returns its ``CheckResult``; ``run_checks`` walks it in the order the
 checks are defined below, and hands every check one per-run object that
 builds f's and g's tables, the divisor lists and ln X once for all their
 readers.  Everything else a check reads (fix counts, a ratio window) it
-builds itself and frees when it returns.  The acceptance tests assert these
-same results, so every criterion has this one implementation.
+streams itself, one value at a time, and holds none of it when it
+returns.  The acceptance tests assert these same results, so every
+criterion has this one implementation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
 from . import asymptotics, zeta
 from .arith import Dyadic, ExactnessError, divisors, mobius, ord_p, padic_abs
@@ -63,12 +65,7 @@ _INTERIOR_DEGREE = 4000
 _INTERIOR_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    params: str
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", ("name", "passed", "params", "detail"), defaults=("",))
 
 
 CHECKS: dict[str, Callable[..., CheckResult]] = {}
@@ -269,10 +266,10 @@ def _check_pi_domination(max_n: int, run: _Shared) -> tuple:
     return True, f"X<={max_n}"
 
 
-def _ratio_window(table) -> list[Dyadic]:
-    """A map's ratios for DEFAULT_BURN_IN <= X <= the table's end, built for
-    the one check that reads them."""
-    return asymptotics.ratio_series(table)[asymptotics.DEFAULT_BURN_IN - 1:]
+def _ratio_window(table) -> Iterator[Dyadic]:
+    """A map's ratios for DEFAULT_BURN_IN <= X <= the table's end, as an
+    iterator for the one check that reads them."""
+    return islice(asymptotics.ratio_series(table), asymptotics.DEFAULT_BURN_IN - 1, None)
 
 
 @_check("extension-ratio-band")
@@ -280,12 +277,16 @@ def _check_ratio_band(max_n: int, run: _Shared) -> tuple:
     params = f"64<=X<={max_n}, band [1/3-0.02, 1+0.02]"
     if max_n <= asymptotics.DEFAULT_BURN_IN:
         return True, params, _VACUOUS
-    ratios = _ratio_window(run.f)
     low, high = asymptotics.RATIO_BAND
-    for X, ratio in enumerate(ratios, start=asymptotics.DEFAULT_BURN_IN):
+    lowest = highest = None
+    for X, ratio in enumerate(_ratio_window(run.f), start=asymptotics.DEFAULT_BURN_IN):
         if not low <= ratio <= high:
             return False, params, f"ratio {float(ratio):.6f} at X={X}"
-    observed = f"[{float(min(ratios)):.6f}, {float(max(ratios)):.6f}]"
+        if lowest is None or ratio < lowest:
+            lowest = ratio
+        if highest is None or ratio > highest:
+            highest = ratio
+    observed = f"[{float(lowest):.6f}, {float(highest):.6f}]"
     return True, params, f"observed {observed}"
 
 
@@ -294,8 +295,7 @@ def _check_ratio_clusters(max_n: int, run: _Shared) -> tuple:
     params = f"64<=X<={max_n}"
     if max_n <= asymptotics.DEFAULT_BURN_IN:
         return True, params, _VACUOUS
-    ratios = _ratio_window(run.f)
-    clusters = asymptotics.cluster_ratios(ratios)
+    clusters = asymptotics.cluster_ratios([float(ratio) for ratio in _ratio_window(run.f)])
     summary = "; ".join(f"{mean:.4f} x{count}" for mean, count in clusters[:8])
     if len(clusters) > 8:
         summary += f"; ... ({len(clusters)} clusters total)"
@@ -307,16 +307,15 @@ def _check_doubling_ratio(max_n: int, run: _Shared) -> tuple:
     params = f"64<=X<={max_n}, |ratio-1| < 0.02"
     if max_n <= asymptotics.DEFAULT_BURN_IN:
         return True, params, _VACUOUS
-    ratios = _ratio_window(run.g)
-    worst = max(abs(ratio - 1) for ratio in ratios)
+    worst = max(abs(ratio - 1) for ratio in _ratio_window(run.g))
     ok = worst < asymptotics.RATIO_BAND_TOLERANCE
     return ok, params, f"max |ratio-1| = {float(worst):.6f}"
 
 
 def _merten_window(max_n: int, logs: list[Dyadic], table):
     """(X, sum, ln X) for 16 <= X <= max_n, each exact."""
-    sums = asymptotics.merten_series(table)
-    return zip(range(16, max_n + 1), sums[15:], logs[15:], strict=True)
+    sums = islice(asymptotics.merten_series(table), 15, None)
+    return zip(range(16, max_n + 1), sums, logs[15:], strict=True)
 
 
 @_check("merten-sandwich")

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import comb
 from typing import Sequence
@@ -204,8 +204,7 @@ def xi_from_closed_parts(degree: int) -> tuple[Fraction, ...]:
     return _add_scaled(odd_even, Fraction(1, 6), xi1_closed_form(degree))
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
+class BoundaryPoint(namedtuple("BoundaryPoint", ("radius", "turns"))):
     """A point given in exact polar form: radius * e^(2*pi*i*turns).
 
     The exact representation is what makes boundary zeros exact: whether a
@@ -213,12 +212,12 @@ class BoundaryPoint:
     radius == 1/2 and m*turns in Z.
     """
 
-    radius: Fraction
-    turns: Fraction
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.radius <= Fraction(1, 2):
-            raise ValueError(f"radius must lie in (0, 1/2], got {self.radius}")
+    def __new__(cls, radius: Fraction, turns: Fraction) -> "BoundaryPoint":
+        if not 0 < radius <= Fraction(1, 2):
+            raise ValueError(f"radius must lie in (0, 1/2], got {radius}")
+        return super().__new__(cls, radius, turns)
 
     def to_complex(self) -> complex:
         """The point as a complex double: the package's one polar conversion."""
@@ -302,13 +301,10 @@ def _exp_series_modulus(terms: list[float], z: complex) -> float:
     return math.exp(acc.real)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(namedtuple("ScanRow", ("radius", "product_modulus", "series_modulus"))):
     """One point of a radial boundary scan: both |zeta| values at a radius."""
 
-    radius: float
-    product_modulus: float
-    series_modulus: float
+    __slots__ = ()
 
 
 def radial_scan(

@@ -252,6 +252,16 @@ def test_commands_run_without_mpmath_and_only_verify_loads_the_check_suite():
     assert seen == [[0, False]] * (len(commands) - 1) + [[0, True]]
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_json():
+    # Every command pays for what importing the CLI loads.
+    code = ("import sys, orbitkit.cli; print([m for m in ('dataclasses', 'inspect', 'json', "
+            "'orbitkit.verify') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=subprocess_env(),
+                            capture_output=True, text=True, timeout=30)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("digits", ["0", "1001"])
 def test_digits_range(capsys, digits):
     code, out, err = run_cli(capsys, "verify", "--max", "3", "--digits", digits)
@@ -562,23 +572,26 @@ def test_pnt_columns_match_str_and_format_fraction(capsys, spec, name, burn_in):
         for X, ratio, lo, hi in zip(range(first, 2001), ratios, lows, highs)
     ]
     # The library's exact ratios are the same values.
-    assert ratio_series(table)[first - 1:] == ratios
+    assert list(ratio_series(table))[first - 1:] == ratios
 
 
 @pytest.mark.parametrize("command", ["table", "pnt", "merten"])
 def test_table_commands_build_through_cli_build_table(monkeypatch, capsys, command):
     # The benchmark times the sieve where cli binds build_table; a command
-    # that reached it another way would time as 0 there.
+    # that reached it another way would time as 0 there.  Each builds one
+    # table: table renders Decimal counts from it, and pnt and merten
+    # compute their series from int counts and render the Decimal stream.
     calls = []
 
     def recording(spec, n_max, number=int):
-        calls.append((spec, n_max))
+        calls.append((spec, n_max, number))
         return build_table(spec, n_max, number)
 
     monkeypatch.setattr(cli, "build_table", recording)
     code, _, _ = run_cli(capsys, command, "--map", "f", "--max", "100")
     assert code == 0
-    assert calls and set(calls) == {(THREE_ADIC_EXTENSION, 100)}
+    number = Decimal if command == "table" else int
+    assert calls == [(THREE_ADIC_EXTENSION, 100, number)]
 
 
 def test_table_holds_one_list_of_counts():
@@ -598,6 +611,25 @@ def test_table_holds_one_list_of_counts():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * size, (peak, size)
+
+
+@pytest.mark.parametrize("command", ["pnt", "merten"])
+def test_series_commands_hold_one_int_table(command):
+    # pnt and merten build one int table for their series and render from
+    # the Decimal orbit stream, reading each series as they go, so neither
+    # holds a second list of big numbers beside the table.
+    tracemalloc.start()
+    try:
+        table = build_table(THREE_ADIC_EXTENSION, 5000)
+        size = tracemalloc.get_traced_memory()[0]
+        del table
+        tracemalloc.stop()
+        tracemalloc.start()
+        assert main([command, "--map", "f", "--max", "5000", "--output", os.devnull]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * size, (peak, size)
 
 
 @pytest.mark.parametrize("spec, name", [(THREE_ADIC_EXTENSION, "f"), (CIRCLE_DOUBLING, "g")])

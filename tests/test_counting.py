@@ -23,6 +23,7 @@ from orbitkit.counting import (
     iterate,
     iterate_square_identity,
     orbit_count_iterate,
+    orbit_counts,
     padic_factor,
 )
 
@@ -169,6 +170,42 @@ def test_decimal_fix_counts_are_exact_in_the_default_context():
             fix_counts(spec, -1)
         with pytest.raises(ValueError, match="int or Decimal"):
             fix_counts(spec, 5, float)
+
+
+@pytest.mark.parametrize("number", [int, Decimal])
+def test_orbit_counts_stream_the_table(number):
+    # The stream runs build_table's sieve forward: the same counts, of the
+    # same type and with the same strings, for every kind of map.
+    custom = custom_orbits((3, 0, 7, 0, 0, 10**40, 1, 0, 2, 0, 5, 4))
+    specs = [THREE_ADIC_EXTENSION, CIRCLE_DOUBLING, iterate(THREE_ADIC_EXTENSION, 2),
+             iterate(CIRCLE_DOUBLING, 2), custom, iterate(custom, 2),
+             custom_orbits([(37 * n * n + 11) % 997 for n in range(1, 401)])]
+    for spec in specs:
+        for n_max in (1, 12, 400):
+            stream = list(orbit_counts(spec, n_max, number))
+            assert all(type(c) is number for c in stream), (spec.label, n_max)
+            table = build_table(spec, n_max, number).orbit_counts
+            assert list(map(str, stream)) == list(map(str, table)), (spec.label, n_max)
+        assert list(orbit_counts(spec, 0, number)) == []
+
+
+def test_decimal_orbit_counts_leave_the_callers_context():
+    # The counts of f at 300 have up to 88 digits: read in a 7-digit context
+    # they stay exact, and the context stays the caller's between values.
+    ints = [str(c) for c in build_table(THREE_ADIC_EXTENSION, 300).orbit_counts]
+    with localcontext(Context(prec=7)) as mine:
+        stream = orbit_counts(THREE_ADIC_EXTENSION, 300, Decimal)
+        assert str(next(stream)) == ints[0]
+        assert getcontext() is mine
+        assert str(Decimal(1) / 3) == "0.3333333"
+        assert [str(c) for c in stream] == ints[1:]
+        assert getcontext() is mine
+
+    # A bad range or number type raises at the call, before any value.
+    with pytest.raises(ValueError, match="n_max >= 0"):
+        orbit_counts(THREE_ADIC_EXTENSION, -1)
+    with pytest.raises(ValueError, match="int or Decimal"):
+        orbit_counts(THREE_ADIC_EXTENSION, 5, float)
 
 
 def test_fix_count_rejects_zero():
@@ -346,6 +383,8 @@ def test_build_table_inexactness_is_hard_error(monkeypatch):
     monkeypatch.setattr(counting, "fix_counts", fake_fix)
     with pytest.raises(ExactnessError):
         counting.build_table(custom_orbits((9, 9, 9)), 2)
+    with pytest.raises(ExactnessError):
+        list(counting.orbit_counts(custom_orbits((9, 9, 9)), 2))
 
 
 def test_build_table_negative_least_is_hard_error(monkeypatch):
@@ -357,6 +396,8 @@ def test_build_table_negative_least_is_hard_error(monkeypatch):
     monkeypatch.setattr(counting, "fix_counts", fake_fix)
     with pytest.raises(ExactnessError):
         counting.build_table(custom_orbits((8, 8, 8)), 2)
+    with pytest.raises(ExactnessError):
+        list(counting.orbit_counts(custom_orbits((8, 8, 8)), 2))
 
 
 def test_orbit_count_iterate_examples():
