@@ -3,18 +3,19 @@
 pi(X) counts all closed orbits of length at most X; ``ratio_series``
 yields the normalized ratio X*pi(X)/2**(X+1) for every X.  For the
 doubling map pi(X) grows like 2**(X+1)/X, so the ratio tends to 1; for the
-3-adic extension it only oscillates inside [1/3, 1].  ``delta_gap`` returns
+3-adic extension it only oscillates inside [1/3, 1].  ``delta_gap`` yields
 the gap pi_g(X) - pi_f(X) for every X in the range of its two tables, with
 the even-length orbit count that bounds it, in one running-sum pass.
 ``merten_series`` yields the weighted sums sum_{n<=X} orbits(n)/2**n, which
 track ln X for the doubling map and sit between (1/2) ln X and ln X for the
 extension.  Every series runs from X = 1 to X = n_max, the end of the table
-it is given.  The ratio and the Merten sums are iterators: each value is
-computed as it is read, so a single pass holds one at a time, and a reader
-that skips small X slices the iterator, while one that indexes the values
-or reads them twice lists them or calls the series again.  Both normalise
-by 2**X, so both refuse (ValueError, at the call, before any value) a
-table whose map's entropy is not log 2: iterates and custom orbit data.
+it is given.  The three series are iterators: each value is computed as it
+is read, so a single pass holds one at a time, and a reader that skips
+small X slices the iterator, while one that indexes the values or reads
+them twice lists them or calls the series again.  Each refuses bad tables
+with ValueError at the call, before any value: the ratio and the Merten
+sums normalise by 2**X, so they refuse a map whose entropy is not log 2
+(iterates and custom orbit data), and the gap refuses unequal ranges.
 
 The ratios and the sums are exact rationals with a power-of-two
 denominator, so they are carried as ``Dyadic`` values: an integer
@@ -97,30 +98,31 @@ def _ratios(orbit_counts) -> Iterator[Dyadic]:
         yield Dyadic(X * running, X + 1)
 
 
-def delta_gap(table_f: OrbitTable, table_g: OrbitTable) -> list[tuple[int, int]]:
+def delta_gap(table_f: OrbitTable, table_g: OrbitTable) -> Iterator[tuple[int, int]]:
     """Orbit-count gaps pi_g(X) - pi_f(X) with their even-length upper bounds.
 
-    Returns one ``(gap, even_bound)`` pair for each X = 1..n_max, where
+    Yields one ``(gap, even_bound)`` pair per X = 1..n_max, as it is read;
     ``even_bound`` sums the second table's orbit counts over even n <= X.
-    The two tables must cover the same range; unequal ranges raise
-    ValueError.  The gap is guaranteed non-negative when the first map's
-    orbit counts are dominated by the second's (true for the 3-adic
-    extension vs. the doubling map); a negative gap is reported as a
-    defect.  gap <= even_bound additionally requires the odd-length counts
-    to agree, as they do for that pair.
+    Tables of unequal ranges raise ValueError at the call.  The gap is
+    guaranteed non-negative when the first map's orbit counts are dominated
+    by the second's (true for the 3-adic extension vs. the doubling map); a
+    negative gap is reported as a defect.  gap <= even_bound additionally
+    requires the odd-length counts to agree, as they do for that pair.
     """
-    pairs: list[tuple[int, int]] = []
+    if table_f.n_max != table_g.n_max:
+        raise ValueError(f"delta_gap needs equal ranges, got {table_f.n_max} and {table_g.n_max}")
+    return _gaps(table_f.orbit_counts, table_g.orbit_counts)
+
+
+def _gaps(orbits_f, orbits_g) -> Iterator[tuple[int, int]]:
     gap = even_bound = 0
-    for X, (orbits_f, orbits_g) in enumerate(
-        zip(table_f.orbit_counts, table_g.orbit_counts, strict=True), start=1
-    ):
-        gap += orbits_g - orbits_f
+    for X, (orbit_f, orbit_g) in enumerate(zip(orbits_f, orbits_g), start=1):
+        gap += orbit_g - orbit_f
         if gap < 0:
             raise ExactnessError(f"negative orbit-count gap {gap} at X={X}")
         if X % 2 == 0:
-            even_bound += orbits_g
-        pairs.append((gap, even_bound))
-    return pairs
+            even_bound += orbit_g
+        yield gap, even_bound
 
 
 def merten_series(table: OrbitTable) -> Iterator[Dyadic]:

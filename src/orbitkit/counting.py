@@ -24,10 +24,11 @@ takes quadratic time), so the CLI renders its big columns from that twin.
 ``fix_counts`` and ``orbit_counts`` give the fix and the orbit counts as
 streams: one count at a time, so a single pass never holds the list.  The
 ``table`` command's fix column, the inner zeta sum, the boundary scan and
-two of ``verify``'s checks read the fix stream once; ``pnt`` and
-``merten`` render from the Decimal orbit stream.  Readers that index the
-counts list them: ``build_table``'s sieve, the convolution of custom orbit
-data in the zeta series, and the other ``verify`` checks that read them.
+``verify`` read the fix stream once; ``pnt`` and ``merten`` render from
+the Decimal orbit stream.  Readers that index the counts list them:
+``build_table``'s sieve and the convolution of custom orbit data in the
+zeta series.  The two sieves share one step, ``_orbit``, with its checks,
+and the two streams one argument check and exact arithmetic, ``_exact_ops``.
 
 Every closed-form map also has a term form (``fix_terms``): its fix counts
 are a short sum of gated geometric terms,
@@ -250,15 +251,35 @@ def build_table(spec: MapSpec, n_max: int, number: type = int) -> OrbitTable:
     with localcontext(EXACT_DECIMAL):
         for n in range(1, n_max + 1):
             count = counts[n - 1]  # final: every proper divisor of n is below n
-            if count < 0:
-                raise ExactnessError(f"negative least-period count {count} at n={n}")
-            orbit, remainder = divmod(count, n)
-            if remainder:
-                raise ExactnessError(f"{n} does not divide least-period count {count}")
-            counts[n - 1] = orbit
+            counts[n - 1] = _orbit(n, count, divmod)
             for i in range(2 * n - 1, n_max, n):
                 counts[i] -= count
     return OrbitTable(spec=spec, orbit_counts=tuple(counts))
+
+
+def _orbit(n: int, count, div):
+    """orbits(n) from the final least-period count at n, by the exact
+    ``div``: the step of both sieves, and their two checks."""
+    if count < 0:
+        raise ExactnessError(f"negative least-period count {count} at n={n}")
+    orbit, remainder = div(count, n)
+    if remainder:
+        raise ExactnessError(f"{n} does not divide least-period count {count}")
+    return orbit
+
+
+def _exact_ops(counts: str, n_max: int, number: type):
+    """Check the ``counts`` stream's arguments at its call and return the
+    exact add, sub, mul and divmod of ``number``: the operators for int, or
+    the methods of a private copy of ``EXACT_DECIMAL``, exact in any context."""
+    if n_max < 0:
+        raise ValueError(f"{counts}_counts requires n_max >= 0, got {n_max}")
+    if number is int:
+        return operator.add, operator.sub, operator.mul, divmod
+    if number is not Decimal:
+        raise ValueError(f"{counts} counts are int or Decimal, got {number!r}")
+    exact = EXACT_DECIMAL.copy()
+    return exact.add, exact.subtract, exact.multiply, exact.divmod
 
 
 def fix_counts(spec: MapSpec, n_max: int, number: type = int) -> Iterator:
@@ -269,9 +290,9 @@ def fix_counts(spec: MapSpec, n_max: int, number: type = int) -> Iterator:
     Each value is read once and then dropped, so a single pass holds one
     count at a time; a reader that indexes the counts or reads them twice
     lists them first.  Decimals are computed exactly in any caller's
-    context, with the methods of a private copy of ``EXACT_DECIMAL``, and
-    the stream never yields inside a switched context: a generator
-    suspended in ``localcontext`` would leave the caller's context switched.
+    context, with the ops of ``_exact_ops``, and the stream never enters a
+    switched context: a generator suspended in ``localcontext`` would leave
+    the caller's context switched.
 
     2**(n*p) comes from its predecessor by one multiplication by 2**p, and
     the extension's count is 2**(n*p) - 1 divided exactly by
@@ -281,31 +302,22 @@ def fix_counts(spec: MapSpec, n_max: int, number: type = int) -> Iterator:
     at every n with d | n*p, that is at every multiple of d/gcd(d, p).
     ``fix_count`` is the per-n reference these values are tested against.
     """
-    if n_max < 0:
-        raise ValueError(f"fix_counts requires n_max >= 0, got {n_max}")
-    if number not in (int, Decimal):
-        raise ValueError(f"fix counts are int or Decimal, got {number!r}")
-    return _fix_stream(spec, n_max, number)
+    return _fix_stream(spec, n_max, number, _exact_ops("fix", n_max, number))
 
 
-def _fix_stream(spec: MapSpec, n_max: int, number: type) -> Iterator:
+def _fix_stream(spec: MapSpec, n_max: int, number: type, ops) -> Iterator:
     """The generator behind ``fix_counts``, which checks its arguments."""
+    add, sub, mul, div = ops
     p = spec.power
     if spec.kind == _CUSTOM:
         fix = [number(0)] * n_max
-        with localcontext(EXACT_DECIMAL):  # left before the first yield
-            for d, count in enumerate(spec.counts[:n_max * p], start=1):
-                if count:
-                    weighted, step = d * number(count), d // gcd(d, p)
-                    for i in range(step - 1, n_max, step):
-                        fix[i] += weighted
+        for d, count in enumerate(spec.counts[:n_max * p], start=1):
+            if count:
+                weighted, step = mul(d, number(count)), d // gcd(d, p)
+                for i in range(step - 1, n_max, step):
+                    fix[i] = add(fix[i], weighted)
         yield from fix
         return
-    if number is Decimal:
-        exact = EXACT_DECIMAL.copy()  # its own flags, shared with no caller
-        mul, sub, div = exact.multiply, exact.subtract, exact.divmod
-    else:
-        mul, sub, div = operator.mul, operator.sub, divmod
     step, power = number(1 << p), number(1)
     for n in range(p, n_max * p + 1, p):
         power = mul(power, step)
@@ -329,31 +341,19 @@ def orbit_counts(spec: MapSpec, n_max: int, number: type = int) -> Iterator:
     m passed so far, so at n's turn least(n) = fix(n) - pending[n], slot n
     is freed, and least(n) is added at every later multiple of n.  Those
     sums are all the stream holds.  Like ``fix_counts``, it computes
-    Decimals exactly in any caller's context and never yields inside a
-    switched one.  A reader that indexes the counts builds a table.
+    Decimals with the ops of ``_exact_ops`` and never enters a switched
+    context.  A reader that indexes the counts builds a table.
     """
-    if n_max < 0:
-        raise ValueError(f"orbit_counts requires n_max >= 0, got {n_max}")
-    if number not in (int, Decimal):
-        raise ValueError(f"orbit counts are int or Decimal, got {number!r}")
-    return _orbit_stream(spec, n_max, number)
+    return _orbit_stream(spec, n_max, number, _exact_ops("orbit", n_max, number))
 
 
-def _orbit_stream(spec: MapSpec, n_max: int, number: type) -> Iterator:
+def _orbit_stream(spec: MapSpec, n_max: int, number: type, ops) -> Iterator:
     """The generator behind ``orbit_counts``, which checks its arguments."""
-    if number is Decimal:
-        exact = EXACT_DECIMAL.copy()  # its own flags, shared with no caller
-        add, sub, div = exact.add, exact.subtract, exact.divmod
-    else:
-        add, sub, div = operator.add, operator.sub, divmod
+    add, sub, _, div = ops
     pending = [0] * (n_max + 1)  # pending[m]: least(d) summed over passed d | m
     for n, fix in enumerate(fix_counts(spec, n_max, number), start=1):
         count, pending[n] = sub(fix, pending[n]), None
-        if count < 0:
-            raise ExactnessError(f"negative least-period count {count} at n={n}")
-        orbit, remainder = div(count, n)
-        if remainder:
-            raise ExactnessError(f"{n} does not divide least-period count {count}")
+        orbit = _orbit(n, count, div)
         for m in range(2 * n, n_max + 1, n):
             pending[m] = add(pending[m], count)
         yield orbit

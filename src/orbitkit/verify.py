@@ -11,10 +11,10 @@ their findings in the detail column.
 that returns its ``CheckResult``; ``run_checks`` walks it in the order the
 checks are defined below, and hands every check one per-run object that
 builds f's and g's tables, the divisor lists and ln X once for all their
-readers.  Everything else a check reads (fix counts, a ratio window) it
-streams itself, one value at a time, and holds none of it when it
-returns.  The acceptance tests assert these same results, so every
-criterion has this one implementation.
+readers.  Everything else a check reads (fix counts, a ratio window, the
+orbit-count gaps) it streams itself, one value at a time, and holds none
+of it when it returns.  The acceptance tests assert these same results,
+so every criterion has this one implementation.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
+from itertools import islice, pairwise
 from typing import Callable, Iterator
 
 from . import asymptotics, zeta
@@ -413,9 +413,9 @@ def _check_coefficient_growth(max_n: int, run: _Shared) -> tuple:
         return True, params, _VACUOUS
     coeffs = zeta_series(THREE_ADIC_EXTENSION, top)
     for n in range(200, top + 1):
-        rate = math.log2(coeffs[n]) / n
-        if abs(rate - 1.0) > 0.05:
-            return False, params, f"rate {rate:.4f} at n={n}"
+        # 0.95 <= log2(c_n)/n <= 1.05, in integers: 2**(19n) <= c_n**20 <= 2**(21n)
+        if not (1 << 19 * n) <= coeffs[n] ** 20 <= (1 << 21 * n):
+            return False, params, f"rate {math.log2(coeffs[n]) / n:.4f} at n={n}"
     return True, params
 
 
@@ -425,12 +425,11 @@ def _check_fix_ratio_witnesses(max_n: int, run: _Shared) -> tuple:
     params = f"n<={top}, witnesses > 2.2 and < 1.0"
     if top < 6:
         return True, params, _VACUOUS
-    fix = list(fix_counts(THREE_ADIC_EXTENSION, top))
     above = below = None
-    for n in range(1, top):
-        if above is None and 5 * fix[n] > 11 * fix[n - 1]:  # fix[n]/fix[n-1] > 11/5
+    for n, (fix, after) in enumerate(pairwise(fix_counts(THREE_ADIC_EXTENSION, top)), start=1):
+        if above is None and 5 * after > 11 * fix:  # fix(n+1)/fix(n) > 11/5
             above = n
-        if below is None and fix[n] < fix[n - 1]:
+        if below is None and after < fix:
             below = n
     ok = above is not None and below is not None
     detail = f"ratio > 2.2 at n={above}, ratio < 1 at n={below}" if ok else "missing witness"
@@ -444,13 +443,12 @@ def _check_custom_example(max_n: int, run: _Shared) -> tuple:
     if top < 2:
         return True, params, _VACUOUS
     spec_a, spec_b = custom_orbits((1, 3)), custom_orbits((6, 1))
-    fix_a, fix_b = list(fix_counts(spec_a, top)), list(fix_counts(spec_b, top))
-    for n in range(1, top + 1):
-        expected_a = 4 + 3 * (-1) ** n
-        expected_b = 7 + (-1) ** n
-        if fix_a[n - 1] != expected_a:
+    fix = zip(fix_counts(spec_a, top), fix_counts(spec_b, top), strict=True)
+    for n, (fix_a, fix_b) in enumerate(fix, start=1):
+        expected_a, expected_b = 4 + 3 * (-1) ** n, 7 + (-1) ** n
+        if fix_a != expected_a:
             return False, params, f"a at n={n}"
-        if fix_b[n - 1] != expected_b:
+        if fix_b != expected_b:
             return False, params, f"b at n={n}"
         if expected_a >= expected_b:
             return False, params, f"fix dominance at n={n}"
@@ -502,7 +500,7 @@ def run_checks(max_n: int) -> list[CheckResult]:
     The checks share one ``_Shared``: f's and g's tables, the divisor lists
     and ln X are built once, on their first read, and dropped when this
     returns (the divisor lists after their last reader).  What only one
-    check reads, such as fix counts or a ratio window, stays in that check.
+    check reads, such as fix counts or a ratio window, it streams itself.
     """
     if max_n < 1:
         raise ValueError(f"verification max must be >= 1, got {max_n}")

@@ -356,6 +356,35 @@ def test_run_checks_peak_memory_is_near_what_it_shares():
     assert peak <= 1.55 * size, (peak, size)
 
 
+def test_delta_gap_bound_reads_the_gaps_as_a_stream():
+    # delta-gap-bound reads one (gap, even_bound) pair at a time from
+    # delta_gap, so beside f's and g's tables it holds no list of them.
+    run = verify._Shared(3000)
+    tracemalloc.start()
+    try:
+        run.f, run.g  # the shared tables, built before the check runs
+        size = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert verify.CHECKS["delta-gap-bound"](3000, run).passed
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - size <= 0.05 * size, (peak - size, size)
+
+
+def test_coefficient_growth_decides_its_bound_exactly(monkeypatch):
+    # c_200 = 2**190 meets |log2(c_n)/n - 1| <= 0.05 with equality, which
+    # the float rate misses: abs(0.95 - 1.0) is 0.050000000000000044.
+    assert abs(190 / 200 - 1.0) > 0.05
+    coeffs = list(verify.zeta_series(THREE_ADIC_EXTENSION, 200))
+    monkeypatch.setattr(verify, "zeta_series", lambda spec, degree: coeffs)
+    coeffs[200] = 2**190
+    assert verify.CHECKS["coefficient-growth"](200).passed
+    coeffs[200] = 2**190 - 1
+    result = verify.CHECKS["coefficient-growth"](200)
+    assert not result.passed and result.detail == "rate 0.9500 at n=200", result
+
+
 def test_divisor_checks_still_read_every_n(monkeypatch):
     # The shared lists and the Möbius values reach every n of each window:
     # a fault at the last n fails each check there, and f before g.
@@ -390,4 +419,4 @@ def test_pi_sum_spot_values():
     table_g = build_table(CIRCLE_DOUBLING, 6)
     assert list(ratio_series(table_f))[-1].numerator // 6 == 10  # pi(6)
     assert list(ratio_series(table_g))[-1].numerator // 6 == 22
-    assert delta_gap(table_f, table_g)[-1] == (12, 13)
+    assert list(delta_gap(table_f, table_g))[-1] == (12, 13)

@@ -1,3 +1,4 @@
+from collections.abc import Iterator
 from fractions import Fraction
 
 import mpmath
@@ -95,10 +96,10 @@ def test_series_refuse_maps_of_other_entropy(spec):
 
 def test_delta_gap_examples(tf6, tg6):
     expected = [(0, 0), (1, 1), (1, 1), (3, 4), (3, 4), (12, 13)]
-    assert delta_gap(tf6, tg6) == expected
+    assert list(delta_gap(tf6, tg6)) == expected
     for X in (3, 1):
         tables = build_table(THREE_ADIC_EXTENSION, X), build_table(CIRCLE_DOUBLING, X)
-        assert delta_gap(*tables) == expected[:X]
+        assert list(delta_gap(*tables)) == expected[:X]
 
 
 def test_delta_gap_bound_holds(tf, tg):
@@ -112,7 +113,7 @@ def test_delta_gap_negative_is_hard_error():
     bigger = build_table(custom_orbits((2,)), 1)
     smaller = build_table(custom_orbits((1,)), 1)
     with pytest.raises(ExactnessError):
-        delta_gap(bigger, smaller)
+        list(delta_gap(bigger, smaller))
 
 
 def test_delta_gap_unequal_ranges(tf, tg, tf6, tg6):
@@ -120,6 +121,22 @@ def test_delta_gap_unequal_ranges(tf, tg, tf6, tg6):
         delta_gap(tf, tg6)
     with pytest.raises(ValueError):
         delta_gap(tf6, tg)
+
+
+@pytest.mark.parametrize("series, good, bad", [
+    (ratio_series, [(CIRCLE_DOUBLING, 8)], [(iterate(CIRCLE_DOUBLING, 2), 8)]),
+    (merten_series, [(THREE_ADIC_EXTENSION, 8)], [(custom_orbits((1,)), 8)]),
+    (delta_gap, [(THREE_ADIC_EXTENSION, 8), (CIRCLE_DOUBLING, 8)],
+     [(THREE_ADIC_EXTENSION, 8), (CIRCLE_DOUBLING, 7)]),
+], ids=["ratio_series", "merten_series", "delta_gap"])
+def test_series_are_iterators_that_refuse_at_the_call(series, good, bad):
+    # Each series yields one value per X as it is read, and bad tables raise
+    # at the call, before any value: not at the first read.
+    values = series(*(build_table(*args) for args in good))
+    assert isinstance(values, Iterator) and iter(values) is values
+    assert len(list(values)) == 8
+    with pytest.raises(ValueError):
+        series(*(build_table(*args) for args in bad))
 
 
 def test_merten_examples():
