@@ -8,14 +8,14 @@ the gap pi_g(X) - pi_f(X) for every X in the range of its two tables, with
 the even-length orbit count that bounds it, in one running-sum pass.
 ``merten_series`` yields the weighted sums sum_{n<=X} orbits(n)/2**n, which
 track ln X for the doubling map and sit between (1/2) ln X and ln X for the
-extension.  Every series runs from X = 1 to X = n_max, the end of the table
-it is given.  The three series are iterators: each value is computed as it
-is read, so a single pass holds one at a time, and a reader that skips
-small X slices the iterator, while one that indexes the values or reads
-them twice lists them or calls the series again.  Each refuses bad tables
-with ValueError at the call, before any value: the ratio and the Merten
-sums normalise by 2**X, so they refuse a map whose entropy is not log 2
-(iterates and custom orbit data), and the gap refuses unequal ranges.
+extension.  The ratio and the Merten sums read a map's orbit counts, from
+any iterable, to its end, and the gap reads two tables to their end.  The
+three series are iterators, each value computed as it is read: a reader
+that skips small X slices the iterator, and one that reads the values twice
+calls the series again.  Each refuses bad input with ValueError at the
+call, before it reads a count: the ratio and the Merten sums normalise by
+2**X, so they refuse a map whose entropy is not log 2 (iterates and custom
+orbit data), and the gap refuses unequal ranges.
 
 The ratios and the sums are exact rationals with a power-of-two
 denominator, so they are carried as ``Dyadic`` values: an integer
@@ -40,10 +40,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .arith import Dyadic, ExactnessError
-from .counting import OrbitTable
+from .counting import MapSpec, OrbitTable
 
 __all__ = [
     "ratio_series",
@@ -74,21 +74,19 @@ _GUARD_BITS = 32
 DEFAULT_BURN_IN = 64
 
 
-def _require_entropy_log2(table: OrbitTable, function: str) -> None:
-    if table.spec.entropy_base != 2:
+def _require_entropy_log2(spec: MapSpec, function: str) -> None:
+    if spec.entropy_base != 2:
         raise ValueError(f"{function} normalises by 2**X, which fits only maps of "
-                         f"entropy log 2 (f, g), got {table.spec.label}")
+                         f"entropy log 2 (f, g), got {spec.label}")
 
 
-def ratio_series(table: OrbitTable) -> Iterator[Dyadic]:
-    """The exact ratio X*pi(X)/2**(X+1) for X = 1..n_max, as an iterator of
-    ``Dyadic``s computed as they are read.
-
-    pi(X) is ``ratio.numerator // X``.  A table of a map whose entropy is
-    not log 2 raises ValueError at the call.
-    """
-    _require_entropy_log2(table, "ratio_series")
-    return _ratios(table.orbit_counts)
+def ratio_series(spec: MapSpec, orbit_counts: Iterable[int]) -> Iterator[Dyadic]:
+    """The exact ratio X*pi(X)/2**(X+1), one per orbit count of the map, as
+    an iterator of ``Dyadic``s computed as they are read; pi(X) is
+    ``ratio.numerator // X``.  A map whose entropy is not log 2 raises
+    ValueError at the call, before any count is read."""
+    _require_entropy_log2(spec, "ratio_series")
+    return _ratios(orbit_counts)
 
 
 def _ratios(orbit_counts) -> Iterator[Dyadic]:
@@ -125,12 +123,12 @@ def _gaps(orbits_f, orbits_g) -> Iterator[tuple[int, int]]:
         yield gap, even_bound
 
 
-def merten_series(table: OrbitTable) -> Iterator[Dyadic]:
-    """The exact weighted partial sums N_X/2**X, X = 1..n_max, for a map of
-    entropy log 2, as an iterator of ``Dyadic``s computed as they are read;
-    any other map's table raises ValueError at the call."""
-    _require_entropy_log2(table, "merten_series")
-    return _merten_sums(table.orbit_counts)
+def merten_series(spec: MapSpec, orbit_counts: Iterable[int]) -> Iterator[Dyadic]:
+    """The exact weighted partial sums N_X/2**X, one per orbit count of a map
+    of entropy log 2, as an iterator of ``Dyadic``s computed as they are
+    read; any other map raises ValueError at the call, before any count."""
+    _require_entropy_log2(spec, "merten_series")
+    return _merten_sums(orbit_counts)
 
 
 def _merten_sums(orbit_counts) -> Iterator[Dyadic]:
@@ -231,8 +229,6 @@ def cluster_ratios(values: "list[float]") -> list[tuple[float, int]]:
     accumulation values, but no pass/fail criterion is attached to their
     number.
     """
-    if not values:
-        return []
     floats = sorted(values)
     clusters: list[tuple[float, int]] = []
     start = 0

@@ -22,10 +22,10 @@ exact ``Decimal`` twins of the int counts and sums, built beside them in
 linear in the digits, where ``str`` of an int takes quadratic time.
 ``table`` holds one list of big counts: the Decimal orbit counts of
 ``build_table``, zipped with the stream of Decimal fix counts, which it
-reads once.  ``pnt`` and ``merten`` hold one int table, from which their
-series are computed as they are read, and render from the stream of
-Decimal orbit counts.  ``zeta boundary`` reads the stream of fix counts
-into one float per degree and holds none.
+reads once.  ``pnt`` and ``merten`` hold no orbit table: their series read
+streams of int orbit counts, and they render from the stream of Decimal
+orbit counts.  ``zeta boundary`` reads the stream of fix counts into one
+float per degree and holds none.
 
 A command loads only what it runs: the check suite, ``orbitkit.verify``,
 is loaded only by ``verify``, and ``json`` only by JSON output.
@@ -165,15 +165,14 @@ def _cmd_pnt(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
     first = args.burn_in
-    # Checked before any table is built; a map that ratio_series refuses
+    # Checked before any count is read; a map that ratio_series refuses
     # (entropy other than log 2) gets that refusal, as it always has.
     if spec.entropy_base == 2 and not 1 <= first < args.max:
         raise ValueError(f"--burn-in must be at least 1 and below --max, "
                          f"got --burn-in {first} and --max {args.max}")
-    table = build_table(spec, args.max)
-    # The ratios are read twice, once as floats for the clusters and once
-    # for the rows, so no list of them is held.
-    clusters = cluster_ratios([float(r) for r in islice(ratio_series(table), first - 1, None)])
+    # One ratio stream for the clusters, as floats, and one for the rows.
+    ratios = ratio_series(spec, orbit_counts(spec, args.max))
+    clusters = cluster_ratios([float(r) for r in islice(ratios, first - 1, None)])
     meta = {
         "command": "pnt",
         "map": spec.label,
@@ -185,7 +184,7 @@ def _cmd_pnt(args: argparse.Namespace) -> int:
     }
     write_table(args.format, args.output, meta,
                 ("X", "pi", "ratio", "ratio_decimal", "running_min", "running_max"),
-                _pnt_rows(ratio_series(table), first,
+                _pnt_rows(ratio_series(spec, orbit_counts(spec, args.max)), first,
                           orbit_counts(spec, args.max, Decimal), args.digits))
     return EXIT_OK
 
@@ -197,9 +196,7 @@ def _pnt_rows(ratios: Iterator[Dyadic], first: int, orbit_stream: Iterator[Decim
     counts, and the ratio X*pi/2**(X+1) is rendered from it and a doubled
     power of two.  A running extremum is rendered once, at the X that
     reaches it, and repeated until another X passes it."""
-    pi, power = Decimal(0), Decimal(2) ** first
-    for orbits in islice(orbit_stream, first - 1):
-        pi += orbits
+    pi, power = sum(islice(orbit_stream, first - 1), Decimal(0)), Decimal(2) ** first
     low = high = None
     for X, (ratio, orbits) in enumerate(
             zip(islice(ratios, first - 1, None), orbit_stream, strict=True), start=first):
@@ -217,20 +214,19 @@ def _pnt_rows(ratios: Iterator[Dyadic], first: int, orbit_stream: Iterator[Decim
 def _cmd_merten(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
     spec = _resolve_map(args.map)
-    sums = merten_series(build_table(spec, args.max))
-    digits = args.digits
+    sums = merten_series(spec, orbit_counts(spec, args.max))
     meta = {
         "command": "merten",
         "map": spec.label,
         "max": args.max,
-        "digits": digits,
+        "digits": args.digits,
         "precision_bits": MERTEN_PRECISION_BITS,
         "slack": str(MERTEN_SLACK),
     }
     write_table(args.format, args.output, meta,
                 ("X", "sum", "sum_decimal", "log_x", "normalized"),
                 _merten_rows(sums, log_table(args.max, MERTEN_PRECISION_BITS),
-                             orbit_counts(spec, args.max, Decimal), digits))
+                             orbit_counts(spec, args.max, Decimal), args.digits))
     return EXIT_OK
 
 

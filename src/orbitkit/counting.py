@@ -24,8 +24,9 @@ takes quadratic time), so the CLI renders its big columns from that twin.
 ``fix_counts`` and ``orbit_counts`` give the fix and the orbit counts as
 streams: one count at a time, so a single pass never holds the list.  The
 ``table`` command's fix column, the inner zeta sum, the boundary scan and
-``verify`` read the fix stream once; ``pnt`` and ``merten`` render from
-the Decimal orbit stream.  Readers that index the counts list them:
+``verify`` read the fix stream once; ``pnt`` and ``merten`` compute their
+series from the int orbit stream and render from the Decimal one.
+Readers that index the counts list them:
 ``build_table``'s sieve and the convolution of custom orbit data in the
 zeta series.  The two sieves share one step, ``_orbit``, with its checks,
 and the two streams one argument check and exact arithmetic, ``_exact_ops``.
@@ -289,10 +290,10 @@ def fix_counts(spec: MapSpec, n_max: int, number: type = int) -> Iterator:
 
     Each value is read once and then dropped, so a single pass holds one
     count at a time; a reader that indexes the counts or reads them twice
-    lists them first.  Decimals are computed exactly in any caller's
-    context, with the ops of ``_exact_ops``, and the stream never enters a
-    switched context: a generator suspended in ``localcontext`` would leave
-    the caller's context switched.
+    lists them first.  Decimals are exact in any caller's context, by the
+    ops of ``_exact_ops`` or, for custom data, in a plain function that
+    leaves ``EXACT_DECIMAL`` before the first value: a generator suspended
+    in ``localcontext`` would leave the caller's context switched.
 
     2**(n*p) comes from its predecessor by one multiplication by 2**p, and
     the extension's count is 2**(n*p) - 1 divided exactly by
@@ -307,16 +308,10 @@ def fix_counts(spec: MapSpec, n_max: int, number: type = int) -> Iterator:
 
 def _fix_stream(spec: MapSpec, n_max: int, number: type, ops) -> Iterator:
     """The generator behind ``fix_counts``, which checks its arguments."""
-    add, sub, mul, div = ops
+    _, sub, mul, div = ops
     p = spec.power
     if spec.kind == _CUSTOM:
-        fix = [number(0)] * n_max
-        for d, count in enumerate(spec.counts[:n_max * p], start=1):
-            if count:
-                weighted, step = mul(d, number(count)), d // gcd(d, p)
-                for i in range(step - 1, n_max, step):
-                    fix[i] = add(fix[i], weighted)
-        yield from fix
+        yield from _custom_fix(spec.counts[:n_max * p], p, n_max, number)
         return
     step, power = number(1 << p), number(1)
     for n in range(p, n_max * p + 1, p):
@@ -328,6 +323,18 @@ def _fix_stream(spec: MapSpec, n_max: int, number: type, ops) -> Iterator:
             if remainder:
                 raise ExactnessError(f"3**{valuation} does not divide 2**{n} - 1")
         yield count
+
+
+def _custom_fix(counts: tuple, p: int, n_max: int, number: type) -> list:
+    """Custom data's fix counts, summed in ``EXACT_DECIMAL`` by ``+=``."""
+    fix = [number(0)] * n_max
+    with localcontext(EXACT_DECIMAL):
+        for d, count in enumerate(counts, start=1):
+            if count:
+                weighted, step = d * number(count), d // gcd(d, p)
+                for i in range(step - 1, n_max, step):
+                    fix[i] += weighted
+    return fix
 
 
 def orbit_counts(spec: MapSpec, n_max: int, number: type = int) -> Iterator:

@@ -269,7 +269,8 @@ def _check_pi_domination(max_n: int, run: _Shared) -> tuple:
 def _ratio_window(table) -> Iterator[Dyadic]:
     """A map's ratios for DEFAULT_BURN_IN <= X <= the table's end, as an
     iterator for the one check that reads them."""
-    return islice(asymptotics.ratio_series(table), asymptotics.DEFAULT_BURN_IN - 1, None)
+    ratios = asymptotics.ratio_series(table.spec, table.orbit_counts)
+    return islice(ratios, asymptotics.DEFAULT_BURN_IN - 1, None)
 
 
 @_check("extension-ratio-band")
@@ -314,7 +315,7 @@ def _check_doubling_ratio(max_n: int, run: _Shared) -> tuple:
 
 def _merten_window(max_n: int, logs: list[Dyadic], table):
     """(X, sum, ln X) for 16 <= X <= max_n, each exact."""
-    sums = islice(asymptotics.merten_series(table), 15, None)
+    sums = islice(asymptotics.merten_series(table.spec, table.orbit_counts), 15, None)
     return zip(range(16, max_n + 1), sums, logs[15:], strict=True)
 
 

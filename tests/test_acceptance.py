@@ -189,9 +189,9 @@ def test_run_checks_builds_ratio_series_per_reader(monkeypatch):
     built = []
     original = asymptotics.ratio_series
 
-    def counted(table, *args):
-        built.append(table.spec.label)
-        return original(table, *args)
+    def counted(spec, counts):
+        built.append(spec.label)
+        return original(spec, counts)
 
     monkeypatch.setattr(asymptotics, "ratio_series", counted)
     verify.run_checks(200)
@@ -227,8 +227,8 @@ def test_direct_check_calls_keep_nothing_for_run_checks(monkeypatch):
         alive.append(weakref.ref(table))
         return table
 
-    def recorded_ratio(table):
-        return tracking_last(list(original_ratio(table)), alive)
+    def recorded_ratio(spec, counts):
+        return tracking_last(list(original_ratio(spec, counts)), alive)
 
     def assert_nothing_alive():
         gc.collect()
@@ -417,6 +417,6 @@ def test_pi_sum_spot_values():
     # anchors the aggregate counts used across the criteria
     table_f = build_table(THREE_ADIC_EXTENSION, 6)
     table_g = build_table(CIRCLE_DOUBLING, 6)
-    assert list(ratio_series(table_f))[-1].numerator // 6 == 10  # pi(6)
-    assert list(ratio_series(table_g))[-1].numerator // 6 == 22
+    assert list(ratio_series(table_f.spec, table_f.orbit_counts))[-1].numerator // 6 == 10  # pi(6)
+    assert list(ratio_series(table_g.spec, table_g.orbit_counts))[-1].numerator // 6 == 22
     assert list(delta_gap(table_f, table_g))[-1] == (12, 13)

@@ -23,6 +23,7 @@ from orbitkit.counting import (
     build_table,
     custom_orbits,
     iterate,
+    orbit_counts,
 )
 
 
@@ -35,6 +36,11 @@ def exact(x):
 def fraction(value):
     """The Fraction of a Dyadic."""
     return Fraction(value.numerator, 2**value.shift)
+
+
+def counts_of(table):
+    """The (map, orbit counts) arguments of the ratio and Merten series."""
+    return table.spec, table.orbit_counts
 
 
 @pytest.fixture(scope="module")
@@ -60,14 +66,14 @@ def tg6():
 def test_pi_sum_examples(tf6, tg6):
     # pi(X), the number of closed orbits of length <= X, for X = 1..6
     # read off the ratio X*pi(X)/2**(X+1), whose numerator is kept unreduced
-    pi_f = [ratio.numerator // X for X, ratio in enumerate(ratio_series(tf6), start=1)]
-    pi_g = [ratio.numerator // X for X, ratio in enumerate(ratio_series(tg6), start=1)]
+    pi_f = [ratio.numerator // X for X, ratio in enumerate(ratio_series(*counts_of(tf6)), start=1)]
+    pi_g = [ratio.numerator // X for X, ratio in enumerate(ratio_series(*counts_of(tg6)), start=1)]
     assert pi_f == [1, 1, 3, 4, 10, 10]
     assert pi_g == [1, 2, 4, 7, 13, 22]
 
 
 def test_ratio_series_values(tf6):
-    ratios = list(ratio_series(tf6))
+    ratios = list(ratio_series(*counts_of(tf6)))
     assert len(ratios) == 6
     assert ratios[-1].numerator // 6 == 10
     assert ratios[-1] == Fraction(60, 128)
@@ -87,11 +93,16 @@ def test_ratio_series_values(tf6):
 def test_series_refuse_maps_of_other_entropy(spec):
     # The normalisation by 2**X fits only entropy log 2; g2's ratio would
     # read about 8.5e29 at X = 100 and this custom table's 1.6e-28.  Both
-    # series are iterators, and each refuses at the call, before any value.
-    table = build_table(spec, 100)
+    # series are iterators, and each refuses at the call, before it reads a
+    # count: pnt and merten feed them a sieve stream, so a refusal costs no
+    # sieve.
+    def unread():
+        pytest.fail("a refused map's orbit counts were read")
+        yield
+
     for series in (ratio_series, merten_series):
         with pytest.raises(ValueError, match="only maps of entropy log 2"):
-            series(table)
+            series(spec, unread())
 
 
 def test_delta_gap_examples(tf6, tg6):
@@ -130,33 +141,41 @@ def test_delta_gap_unequal_ranges(tf, tg, tf6, tg6):
      [(THREE_ADIC_EXTENSION, 8), (CIRCLE_DOUBLING, 7)]),
 ], ids=["ratio_series", "merten_series", "delta_gap"])
 def test_series_are_iterators_that_refuse_at_the_call(series, good, bad):
-    # Each series yields one value per X as it is read, and bad tables raise
-    # at the call, before any value: not at the first read.
-    values = series(*(build_table(*args) for args in good))
+    # Each series yields one value per X as it is read, and bad input raises
+    # at the call, before any value: not at the first read.  The ratio and
+    # Merten series read a map's orbit-count stream, the gap two tables.
+    def arguments(maps):
+        if series is delta_gap:
+            return [build_table(*args) for args in maps]
+        (spec, n_max), = maps
+        return spec, orbit_counts(spec, n_max)
+
+    values = series(*arguments(good))
     assert isinstance(values, Iterator) and iter(values) is values
     assert len(list(values)) == 8
     with pytest.raises(ValueError):
-        series(*(build_table(*args) for args in bad))
+        series(*arguments(bad))
 
 
 def test_merten_examples():
-    assert list(merten_series(build_table(THREE_ADIC_EXTENSION, 3))) == [
+    f, g = THREE_ADIC_EXTENSION, CIRCLE_DOUBLING
+    assert list(merten_series(f, build_table(f, 3).orbit_counts)) == [
         Fraction(1, 2),
         Fraction(1, 2),
         Fraction(3, 4),
     ]
-    assert list(merten_series(build_table(CIRCLE_DOUBLING, 3)))[-1] == Fraction(1)
-    assert list(merten_series(build_table(THREE_ADIC_EXTENSION, 1))) == [Fraction(1, 2)]
+    assert list(merten_series(g, build_table(g, 3).orbit_counts))[-1] == Fraction(1)
+    assert list(merten_series(f, build_table(f, 1).orbit_counts)) == [Fraction(1, 2)]
 
 
 def test_merten_denominator_is_power_of_two(tf):
-    for X, total in enumerate(merten_series(tf), start=1):
+    for X, total in enumerate(merten_series(*counts_of(tf)), start=1):
         assert isinstance(total, Dyadic)
         assert total.shift == X
 
 
 def test_merten_normalized_matches_sum(tf):
-    sums, logs = list(merten_series(tf)), log_table(tf.n_max, MERTEN_PRECISION_BITS)
+    sums, logs = list(merten_series(*counts_of(tf))), log_table(tf.n_max, MERTEN_PRECISION_BITS)
     assert logs[0] == 0
     with pytest.raises(ValueError, match="X >= 2"):
         merten_normalized(sums[0], logs[0])
@@ -245,7 +264,7 @@ def test_ratio_series_against_fraction_oracle(spec, burn_in):
     # The window from X = burn_in, as pnt and verify slice it; verify reads
     # its observed range as the window's min and max.
     table = build_table(spec, 300)
-    ratios = list(ratio_series(table))
+    ratios = list(ratio_series(*counts_of(table)))
     assert len(ratios) == 300
     window = ratios[burn_in - 1:]
     expected = []
@@ -263,7 +282,7 @@ def test_merten_series_against_fraction_oracle(spec):
     total = Fraction(0)
     logs = log_table(300, MERTEN_PRECISION_BITS)
     with mpmath.workprec(64):
-        for X, (value, log_x) in enumerate(zip(merten_series(table), logs), start=1):
+        for X, (value, log_x) in enumerate(zip(merten_series(*counts_of(table)), logs), start=1):
             total += Fraction(table.orbit_counts[X - 1], 2**X)
             assert value == total
             reference = mpmath.log(X)
@@ -297,8 +316,9 @@ def mpmath_columns(table, bits):
 def merten_columns(table):
     """merten's (ln X, sum/ln X) columns before they are printed."""
     logs = log_table(table.n_max, MERTEN_PRECISION_BITS)
+    sums = merten_series(*counts_of(table))
     return [(fraction(log_x), fraction(merten_normalized(total, log_x)) if X >= 2 else None)
-            for X, (total, log_x) in enumerate(zip(merten_series(table), logs), start=1)]
+            for X, (total, log_x) in enumerate(zip(sums, logs), start=1)]
 
 
 @pytest.mark.parametrize("bits, n_max", [(64, 10_000), (60, 1000), (113, 1000),
