@@ -22,6 +22,7 @@ __all__ = [
     "Dyadic",
     "ExactnessError",
     "divisors",
+    "least_prime_factors",
     "mobius",
     "ord_p",
     "padic_abs",
@@ -78,6 +79,18 @@ def divisors(n: int) -> list[int]:
             if d != n // d:
                 large.append(n // d)
     return small + large[::-1]
+
+
+def least_prime_factors(n: int) -> memoryview:
+    """The least prime factor of X for X = 0..n (X itself at 0, 1 and every
+    prime), as unsigned ints in one bytearray: d = isqrt(n)..2 marks its
+    multiples from d*d, so the last mark on a composite X is its least
+    divisor d > 1, which is prime."""
+    import struct  # at the call: importing orbitkit loads nothing for it
+    least = memoryview(bytearray(struct.pack(f"{n + 1}I", *range(n + 1)))).cast("I")
+    for d in range(isqrt(n), 1, -1):
+        least[d * d::d] = memoryview(struct.pack("I", d) * len(range(d * d, n + 1, d))).cast("I")
+    return least
 
 
 def mobius(n: int) -> int:

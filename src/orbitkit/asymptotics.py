@@ -39,10 +39,9 @@ shift and a mask.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Iterator
 
-from .arith import Dyadic, ExactnessError
+from .arith import Dyadic, ExactnessError, least_prime_factors
 from .counting import MapSpec, OrbitTable
 
 __all__ = [
@@ -150,13 +149,7 @@ def merten_normalized(total: Dyadic, log_x: Dyadic) -> Dyadic:
 
 def log_table(n: int, bits: int) -> list[Dyadic]:
     """ln X for X = 1..n, each correctly rounded to ``bits`` significant bits."""
-    # least[X] is the least prime factor of X: each d <= sqrt(n), taken in
-    # descending order, marks its multiples from d*d, and a smaller d later
-    # marks them again, so the last mark on X is its least divisor d > 1
-    # with d*d <= X, which is prime, or X itself when X is prime.
-    least = list(range(n + 1))
-    for d in range(isqrt(n), 1, -1):
-        least[d * d::d] = [d] * len(range(d * d, n + 1, d))
+    least = least_prime_factors(n)
     guard = _GUARD_BITS
     while True:
         width, lows, errors, logs = bits + guard, [0, 0], [0, 0], [Dyadic(0, 0)]

@@ -8,7 +8,7 @@ exactly n (``least``), and the number of closed orbits of length n
     fix(n)   = sum of least(d) over divisors d of n,
     least(n) = n * orbits(n),
 
-with the first relation inverted by a sieve over multiples.  So only one
+with the first relation inverted by a sieve or by Möbius.  So only one
 of them is independent: ``fix_counts`` computes fix, a table keeps the
 orbits alone, and least is n * orbits.  A map is a base kind and a power.
 The base is the circle-doubling map (fix(n) = 2**n - 1), its 3-adic
@@ -28,8 +28,8 @@ streams: one count at a time, so a single pass never holds the list.  The
 series from the int orbit stream and render from the Decimal one.
 Readers that index the counts list them:
 ``build_table``'s sieve and the convolution of custom orbit data in the
-zeta series.  The two sieves share one step, ``_orbit``, with its checks,
-and the two streams one argument check and exact arithmetic, ``_exact_ops``.
+zeta series.  The sieve and the orbit stream share one last step, ``_orbit``,
+with its checks, and the two streams one argument check and exact arithmetic.
 
 Every closed-form map also has a term form (``fix_terms``): its fix counts
 are a short sum of gated geometric terms,
@@ -47,10 +47,11 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from decimal import Decimal, localcontext
+from functools import reduce
 from math import gcd
 from typing import Iterator, Sequence
 
-from .arith import EXACT_DECIMAL, ExactnessError, divisors, mobius, ord_p
+from .arith import EXACT_DECIMAL, ExactnessError, divisors, least_prime_factors, mobius, ord_p
 
 __all__ = [
     "MapSpec",
@@ -260,7 +261,7 @@ def build_table(spec: MapSpec, n_max: int, number: type = int) -> OrbitTable:
 
 def _orbit(n: int, count, div):
     """orbits(n) from the final least-period count at n, by the exact
-    ``div``: the step of both sieves, and their two checks."""
+    ``div``: the last step of the sieve and the stream, with their checks."""
     if count < 0:
         raise ExactnessError(f"negative least-period count {count} at n={n}")
     orbit, remainder = div(count, n)
@@ -343,13 +344,11 @@ def orbit_counts(spec: MapSpec, n_max: int, number: type = int) -> Iterator:
     at a time.  n_max = 0 gives an empty stream; a bad ``n_max`` or
     ``number`` raises ValueError here, at the call, not at the first value.
 
-    The sieve of ``build_table`` runs forward over the ``fix_counts``
-    stream: ``pending[m]`` holds the sum of least(d) over the divisors d of
-    m passed so far, so at n's turn least(n) = fix(n) - pending[n], slot n
-    is freed, and least(n) is added at every later multiple of n.  Those
-    sums are all the stream holds.  Like ``fix_counts``, it computes
-    Decimals with the ops of ``_exact_ops`` and never enters a switched
-    context.  A reader that indexes the counts builds a table.
+    least(n) is the Möbius sum of mu(q) * fix(n/q) over the squarefree q | n,
+    the terms of q > 1 (n/2 bits at most) first.  Each fix(d) with
+    d <= n_max/2 is kept as it passes and never replaced, so no sum grows in
+    place and fragments the heap.  Decimals are computed with the ops of
+    ``_exact_ops``, as in ``fix_counts``, in no switched context.
     """
     return _orbit_stream(spec, n_max, number, _exact_ops("orbit", n_max, number))
 
@@ -357,13 +356,43 @@ def orbit_counts(spec: MapSpec, n_max: int, number: type = int) -> Iterator:
 def _orbit_stream(spec: MapSpec, n_max: int, number: type, ops) -> Iterator:
     """The generator behind ``orbit_counts``, which checks its arguments."""
     add, sub, _, div = ops
-    pending = [0] * (n_max + 1)  # pending[m]: least(d) summed over passed d | m
-    for n, fix in enumerate(fix_counts(spec, n_max, number), start=1):
-        count, pending[n] = sub(fix, pending[n]), None
-        orbit = _orbit(n, count, div)
-        for m in range(2 * n, n_max + 1, n):
-            pending[m] = add(pending[m], count)
-        yield orbit
+    least, fix = least_prime_factors(n_max), [None]  # fix[d] for d <= n_max // 2
+    for n, count in enumerate(fix_counts(spec, n_max, number), start=1):
+        if 2 * n <= n_max:
+            fix.append(count)
+        if n > 1:
+            # least(n) = fix(n) - below, and p < r < s ... are n's distinct primes.
+            p = least[n]
+            a = m = n // p
+            while m % p == 0:
+                m //= p
+            below = fix[a]
+            if m > 1:
+                r = least[m]
+                while m % r == 0:
+                    m //= r
+                b, ar = n // r, a // r
+                if m == 1:
+                    below = sub(add(below, fix[b]), fix[ar])
+                else:
+                    s = least[m]
+                    while m % s == 0:
+                        m //= s
+                    if m == 1:
+                        below = sub(add(add(below, fix[b]), add(fix[n // s], fix[ar // s])),
+                                    add(add(fix[ar], fix[a // s]), fix[b // s]))
+                    else:  # four or more primes: 9% of n <= 10**4
+                        plus, minus = [a, b, n // s, ar // s], [ar, a // s, b // s]
+                        while m > 1:
+                            t = least[m]
+                            while m % t == 0:
+                                m //= t
+                            plus, minus = (plus + [n // t] + [d // t for d in minus],
+                                           minus + [d // t for d in plus])
+                        below = sub(reduce(add, [fix[d] for d in plus]),
+                                    reduce(add, [fix[d] for d in minus]))
+            count = sub(count, below)
+        yield _orbit(n, count, div)
 
 
 def orbit_count_iterate(base: OrbitTable, k: int, n: int) -> int:

@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from orbitkit.arith import EXACT_DECIMAL, Dyadic, divisors, mobius, ord_p, padic_abs
+from orbitkit.arith import (
+    EXACT_DECIMAL,
+    Dyadic,
+    divisors,
+    least_prime_factors,
+    mobius,
+    ord_p,
+    padic_abs,
+)
 
 
 def naive_divisors(n):
@@ -54,6 +62,15 @@ def test_divisor_pairing_involution():
 def test_divisors_rejects_zero():
     with pytest.raises(ValueError):
         divisors(0)
+
+
+def test_least_prime_factors_against_naive():
+    # One buffer of unsigned ints, not a list of int objects, with X itself at 0 and 1.
+    for n in (0, 1, 2, 3, 4, 24, 25, 1000):
+        least = least_prime_factors(n)
+        assert least.format == "I" and len(least) == n + 1
+        assert list(least[:2]) == [0, 1][:n + 1]
+        assert list(least[2:]) == [naive_divisors(X)[1] for X in range(2, n + 1)]
 
 
 def test_mobius_examples():

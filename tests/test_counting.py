@@ -174,14 +174,15 @@ def test_decimal_fix_counts_are_exact_in_the_default_context():
 
 @pytest.mark.parametrize("number", [int, Decimal])
 def test_orbit_counts_stream_the_table(number):
-    # The stream runs build_table's sieve forward: the same counts, of the
-    # same type and with the same strings, for every kind of map.
+    # The stream inverts by Möbius what build_table sieves: the same counts,
+    # of the same type and with the same strings, for every kind of map.
     custom = custom_orbits((3, 0, 7, 0, 0, 10**40, 1, 0, 2, 0, 5, 4))
     specs = [THREE_ADIC_EXTENSION, CIRCLE_DOUBLING, iterate(THREE_ADIC_EXTENSION, 2),
              iterate(CIRCLE_DOUBLING, 2), custom, iterate(custom, 2),
              custom_orbits([(37 * n * n + 11) % 997 for n in range(1, 401)])]
+    # 210 and 2310 are the first n with four and with five distinct primes.
     for spec in specs:
-        for n_max in (1, 12, 400):
+        for n_max in (1, 12, 210, 400, 2310):
             stream = list(orbit_counts(spec, n_max, number))
             assert all(type(c) is number for c in stream), (spec.label, n_max)
             table = build_table(spec, n_max, number).orbit_counts
@@ -373,6 +374,24 @@ assert results == [alone, alone], "thread tables differ"
     assert result.returncode == 0, result.stderr
 
 
+def _same_error_at(monkeypatch, n, corrupt, number):
+    """Run build_table and the orbit stream to n on g's fix counts with
+    fix(n) corrupted; both must raise one ExactnessError message."""
+    def fake_fix(spec, n_max, number):
+        counts = list(fix_counts(CIRCLE_DOUBLING, n_max, number))
+        with localcontext(EXACT_DECIMAL):
+            counts[n - 1] = corrupt(counts[n - 1])
+        return iter(counts)
+
+    monkeypatch.setattr(counting, "fix_counts", fake_fix)
+    with pytest.raises(ExactnessError) as table_error:
+        counting.build_table(CIRCLE_DOUBLING, n, number)
+    with pytest.raises(ExactnessError) as stream_error:
+        list(counting.orbit_counts(CIRCLE_DOUBLING, n, number))
+    assert str(stream_error.value) == str(table_error.value)
+    return str(table_error.value)
+
+
 def test_build_table_inexactness_is_hard_error(monkeypatch):
     import orbitkit.counting as counting
 
@@ -386,6 +405,13 @@ def test_build_table_inexactness_is_hard_error(monkeypatch):
     with pytest.raises(ExactnessError):
         list(counting.orbit_counts(custom_orbits((9, 9, 9)), 2))
 
+    # One more point at n = 30 (three distinct primes) or n = 210 (four)
+    # makes least(n) one more than a multiple of n.
+    for n in (30, 210):
+        for number in (int, Decimal):
+            message = _same_error_at(monkeypatch, n, lambda c: c + 1, number)
+            assert message.startswith(f"{n} does not divide least-period count "), message
+
 
 def test_build_table_negative_least_is_hard_error(monkeypatch):
     import orbitkit.counting as counting
@@ -398,6 +424,13 @@ def test_build_table_negative_least_is_hard_error(monkeypatch):
         counting.build_table(custom_orbits((8, 8, 8)), 2)
     with pytest.raises(ExactnessError):
         list(counting.orbit_counts(custom_orbits((8, 8, 8)), 2))
+
+    # No points fixed at n = 30 or n = 210 leaves least(n) below zero.
+    for n in (30, 210):
+        for number in (int, Decimal):
+            message = _same_error_at(monkeypatch, n, lambda c: c * 0, number)
+            assert message.startswith("negative least-period count -"), message
+            assert message.endswith(f" at n={n}"), message
 
 
 def test_orbit_count_iterate_examples():
