@@ -8,6 +8,7 @@ in CSV or JSON.  Subcommands:
     merten   weighted orbit sums against ln X
     zeta     series coefficients, the lacunary-identity check, boundary scans
     verify   the full invariant suite, one PASS/FAIL line per check
+             (--list names the checks, --only NAME runs one)
 
 Exit status: 0 on success, 1 on a validation error, 2 on a verification
 failure.  ``pnt`` reads the exact ratios from ``--burn-in`` twice, once as
@@ -343,7 +344,17 @@ def run_checks(max_n: int) -> list[CheckResult]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
-    results = run_checks(args.max)
+    if args.list or args.only is not None:
+        from . import verify
+
+        if args.list:
+            print("\n".join(verify.CHECKS))
+            return EXIT_OK
+        if args.only not in verify.CHECKS:
+            raise ValueError(f"unknown check {args.only!r}; verify --list names the checks")
+        results = [verify.CHECKS[args.only](args.max)]
+    else:
+        results = run_checks(args.max)
     meta = {"command": "verify", "max": args.max,
             "checks": len(results), "version": __version__}
     rows = [
@@ -415,6 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--max", type=int, default=500)
+    p_verify.add_argument("--list", action="store_true", help="print the check names in order")
+    p_verify.add_argument("--only", metavar="NAME", help="run the one named check")
     _add_output_options(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

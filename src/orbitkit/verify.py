@@ -15,6 +15,13 @@ readers.  Everything else a check reads (fix counts, a ratio window, the
 orbit-count gaps) it streams itself, one value at a time, and holds none
 of it when it returns.  The acceptance tests assert these same results,
 so every criterion has this one implementation.
+
+The window checks (the ratio bands, the Merten sandwich and baseline, the
+rescaled gap bound) compare 64-bit floors, floor(v * 2**64), each read off
+an exact value's numerator in one shift.  Floors that differ decide the
+order; only a tie is compared exactly, so every verdict and detail is the
+exact rule's.  An extreme is kept as its floor and operands, and its exact
+value is built once, for the detail.
 """
 
 from __future__ import annotations
@@ -146,8 +153,9 @@ def _check_divisor_pairing(max_n: int, run: _Shared) -> tuple:
 @_check("padic-abs-range")
 def _check_padic_range(max_n: int, run: _Shared) -> tuple:
     for n in range(1, max_n + 1):
-        value = padic_abs(n, 3)
-        if not (0 < value <= 1 and value >= Fraction(1, n)):
+        value = padic_abs(n, 3)  # 1/n <= value <= 1, on the lowest-terms fields
+        if not isinstance(value, Fraction) or not (
+                0 < value.numerator <= value.denominator <= n * value.numerator):
             return False, f"n<={max_n}", f"fails at {n}"
     return True, f"n<={max_n}"
 
@@ -273,20 +281,41 @@ def _ratio_window(table) -> Iterator[Dyadic]:
     return islice(ratios, asymptotics.DEFAULT_BURN_IN - 1, None)
 
 
+def _floor64(numerator: int, shift: int) -> int:
+    """floor(numerator / 2**shift * 2**64): ``>>`` floors negatives too, and
+    its cost does not grow with the numerator."""
+    return numerator >> (shift - 64) if shift >= 64 else numerator << (64 - shift)
+
+
+def _bound_floors(low, high) -> tuple[int, int]:
+    return math.floor(low * 2**64), math.floor(high * 2**64)
+
+
+def _ratio_range(table, band=None) -> tuple:
+    """The first (X, ratio) of a map's ratio window outside ``band``, or
+    None, with the window's lowest and highest ratio so far."""
+    low_top, high_top = _bound_floors(*band) if band else (-math.inf, math.inf)
+    lowest, highest = (math.inf, None), (-math.inf, None)  # (floor, ratio)
+    for X, ratio in enumerate(_ratio_window(table), start=asymptotics.DEFAULT_BURN_IN):
+        top = _floor64(ratio.numerator, ratio.shift)
+        if not low_top < top < high_top and not band[0] <= ratio <= band[1]:
+            return (X, ratio), lowest[1], highest[1]
+        if top <= lowest[0] and (top < lowest[0] or ratio < lowest[1]):
+            lowest = top, ratio
+        if top >= highest[0] and (top > highest[0] or ratio > highest[1]):
+            highest = top, ratio
+    return None, lowest[1], highest[1]
+
+
 @_check("extension-ratio-band")
 def _check_ratio_band(max_n: int, run: _Shared) -> tuple:
     params = f"64<=X<={max_n}, band [1/3-0.02, 1+0.02]"
     if max_n <= asymptotics.DEFAULT_BURN_IN:
         return True, params, _VACUOUS
-    low, high = asymptotics.RATIO_BAND
-    lowest = highest = None
-    for X, ratio in enumerate(_ratio_window(run.f), start=asymptotics.DEFAULT_BURN_IN):
-        if not low <= ratio <= high:
-            return False, params, f"ratio {float(ratio):.6f} at X={X}"
-        if lowest is None or ratio < lowest:
-            lowest = ratio
-        if highest is None or ratio > highest:
-            highest = ratio
+    outside, lowest, highest = _ratio_range(run.f, asymptotics.RATIO_BAND)
+    if outside:
+        X, ratio = outside
+        return False, params, f"ratio {float(ratio):.6f} at X={X}"
     observed = f"[{float(lowest):.6f}, {float(highest):.6f}]"
     return True, params, f"observed {observed}"
 
@@ -308,15 +337,40 @@ def _check_doubling_ratio(max_n: int, run: _Shared) -> tuple:
     params = f"64<=X<={max_n}, |ratio-1| < 0.02"
     if max_n <= asymptotics.DEFAULT_BURN_IN:
         return True, params, _VACUOUS
-    worst = max(abs(ratio - 1) for ratio in _ratio_window(run.g))
+    _, lowest, highest = _ratio_range(run.g)
+    worst = max(abs(lowest - 1), abs(highest - 1))
     ok = worst < asymptotics.RATIO_BAND_TOLERANCE
     return ok, params, f"max |ratio-1| = {float(worst):.6f}"
 
 
-def _merten_window(max_n: int, logs: list[Dyadic], table):
-    """(X, sum, ln X) for 16 <= X <= max_n, each exact."""
+def _less_log(total: Dyadic, log_x: Dyadic, halved: int = 0) -> Dyadic:
+    """sum - ln X / 2**halved, exactly."""
+    return total - Dyadic(log_x.numerator, log_x.shift + halved)
+
+
+def _merten_range(max_n: int, logs: list[Dyadic], table, halved: int) -> tuple:
+    """The first X >= 16 with sum - ln X / 2**halved < -2 or sum - ln X > 2,
+    or None, with the window's lowest sum - ln X / 2**halved and highest
+    sum - ln X.  ln X has at most 63 fraction bits for X >= 3, so ``full``,
+    ln X * 2**64, is an even int, and top - (full >> halved) is the floor."""
+    slack = asymptotics.MERTEN_SLACK
+    low_top, high_top = _bound_floors(-slack, slack)
+    lowest, highest = (math.inf,), (-math.inf,)  # (floor, sum, ln X)
     sums = islice(asymptotics.merten_series(table.spec, table.orbit_counts), 15, None)
-    return zip(range(16, max_n + 1), sums, logs[15:], strict=True)
+    for X, total, log_x in zip(range(16, max_n + 1), sums, logs[15:], strict=True):
+        top = _floor64(total.numerator, total.shift)
+        full = log_x.numerator << (64 - log_x.shift)
+        under, over = top - (full >> halved), top - full
+        if not (low_top < under and over < high_top) and (
+                _less_log(total, log_x, halved) < -slack or _less_log(total, log_x) > slack):
+            return X, None, None
+        if under <= lowest[0] and (under < lowest[0] or _less_log(total, log_x, halved)
+                                   < _less_log(*lowest[1:], halved)):
+            lowest = under, total, log_x
+        if over >= highest[0] and (over > highest[0] or _less_log(total, log_x)
+                                   > _less_log(*highest[1:])):
+            highest = over, total, log_x
+    return None, _less_log(*lowest[1:], halved), _less_log(*highest[1:])
 
 
 @_check("merten-sandwich")
@@ -324,18 +378,9 @@ def _check_merten_sandwich(max_n: int, run: _Shared) -> tuple:
     params = f"16<=X<={max_n}, 0.5*ln X - 2 <= sum <= ln X + 2"
     if max_n < 16:
         return True, params, _VACUOUS
-    slack = asymptotics.MERTEN_SLACK
-    neg_slack = -slack
-    lowest = highest = None
-    for X, total, log_x in _merten_window(max_n, run.logs, run.f):
-        dev_full = total - log_x
-        dev_half = total - Dyadic(log_x.numerator, log_x.shift + 1)  # sum - ln X / 2
-        if dev_half < neg_slack or dev_full > slack:
-            return False, params, f"fails at X={X}"
-        if lowest is None or dev_half < lowest:
-            lowest = dev_half
-        if highest is None or dev_full > highest:
-            highest = dev_full
+    failed, lowest, highest = _merten_range(max_n, run.logs, run.f, 1)
+    if failed:
+        return False, params, f"fails at X={failed}"
     return True, params, (
         f"observed sum-0.5lnX >= {float(lowest):.4f}, "
         f"sum-lnX <= {float(highest):.4f}"
@@ -347,13 +392,10 @@ def _check_merten_doubling(max_n: int, run: _Shared) -> tuple:
     params = f"16<=X<={max_n}, |sum - ln X| <= 2"
     if max_n < 16:
         return True, params, _VACUOUS
-    worst = Dyadic(0, 0)
-    for X, total, log_x in _merten_window(max_n, run.logs, run.g):
-        deviation = abs(total - log_x)
-        if deviation > worst:
-            worst = deviation
-        if deviation > asymptotics.MERTEN_SLACK:
-            return False, params, f"X={X}"
+    failed, lowest, highest = _merten_range(max_n, run.logs, run.g, 0)
+    if failed:
+        return False, params, f"X={failed}"
+    worst = max(abs(lowest), abs(highest))
     return True, params, f"empirical constant: max |sum - ln X| = {float(worst):.4f}"
 
 
@@ -362,13 +404,16 @@ def _check_delta_gap(max_n: int, run: _Shared) -> tuple:
     params = f"X<={max_n}; rescaled band [0.3, 1.5] for even X>=64"
     gaps = asymptotics.delta_gap(run.f, run.g)
     low, high = Fraction(3, 10), Fraction(3, 2)
+    low_top, high_top = _bound_floors(low, high)
     for X, (gap, even_bound) in enumerate(gaps, start=1):
         if gap > even_bound:
             return False, params, f"gap {gap} > bound {even_bound} at X={X}"
         if X >= 64 and X % 2 == 0:
-            scaled = Dyadic(even_bound * (X // 2), X)  # X even: 2**X = 4**(X // 2)
-            if not low <= scaled <= high:
-                return False, params, f"rescaled bound {float(scaled):.4f} at X={X}"
+            scaled = even_bound * (X // 2)  # over 2**X = 4**(X // 2), X even
+            if not low_top < _floor64(scaled, X) < high_top:
+                scaled = Dyadic(scaled, X)
+                if not low <= scaled <= high:
+                    return False, params, f"rescaled bound {float(scaled):.4f} at X={X}"
     return True, params
 
 

@@ -22,9 +22,9 @@ and keeps that convolution over its fix counts, listed from the stream of
 sum (``xi_series``) and the boundary scan's series read the stream once
 and hold no list of big counts.  Each series takes the map and the degree
 it reads, and no orbit table.
-``orbit_product_series`` alone takes a table: it expands the product with
-binomial coefficients from the table's orbit counts, and the two routes
-must agree coefficientwise.
+``orbit_product_series`` alone takes a table: it expands the product factor
+by factor from the table's orbit counts, by running sums or binomial
+coefficients, and the two routes must agree coefficientwise.
 A series truncated at degree D is a plain tuple of coefficients c_0..c_D:
 ints for the zeta series, Fractions for the logarithmic ones.
 
@@ -49,7 +49,6 @@ import math
 import operator
 from collections import namedtuple
 from fractions import Fraction
-from math import comb
 from typing import Sequence
 
 from .arith import ExactnessError, ord_p
@@ -131,8 +130,12 @@ def _append_coefficient(coeffs: list[int], scaled: int, divisor: int) -> None:
 def orbit_product_series(table: OrbitTable, degree: int) -> tuple[int, ...]:
     """Zeta via the orbit product, an independent check on ``zeta_series``.
 
-    Expands prod_{n<=N} (1 - z**n)**(-orbits(n)) with the binomial series
-    (1 - u)**(-m) = sum_k C(m-1+k, k) u**k, all in integer arithmetic.
+    Expands prod_{n<=N} (1 - z**n)**(-orbits(n)) in integer arithmetic, each
+    factor (1 - z**n)**(-m) by the cheaper of two exact routes.  For a small
+    m (2m <= degree // n) it divides by 1 - z**n m times: m running sums
+    with stride n, additions only.  Otherwise it adds the binomial series
+    (1 - u)**(-m) = sum_k C(m-1+k, k) u**k, one pass over the coefficients
+    per k, with C(m-1+k, k) = C(m-2+k, k-1) * (m-1+k) / k.
     The degree must lie in 0..table.n_max.
     """
     if not 0 <= degree <= table.n_max:
@@ -141,17 +144,17 @@ def orbit_product_series(table: OrbitTable, degree: int) -> tuple[int, ...]:
     coeffs[0] = 1
     for n in range(1, degree + 1):
         m = table.orbit_counts[n - 1]
-        if m == 0:
-            continue
         k_max = degree // n
-        binom = [comb(m - 1 + k, k) for k in range(k_max + 1)]
-        new = coeffs[:]
+        if 0 <= m <= k_max // 2:
+            for _ in range(m):
+                for i in range(n, degree + 1):
+                    coeffs[i] += coeffs[i - n]
+            continue
+        new, binom = coeffs[:], 1
         for k in range(1, k_max + 1):
-            b = binom[k]
+            binom = binom * (m - 1 + k) // k
             shift = n * k
-            for i in range(0, degree - shift + 1):
-                if coeffs[i]:
-                    new[i + shift] += coeffs[i] * b
+            new[shift:] = [x + y * binom for x, y in zip(new[shift:], coeffs)]
         coeffs = new
     return tuple(coeffs)
 

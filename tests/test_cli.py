@@ -489,6 +489,40 @@ def test_verify_fault_injection_fails(monkeypatch, capsys):
     assert any(row[1] == "FAIL" for row in rows)
 
 
+def test_verify_list_names_the_checks_in_order(capsys):
+    import orbitkit.verify as verify
+
+    code, out, _ = run_cli(capsys, "verify", "--list")
+    assert code == 0
+    assert out.splitlines() == list(verify.CHECKS)
+
+
+def test_verify_only_runs_one_check(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max", "300")
+    full = dict((row[0], row) for row in csv_rows(out)[1])
+    for name in ("merten-sandwich", "zeta-two-routes", "padic-abs-range"):
+        code, out, _ = run_cli(capsys, "verify", "--only", name, "--max", "300")
+        assert code == 0
+        assert "# checks=1" in out.splitlines()
+        assert csv_rows(out)[1] == [full[name]]
+
+
+def test_verify_only_exits_2_on_a_failing_check(monkeypatch, capsys):
+    import orbitkit.verify as verify
+
+    monkeypatch.setattr(verify, "padic_factor", lambda n: 0)
+    code, out, _ = run_cli(capsys, "verify", "--only", "padic-closed-form", "--max", "16")
+    assert code == 2
+    assert csv_rows(out)[1] == [["padic-closed-form", "FAIL", "n<=16", "mismatch at n=2"]]
+
+
+def test_verify_only_refuses_an_unknown_name(capsys):
+    code, out, err = run_cli(capsys, "verify", "--only", "no-such-check")
+    assert code == 1 and out == ""
+    assert err == ("orbitkit: error: unknown check 'no-such-check'; "
+                   "verify --list names the checks\n")
+
+
 def test_verify_exactness_error_is_a_fail_row(monkeypatch, capsys):
     import orbitkit.counting as counting
     import orbitkit.zeta as zeta
