@@ -334,27 +334,33 @@ def _cmd_zeta_boundary(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def run_checks(max_n: int) -> list[CheckResult]:
-    """``verify.run_checks``, importing the check suite on its first call, so
-    that no other command compiles it."""
+def _check_suite():
+    """The ``verify`` module, imported on its first use, so that no other
+    command compiles the check suite."""
     from . import verify
 
-    return verify.run_checks(max_n)
+    return verify
+
+
+def run_checks(max_n: int, only: "str | None" = None) -> list[CheckResult]:
+    """``verify.run_checks``, or a one-item list of the check named ``only``."""
+    suite = _check_suite()
+    if only is None:
+        return suite.run_checks(max_n)
+    if only not in suite.CHECKS:
+        raise ValueError(f"unknown check {only!r}; verify --list names the checks")
+    return [suite.CHECKS[only](max_n)]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _check_range("--max", args.max, 1, 10**4)
-    if args.list or args.only is not None:
-        from . import verify
-
-        if args.list:
-            print("\n".join(verify.CHECKS))
-            return EXIT_OK
-        if args.only not in verify.CHECKS:
-            raise ValueError(f"unknown check {args.only!r}; verify --list names the checks")
-        results = [verify.CHECKS[args.only](args.max)]
-    else:
-        results = run_checks(args.max)
+    if args.list:
+        names = list(_check_suite().CHECKS)
+        write_table(args.format, args.output,
+                    {"command": "verify --list", "checks": len(names), "version": __version__},
+                    ("check",), [(name,) for name in names])
+        return EXIT_OK
+    results = run_checks(args.max, args.only)
     meta = {"command": "verify", "max": args.max,
             "checks": len(results), "version": __version__}
     rows = [
@@ -426,8 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the invariant suite")
     p_verify.add_argument("--max", type=int, default=500)
-    p_verify.add_argument("--list", action="store_true", help="print the check names in order")
-    p_verify.add_argument("--only", metavar="NAME", help="run the one named check")
+    pick = p_verify.add_mutually_exclusive_group()
+    pick.add_argument("--list", action="store_true", help="list the check names in order")
+    pick.add_argument("--only", metavar="NAME", help="run the one named check")
     _add_output_options(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -351,16 +351,18 @@ def _less_log(total: Dyadic, log_x: Dyadic, halved: int = 0) -> Dyadic:
 def _merten_range(max_n: int, logs: list[Dyadic], table, halved: int) -> tuple:
     """The first X >= 16 with sum - ln X / 2**halved < -2 or sum - ln X > 2,
     or None, with the window's lowest sum - ln X / 2**halved and highest
-    sum - ln X.  ln X has at most 63 fraction bits for X >= 3, so ``full``,
-    ln X * 2**64, is an even int, and top - (full >> halved) is the floor."""
+    sum - ln X.  ``half``, ln X / 2**halved * 2**64, is an int while ln X
+    has at most 64 - halved fraction bits (62 at 64-bit precision for
+    X >= 16), so top - half is the floor; past that, its shift count is
+    negative and raises ``ValueError`` rather than decide on a rounded floor."""
     slack = asymptotics.MERTEN_SLACK
     low_top, high_top = _bound_floors(-slack, slack)
     lowest, highest = (math.inf,), (-math.inf,)  # (floor, sum, ln X)
     sums = islice(asymptotics.merten_series(table.spec, table.orbit_counts), 15, None)
     for X, total, log_x in zip(range(16, max_n + 1), sums, logs[15:], strict=True):
         top = _floor64(total.numerator, total.shift)
-        full = log_x.numerator << (64 - log_x.shift)
-        under, over = top - (full >> halved), top - full
+        half = log_x.numerator << (64 - halved - log_x.shift)
+        under, over = top - half, top - (half << halved)
         if not (low_top < under and over < high_top) and (
                 _less_log(total, log_x, halved) < -slack or _less_log(total, log_x) > slack):
             return X, None, None

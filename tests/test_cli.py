@@ -494,7 +494,25 @@ def test_verify_list_names_the_checks_in_order(capsys):
 
     code, out, _ = run_cli(capsys, "verify", "--list")
     assert code == 0
-    assert out.splitlines() == list(verify.CHECKS)
+    assert "# checks=28" in out.splitlines()
+    assert csv_rows(out) == (["check"], [[name] for name in verify.CHECKS])
+
+
+def test_verify_list_honours_format_and_output(tmp_path, capsys):
+    import orbitkit.verify as verify
+
+    path = tmp_path / "names.json"
+    code, out, _ = run_cli(capsys, "verify", "--list", "--format", "json", "--output", str(path))
+    assert code == 0 and out == ""
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert data["meta"]["command"] == "verify --list"
+    assert [row["check"] for row in data["rows"]] == list(verify.CHECKS)
+
+
+def test_verify_list_and_only_are_exclusive(capsys):
+    code, out, err = run_cli(capsys, "verify", "--list", "--only", "merten-sandwich")
+    assert code == 1 and out == ""
+    assert "not allowed with argument" in err
 
 
 def test_verify_only_runs_one_check(capsys):

@@ -275,6 +275,25 @@ def test_merten_extremes_tied_on_their_floor(monkeypatch, later, spec, halved):
     assert_exact_rule("merten-sandwich" if halved else "merten-doubling-baseline")
 
 
+@pytest.mark.parametrize("bits", [64, 65, 66])
+@pytest.mark.parametrize("spec, halved", [(THREE_ADIC_EXTENSION, 1), (CIRCLE_DOUBLING, 0)])
+def test_merten_floors_exact_or_refused_at_any_precision(spec, halved, bits):
+    # ln X / 2**halved * 2**64 is an int only while ln X has at most
+    # 64 - halved fraction bits (bits - 2 at X = 16).  Past that the window
+    # must raise, not decide its bands on a rounded floor.
+    logs = asymptotics.log_table(MAX, bits)
+    if max(log_x.shift for log_x in logs[15:]) + halved > 64:
+        with pytest.raises(ValueError):
+            verify._merten_range(MAX, logs, TABLES[spec], halved)
+        return
+    sums = list(asymptotics.merten_series(spec, TABLES[spec].orbit_counts))[15:]
+    window = list(zip(sums, logs[15:]))
+    assert verify._merten_range(MAX, logs, TABLES[spec], halved) == (
+        None,
+        min(total - Dyadic(log_x.numerator, log_x.shift + halved) for total, log_x in window),
+        max(total - log_x for total, log_x in window))
+
+
 def rescaled_pair(X: int, scaled: Dyadic) -> tuple[int, int]:
     """A (gap, even_bound) pair at even X whose bound rescales to ``scaled``,
     given at shift X with a numerator divisible by X // 2."""
