@@ -9,7 +9,7 @@ the even-length orbit count that bounds it, in one running-sum pass.
 ``merten_series`` yields the weighted sums sum_{n<=X} orbits(n)/2**n, which
 track ln X for the doubling map and sit between (1/2) ln X and ln X for the
 extension.  The ratio and the Merten sums read a map's orbit counts, from
-any iterable, to its end, and the gap reads two tables to their end.  The
+any iterable, to its end, and the gap reads two tuples to their end.  The
 three series are iterators, each value computed as it is read: a reader
 that skips small X slices the iterator, and one that reads the values twice
 calls the series again.  Each refuses bad input with ValueError at the
@@ -39,10 +39,10 @@ shift and a mask.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .arith import Dyadic, ExactnessError, least_prime_factors
-from .counting import MapSpec, OrbitTable
+from .counting import MapSpec
 
 __all__ = [
     "ratio_series",
@@ -95,20 +95,20 @@ def _ratios(orbit_counts) -> Iterator[Dyadic]:
         yield Dyadic(X * running, X + 1)
 
 
-def delta_gap(table_f: OrbitTable, table_g: OrbitTable) -> Iterator[tuple[int, int]]:
+def delta_gap(orbits_f: Sequence[int], orbits_g: Sequence[int]) -> Iterator[tuple[int, int]]:
     """Orbit-count gaps pi_g(X) - pi_f(X) with their even-length upper bounds.
 
     Yields one ``(gap, even_bound)`` pair per X = 1..n_max, as it is read;
-    ``even_bound`` sums the second table's orbit counts over even n <= X.
-    Tables of unequal ranges raise ValueError at the call.  The gap is
+    ``even_bound`` sums the second map's orbit counts over even n <= X.
+    Tables of unequal lengths raise ValueError at the call.  The gap is
     guaranteed non-negative when the first map's orbit counts are dominated
     by the second's (true for the 3-adic extension vs. the doubling map); a
     negative gap is reported as a defect.  gap <= even_bound additionally
     requires the odd-length counts to agree, as they do for that pair.
     """
-    if table_f.n_max != table_g.n_max:
-        raise ValueError(f"delta_gap needs equal ranges, got {table_f.n_max} and {table_g.n_max}")
-    return _gaps(table_f.orbit_counts, table_g.orbit_counts)
+    if len(orbits_f) != len(orbits_g):
+        raise ValueError(f"delta_gap needs equal ranges, got {len(orbits_f)} and {len(orbits_g)}")
+    return _gaps(orbits_f, orbits_g)
 
 
 def _gaps(orbits_f, orbits_g) -> Iterator[tuple[int, int]]:

@@ -21,7 +21,7 @@ The big integers of ``table``, ``pnt`` and ``merten`` are rendered from
 exact ``Decimal`` twins of the int counts and sums, built beside them in
 ``EXACT_DECIMAL``, in which every command runs: their strings take time
 linear in the digits, where ``str`` of an int takes quadratic time.
-``table`` holds one list of big counts: the Decimal orbit counts of
+``table`` holds one tuple of big counts: the Decimal orbit counts of
 ``build_table``, zipped with the stream of Decimal fix counts, which it
 reads once.  ``pnt`` and ``merten`` hold no orbit table: their series read
 streams of int orbit counts, and they render from the stream of Decimal
@@ -155,7 +155,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = (
         (str(n), str(fix), str(n * orbits), str(orbits))
         for n, (fix, orbits) in enumerate(
-            zip(fix_counts(spec, args.max, Decimal), table.orbit_counts), start=1)
+            zip(fix_counts(spec, args.max, Decimal), table), start=1)
     )
     write_table(args.format, args.output, meta,
                 ("n", "fix_count", "least_count", "orbit_count"), rows)

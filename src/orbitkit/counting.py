@@ -8,9 +8,9 @@ exactly n (``least``), and the number of closed orbits of length n
     fix(n)   = sum of least(d) over divisors d of n,
     least(n) = n * orbits(n),
 
-with the first relation inverted by a sieve or by Möbius.  So only one
-of them is independent: ``fix_counts`` computes fix, a table keeps the
-orbits alone, and least is n * orbits.  A map is a base kind and a power.
+with the first relation inverted by Möbius.  So only one of them is
+independent: ``fix_counts`` computes fix, a table is the tuple of orbit
+counts, and least is n * orbits.  A map is a base kind and a power.
 The base is the circle-doubling map (fix(n) = 2**n - 1), its 3-adic
 isometric extension (fix(n) = (2**n - 1) * |2**n - 1|_3, an exact
 integer) or user-supplied orbit-count data; the p-th iterate T^p reads its
@@ -26,10 +26,11 @@ streams: one count at a time, so a single pass never holds the list.  The
 ``table`` command's fix column, the inner zeta sum, the boundary scan and
 ``verify`` read the fix stream once; ``pnt`` and ``merten`` compute their
 series from the int orbit stream and render from the Decimal one.
-Readers that index the counts list them:
-``build_table``'s sieve and the convolution of custom orbit data in the
-zeta series.  The sieve and the orbit stream share one last step, ``_orbit``,
-with its checks, and the two streams one argument check and exact arithmetic.
+Readers that index the counts list them: ``build_table``, which inverts
+its list of fix counts in place, and the convolution of custom orbit data
+in the zeta series.  ``build_table`` and the orbit stream share one
+Möbius sum, ``_below``, and one last step, ``_orbit``, with its checks,
+and the two streams one argument check and exact arithmetic.
 
 Every closed-form map also has a term form (``fix_terms``): its fix counts
 are a short sum of gated geometric terms,
@@ -55,7 +56,6 @@ from .arith import EXACT_DECIMAL, ExactnessError, divisors, least_prime_factors,
 
 __all__ = [
     "MapSpec",
-    "OrbitTable",
     "CIRCLE_DOUBLING",
     "THREE_ADIC_EXTENSION",
     "iterate",
@@ -205,63 +205,63 @@ def fix_terms(spec: MapSpec, n_max: int) -> tuple[int, tuple[tuple[int, int, int
     return den, tuple(mapped)
 
 
-class OrbitTable:
-    """Orbit counts for one map, for n = 1..``n_max``.
+def build_table(spec: MapSpec, n_max: int, number: type = int) -> tuple:
+    """orbits(n) for n = 1..n_max as a fresh tuple of ``number`` integers,
+    int or ``Decimal`` for rendering: ``tuple(orbit_counts(...))``.
 
-    The tuple is indexed from 0 for n = 1.  Fix counts come from
-    ``fix_counts`` and least-period counts are n * orbits(n): a table keeps
-    neither.  ``n_max`` is the length of the orbit counts, the one
-    statement of the table's range: the computations on a table run to its
-    end.  A built table is not changed after it is built and is safe to
-    share.  The counts are ints, or ``Decimal`` integers in a table built
-    for rendering (see ``build_table``).
-    """
-
-    __slots__ = ("spec", "orbit_counts", "__weakref__")
-
-    def __init__(self, spec: MapSpec, orbit_counts: "tuple[int, ...] | tuple[Decimal, ...]"):
-        self.spec = spec
-        self.orbit_counts = orbit_counts
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.spec, self.orbit_counts) == (other.spec, other.orbit_counts)
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.orbit_counts))
-
-    @property
-    def n_max(self) -> int:
-        return len(self.orbit_counts)
-
-
-def build_table(spec: MapSpec, n_max: int, number: type = int) -> OrbitTable:
-    """Compute orbit counts for n = 1..n_max, as a fresh table whose counts
-    are ``number`` values: int, or ``Decimal`` for rendering.
-
-    One sieve pass inverts the divisor sum in place, on the list of fix
-    counts that ``fix_counts`` streams: the count at m starts at fix(m),
-    and once least(n) is final it is subtracted at every multiple m of n
-    and replaced by orbits(n), its exact division by n.  That list is the
-    one list of counts the build holds.  Decimal arithmetic runs in
-    ``EXACT_DECIMAL``, so it rounds nothing.
+    The stream's Möbius sum runs in place on the listed fix counts, from
+    n = n_max down, where each fix(d) with d < n is still in place; then one
+    ascending pass divides, so the smallest bad n is the one reported.
+    That list is the one list of counts the build holds.
     """
     if n_max < 1:
         raise ValueError(f"build_table requires n_max >= 1, got {n_max}")
-    counts = list(fix_counts(spec, n_max, number))  # least(n) until n's turn, then orbits(n)
-    with localcontext(EXACT_DECIMAL):
-        for n in range(1, n_max + 1):
-            count = counts[n - 1]  # final: every proper divisor of n is below n
-            counts[n - 1] = _orbit(n, count, divmod)
-            for i in range(2 * n - 1, n_max, n):
-                counts[i] -= count
-    return OrbitTable(spec=spec, orbit_counts=tuple(counts))
+    add, sub, _, div = _exact_ops("orbit", n_max, number)
+    least = least_prime_factors(n_max)
+    counts = [None, *fix_counts(spec, n_max, number)]  # indexed by n
+    for n in range(n_max, 1, -1):
+        counts[n] = sub(counts[n], _below(n, counts, least, add, sub))
+    for n in range(1, n_max + 1):
+        counts[n] = _orbit(n, counts[n], div)
+    del counts[0]
+    return tuple(counts)
+
+
+def _below(n: int, fix, least, add, sub):
+    """fix(n) - least(n), the sum of -mu(q) * fix(n/q) over the squarefree
+    q > 1 dividing n, from ``fix`` indexed by d for d <= n/2 and ``least``,
+    the least prime factors; the terms of at most three primes inline."""
+    # p < r < s ... are n's distinct primes.
+    p = least[n]
+    a = m = n // p
+    while m % p == 0:
+        m //= p
+    if m == 1:
+        return fix[a]
+    r = least[m]
+    while m % r == 0:
+        m //= r
+    b, ar = n // r, a // r
+    if m == 1:
+        return sub(add(fix[a], fix[b]), fix[ar])
+    s = least[m]
+    while m % s == 0:
+        m //= s
+    if m == 1:
+        return sub(add(add(fix[a], fix[b]), add(fix[n // s], fix[ar // s])),
+                   add(add(fix[ar], fix[a // s]), fix[b // s]))
+    plus, minus = [a, b, n // s, ar // s], [ar, a // s, b // s]  # four or more: 9% of n <= 10**4
+    while m > 1:
+        t = least[m]
+        while m % t == 0:
+            m //= t
+        plus, minus = plus + [n // t] + [d // t for d in minus], minus + [d // t for d in plus]
+    return sub(reduce(add, [fix[d] for d in plus]), reduce(add, [fix[d] for d in minus]))
 
 
 def _orbit(n: int, count, div):
     """orbits(n) from the final least-period count at n, by the exact
-    ``div``: the last step of the sieve and the stream, with their checks."""
+    ``div``: the last step of the table and the stream, with their checks."""
     if count < 0:
         raise ExactnessError(f"negative least-period count {count} at n={n}")
     orbit, remainder = div(count, n)
@@ -340,14 +340,14 @@ def _custom_fix(counts: tuple, p: int, n_max: int, number: type) -> list:
 
 def orbit_counts(spec: MapSpec, n_max: int, number: type = int) -> Iterator:
     """orbits(n) for n = 1..n_max as a stream of ``number`` integers, int or
-    ``Decimal``: ``build_table(spec, n_max, number).orbit_counts`` one count
-    at a time.  n_max = 0 gives an empty stream; a bad ``n_max`` or
-    ``number`` raises ValueError here, at the call, not at the first value.
+    ``Decimal``: ``build_table(spec, n_max, number)`` one count at a time.
+    n_max = 0 gives an empty stream; a bad ``n_max`` or ``number`` raises
+    ValueError here, at the call, not at the first value.
 
-    least(n) is the Möbius sum of mu(q) * fix(n/q) over the squarefree q | n,
-    the terms of q > 1 (n/2 bits at most) first.  Each fix(d) with
-    d <= n_max/2 is kept as it passes and never replaced, so no sum grows in
-    place and fragments the heap.  Decimals are computed with the ops of
+    least(n) is fix(n) less ``_below``, the Möbius sum of the squarefree
+    q > 1 dividing n (n/2 bits at most).  Each fix(d) with d <= n_max/2 is
+    kept as it passes and never replaced, so no sum grows in place and
+    fragments the heap.  Decimals are computed with the ops of
     ``_exact_ops``, as in ``fix_counts``, in no switched context.
     """
     return _orbit_stream(spec, n_max, number, _exact_ops("orbit", n_max, number))
@@ -361,41 +361,11 @@ def _orbit_stream(spec: MapSpec, n_max: int, number: type, ops) -> Iterator:
         if 2 * n <= n_max:
             fix.append(count)
         if n > 1:
-            # least(n) = fix(n) - below, and p < r < s ... are n's distinct primes.
-            p = least[n]
-            a = m = n // p
-            while m % p == 0:
-                m //= p
-            below = fix[a]
-            if m > 1:
-                r = least[m]
-                while m % r == 0:
-                    m //= r
-                b, ar = n // r, a // r
-                if m == 1:
-                    below = sub(add(below, fix[b]), fix[ar])
-                else:
-                    s = least[m]
-                    while m % s == 0:
-                        m //= s
-                    if m == 1:
-                        below = sub(add(add(below, fix[b]), add(fix[n // s], fix[ar // s])),
-                                    add(add(fix[ar], fix[a // s]), fix[b // s]))
-                    else:  # four or more primes: 9% of n <= 10**4
-                        plus, minus = [a, b, n // s, ar // s], [ar, a // s, b // s]
-                        while m > 1:
-                            t = least[m]
-                            while m % t == 0:
-                                m //= t
-                            plus, minus = (plus + [n // t] + [d // t for d in minus],
-                                           minus + [d // t for d in plus])
-                        below = sub(reduce(add, [fix[d] for d in plus]),
-                                    reduce(add, [fix[d] for d in minus]))
-            count = sub(count, below)
+            count = sub(count, _below(n, fix, least, add, sub))
         yield _orbit(n, count, div)
 
 
-def orbit_count_iterate(base: OrbitTable, k: int, n: int) -> int:
+def orbit_count_iterate(base: Sequence[int], k: int, n: int) -> int:
     """Orbits of length n of the k-th iterate, from the base map's table.
 
     Uses the double divisor sum
@@ -410,13 +380,11 @@ def orbit_count_iterate(base: OrbitTable, k: int, n: int) -> int:
         raise ValueError(f"iterate power must be >= 1, got {k}")
     if n < 1:
         raise ValueError(f"orbit_count_iterate requires n >= 1, got {n}")
-    if n * k > base.n_max:
-        raise ValueError(
-            f"base table covers 1..{base.n_max}, need {n * k} for n={n}, k={k}"
-        )
+    if n * k > len(base):
+        raise ValueError(f"base table covers 1..{len(base)}, need {n * k} for n={n}, k={k}")
     total = 0
     for d in divisors(n):
-        inner = sum(dp * base.orbit_counts[dp - 1] for dp in divisors(d * k))
+        inner = sum(dp * base[dp - 1] for dp in divisors(d * k))
         total += mobius(n // d) * inner
     orbit, remainder = divmod(total, n)
     if remainder:
@@ -426,7 +394,7 @@ def orbit_count_iterate(base: OrbitTable, k: int, n: int) -> int:
     return orbit
 
 
-def iterate_square_identity(base: OrbitTable, n: int) -> int:
+def iterate_square_identity(base: Sequence[int], n: int) -> int:
     """Orbits of length n of the second iterate via the two-case identity.
 
     orbits_n(T^2) equals 2*orbits_{2n}(T) + orbits_n(T) for odd n and
@@ -434,9 +402,9 @@ def iterate_square_identity(base: OrbitTable, n: int) -> int:
     """
     if n < 1:
         raise ValueError(f"iterate_square_identity requires n >= 1, got {n}")
-    if 2 * n > base.n_max:
-        raise ValueError(f"base table covers 1..{base.n_max}, need {2 * n}")
-    doubled = 2 * base.orbit_counts[2 * n - 1]
+    if 2 * n > len(base):
+        raise ValueError(f"base table covers 1..{len(base)}, need {2 * n}")
+    doubled = 2 * base[2 * n - 1]
     if n % 2 == 1:
-        return doubled + base.orbit_counts[n - 1]
+        return doubled + base[n - 1]
     return doubled

@@ -80,11 +80,11 @@ CHECKS: dict[str, Callable[..., CheckResult]] = {}
 
 class _Shared:
     """The values of one run that cost enough to build once for all their
-    readers: f's and g's tables at ``max_n``, the divisor lists of
-    n <= ``max_n`` and the ln X table of the two Merten checks.  Each is
-    built on its first read; checks with smaller windows read a prefix.
-    Each is a list or a table, never a stream: a second reader zipping over
-    a used-up ``fix_counts`` stream would check nothing."""
+    readers: f's and g's tables (tuples of orbit counts) at ``max_n``, the
+    divisor lists of n <= ``max_n`` and the ln X table of the two Merten
+    checks.  Each is built on its first read; checks with smaller windows
+    read a prefix.  Each is a list or a tuple, never a stream: a second
+    reader zipping over a used-up ``fix_counts`` stream checks nothing."""
 
     def __init__(self, max_n: int):
         self.max_n = max_n
@@ -183,10 +183,10 @@ def _check_even_divisibility(max_n: int, run: _Shared) -> tuple:
 def _check_inversion_roundtrip(max_n: int, run: _Shared) -> tuple:
     lists = run.divisor_lists
     # build_table raises ExactnessError where n does not divide least(n)
-    for table, label in ((run.f, "f"), (run.g, "g")):
-        fix = fix_counts(table.spec, max_n)
+    for spec, table, label in ((THREE_ADIC_EXTENSION, run.f, "f"), (CIRCLE_DOUBLING, run.g, "g")):
+        fix = fix_counts(spec, max_n)
         for n, (ds, fix_n) in enumerate(zip(lists, fix, strict=True), start=1):
-            rebuilt = sum(d * table.orbit_counts[d - 1] for d in ds)
+            rebuilt = sum(d * table[d - 1] for d in ds)
             if rebuilt != fix_n:
                 return False, f"n<={max_n}", f"{label} at n={n}"
     return True, f"n<={max_n}, maps f and g"
@@ -194,7 +194,7 @@ def _check_inversion_roundtrip(max_n: int, run: _Shared) -> tuple:
 
 @_check("orbit-domination")
 def _check_orbit_domination(max_n: int, run: _Shared) -> tuple:
-    for n, (orbits_f, orbits_g) in enumerate(zip(run.f.orbit_counts, run.g.orbit_counts), start=1):
+    for n, (orbits_f, orbits_g) in enumerate(zip(run.f, run.g), start=1):
         if orbits_f > orbits_g:
             return False, f"n<={max_n}", f"fails at {n}"
     return True, f"n<={max_n}"
@@ -221,7 +221,7 @@ def _check_iterate_double_sum(max_n: int, run: _Shared) -> tuple:
             base = build_table(spec, top * k)
             direct = build_table(iterate(spec, k), top)
             for n in range(1, top + 1):
-                if orbit_count_iterate(base, k, n) != direct.orbit_counts[n - 1]:
+                if orbit_count_iterate(base, k, n) != direct[n - 1]:
                     return False, params, f"{spec.label}, k={k}, n={n}"
     return True, params
 
@@ -234,7 +234,7 @@ def _check_square_identity(max_n: int, run: _Shared) -> tuple:
         base = build_table(spec, 2 * top)
         direct = build_table(iterate(spec, 2), top)
         for n in range(1, top + 1):
-            if iterate_square_identity(base, n) != direct.orbit_counts[n - 1]:
+            if iterate_square_identity(base, n) != direct[n - 1]:
                 return False, params, f"{spec.label}, n={n}"
     return True, params
 
@@ -257,7 +257,7 @@ def _check_fix_term_form(max_n: int, run: _Shared) -> tuple:
 def _check_killed_orbits(max_n: int, run: _Shared) -> tuple:
     if max_n < 6:
         return True, "n in (2, 6)", _VACUOUS
-    orbits_2, orbits_6 = run.f.orbit_counts[1], run.f.orbit_counts[5]
+    orbits_2, orbits_6 = run.f[1], run.f[5]
     ok = orbits_2 == 0 and orbits_6 == 0
     detail = "" if ok else f"orbits(2)={orbits_2}, orbits(6)={orbits_6}"
     return ok, "n in (2, 6)", detail
@@ -266,7 +266,7 @@ def _check_killed_orbits(max_n: int, run: _Shared) -> tuple:
 @_check("pi-domination")
 def _check_pi_domination(max_n: int, run: _Shared) -> tuple:
     total_f = total_g = 0
-    for X, (orbits_f, orbits_g) in enumerate(zip(run.f.orbit_counts, run.g.orbit_counts), start=1):
+    for X, (orbits_f, orbits_g) in enumerate(zip(run.f, run.g), start=1):
         total_f += orbits_f
         total_g += orbits_g
         if total_f > total_g:
@@ -274,10 +274,10 @@ def _check_pi_domination(max_n: int, run: _Shared) -> tuple:
     return True, f"X<={max_n}"
 
 
-def _ratio_window(table) -> Iterator[Dyadic]:
+def _ratio_window(spec, table) -> Iterator[Dyadic]:
     """A map's ratios for DEFAULT_BURN_IN <= X <= the table's end, as an
     iterator for the one check that reads them."""
-    ratios = asymptotics.ratio_series(table.spec, table.orbit_counts)
+    ratios = asymptotics.ratio_series(spec, table)
     return islice(ratios, asymptotics.DEFAULT_BURN_IN - 1, None)
 
 
@@ -291,12 +291,12 @@ def _bound_floors(low, high) -> tuple[int, int]:
     return math.floor(low * 2**64), math.floor(high * 2**64)
 
 
-def _ratio_range(table, band=None) -> tuple:
+def _ratio_range(spec, table, band=None) -> tuple:
     """The first (X, ratio) of a map's ratio window outside ``band``, or
     None, with the window's lowest and highest ratio so far."""
     low_top, high_top = _bound_floors(*band) if band else (-math.inf, math.inf)
     lowest, highest = (math.inf, None), (-math.inf, None)  # (floor, ratio)
-    for X, ratio in enumerate(_ratio_window(table), start=asymptotics.DEFAULT_BURN_IN):
+    for X, ratio in enumerate(_ratio_window(spec, table), start=asymptotics.DEFAULT_BURN_IN):
         top = _floor64(ratio.numerator, ratio.shift)
         if not low_top < top < high_top and not band[0] <= ratio <= band[1]:
             return (X, ratio), lowest[1], highest[1]
@@ -312,7 +312,7 @@ def _check_ratio_band(max_n: int, run: _Shared) -> tuple:
     params = f"64<=X<={max_n}, band [1/3-0.02, 1+0.02]"
     if max_n <= asymptotics.DEFAULT_BURN_IN:
         return True, params, _VACUOUS
-    outside, lowest, highest = _ratio_range(run.f, asymptotics.RATIO_BAND)
+    outside, lowest, highest = _ratio_range(THREE_ADIC_EXTENSION, run.f, asymptotics.RATIO_BAND)
     if outside:
         X, ratio = outside
         return False, params, f"ratio {float(ratio):.6f} at X={X}"
@@ -325,7 +325,8 @@ def _check_ratio_clusters(max_n: int, run: _Shared) -> tuple:
     params = f"64<=X<={max_n}"
     if max_n <= asymptotics.DEFAULT_BURN_IN:
         return True, params, _VACUOUS
-    clusters = asymptotics.cluster_ratios([float(ratio) for ratio in _ratio_window(run.f)])
+    ratios = _ratio_window(THREE_ADIC_EXTENSION, run.f)
+    clusters = asymptotics.cluster_ratios([float(ratio) for ratio in ratios])
     summary = "; ".join(f"{mean:.4f} x{count}" for mean, count in clusters[:8])
     if len(clusters) > 8:
         summary += f"; ... ({len(clusters)} clusters total)"
@@ -337,7 +338,7 @@ def _check_doubling_ratio(max_n: int, run: _Shared) -> tuple:
     params = f"64<=X<={max_n}, |ratio-1| < 0.02"
     if max_n <= asymptotics.DEFAULT_BURN_IN:
         return True, params, _VACUOUS
-    _, lowest, highest = _ratio_range(run.g)
+    _, lowest, highest = _ratio_range(CIRCLE_DOUBLING, run.g)
     worst = max(abs(lowest - 1), abs(highest - 1))
     ok = worst < asymptotics.RATIO_BAND_TOLERANCE
     return ok, params, f"max |ratio-1| = {float(worst):.6f}"
@@ -348,7 +349,7 @@ def _less_log(total: Dyadic, log_x: Dyadic, halved: int = 0) -> Dyadic:
     return total - Dyadic(log_x.numerator, log_x.shift + halved)
 
 
-def _merten_range(max_n: int, logs: list[Dyadic], table, halved: int) -> tuple:
+def _merten_range(max_n: int, logs: list[Dyadic], spec, table, halved: int) -> tuple:
     """The first X >= 16 with sum - ln X / 2**halved < -2 or sum - ln X > 2,
     or None, with the window's lowest sum - ln X / 2**halved and highest
     sum - ln X.  ``half``, ln X / 2**halved * 2**64, is an int while ln X
@@ -358,7 +359,7 @@ def _merten_range(max_n: int, logs: list[Dyadic], table, halved: int) -> tuple:
     slack = asymptotics.MERTEN_SLACK
     low_top, high_top = _bound_floors(-slack, slack)
     lowest, highest = (math.inf,), (-math.inf,)  # (floor, sum, ln X)
-    sums = islice(asymptotics.merten_series(table.spec, table.orbit_counts), 15, None)
+    sums = islice(asymptotics.merten_series(spec, table), 15, None)
     for X, total, log_x in zip(range(16, max_n + 1), sums, logs[15:], strict=True):
         top = _floor64(total.numerator, total.shift)
         half = log_x.numerator << (64 - halved - log_x.shift)
@@ -380,7 +381,7 @@ def _check_merten_sandwich(max_n: int, run: _Shared) -> tuple:
     params = f"16<=X<={max_n}, 0.5*ln X - 2 <= sum <= ln X + 2"
     if max_n < 16:
         return True, params, _VACUOUS
-    failed, lowest, highest = _merten_range(max_n, run.logs, run.f, 1)
+    failed, lowest, highest = _merten_range(max_n, run.logs, THREE_ADIC_EXTENSION, run.f, 1)
     if failed:
         return False, params, f"fails at X={failed}"
     return True, params, (
@@ -394,7 +395,7 @@ def _check_merten_doubling(max_n: int, run: _Shared) -> tuple:
     params = f"16<=X<={max_n}, |sum - ln X| <= 2"
     if max_n < 16:
         return True, params, _VACUOUS
-    failed, lowest, highest = _merten_range(max_n, run.logs, run.g, 0)
+    failed, lowest, highest = _merten_range(max_n, run.logs, CIRCLE_DOUBLING, run.g, 0)
     if failed:
         return False, params, f"X={failed}"
     worst = max(abs(lowest), abs(highest))
@@ -500,7 +501,7 @@ def _check_custom_example(max_n: int, run: _Shared) -> tuple:
             return False, params, f"b at n={n}"
         if expected_a >= expected_b:
             return False, params, f"fix dominance at n={n}"
-    ok = build_table(spec_a, top).orbit_counts[1] > build_table(spec_b, top).orbit_counts[1]
+    ok = build_table(spec_a, top)[1] > build_table(spec_b, top)[1]
     return ok, params, "" if ok else "orbit counts unexpectedly dominated"
 
 

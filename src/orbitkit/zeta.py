@@ -22,8 +22,8 @@ and keeps that convolution over its fix counts, listed from the stream of
 sum (``xi_series``) and the boundary scan's series read the stream once
 and hold no list of big counts.  Each series takes the map and the degree
 it reads, and no orbit table.
-``orbit_product_series`` alone takes a table: it expands the product factor
-by factor from the table's orbit counts, by running sums or binomial
+``orbit_product_series`` alone takes a table, a map's orbit counts: it
+expands the product factor by factor from them, by running sums or binomial
 coefficients, and the two routes must agree coefficientwise.
 A series truncated at degree D is a plain tuple of coefficients c_0..c_D:
 ints for the zeta series, Fractions for the logarithmic ones.
@@ -52,7 +52,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import ExactnessError, ord_p
-from .counting import THREE_ADIC_EXTENSION, MapSpec, OrbitTable, fix_counts, fix_terms
+from .counting import THREE_ADIC_EXTENSION, MapSpec, fix_counts, fix_terms
 from .series import log_one_minus
 
 __all__ = [
@@ -127,7 +127,7 @@ def _append_coefficient(coeffs: list[int], scaled: int, divisor: int) -> None:
     coeffs.append(c)
 
 
-def orbit_product_series(table: OrbitTable, degree: int) -> tuple[int, ...]:
+def orbit_product_series(orbit_counts: Sequence[int], degree: int) -> tuple[int, ...]:
     """Zeta via the orbit product, an independent check on ``zeta_series``.
 
     Expands prod_{n<=N} (1 - z**n)**(-orbits(n)) in integer arithmetic, each
@@ -136,14 +136,14 @@ def orbit_product_series(table: OrbitTable, degree: int) -> tuple[int, ...]:
     with stride n, additions only.  Otherwise it adds the binomial series
     (1 - u)**(-m) = sum_k C(m-1+k, k) u**k, one pass over the coefficients
     per k, with C(m-1+k, k) = C(m-2+k, k-1) * (m-1+k) / k.
-    The degree must lie in 0..table.n_max.
+    The degree must lie in 0..len(orbit_counts).
     """
-    if not 0 <= degree <= table.n_max:
-        raise ValueError(f"degree must lie in 0..{table.n_max}, got {degree}")
+    if not 0 <= degree <= len(orbit_counts):
+        raise ValueError(f"degree must lie in 0..{len(orbit_counts)}, got {degree}")
     coeffs = [0] * (degree + 1)
     coeffs[0] = 1
     for n in range(1, degree + 1):
-        m = table.orbit_counts[n - 1]
+        m = orbit_counts[n - 1]
         k_max = degree // n
         if 0 <= m <= k_max // 2:
             for _ in range(m):

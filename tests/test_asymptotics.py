@@ -38,11 +38,6 @@ def fraction(value):
     return Fraction(value.numerator, 2**value.shift)
 
 
-def counts_of(table):
-    """The (map, orbit counts) arguments of the ratio and Merten series."""
-    return table.spec, table.orbit_counts
-
-
 @pytest.fixture(scope="module")
 def tf():
     return build_table(THREE_ADIC_EXTENSION, 64)
@@ -66,14 +61,15 @@ def tg6():
 def test_pi_sum_examples(tf6, tg6):
     # pi(X), the number of closed orbits of length <= X, for X = 1..6
     # read off the ratio X*pi(X)/2**(X+1), whose numerator is kept unreduced
-    pi_f = [ratio.numerator // X for X, ratio in enumerate(ratio_series(*counts_of(tf6)), start=1)]
-    pi_g = [ratio.numerator // X for X, ratio in enumerate(ratio_series(*counts_of(tg6)), start=1)]
+    f, g = ratio_series(THREE_ADIC_EXTENSION, tf6), ratio_series(CIRCLE_DOUBLING, tg6)
+    pi_f = [ratio.numerator // X for X, ratio in enumerate(f, start=1)]
+    pi_g = [ratio.numerator // X for X, ratio in enumerate(g, start=1)]
     assert pi_f == [1, 1, 3, 4, 10, 10]
     assert pi_g == [1, 2, 4, 7, 13, 22]
 
 
 def test_ratio_series_values(tf6):
-    ratios = list(ratio_series(*counts_of(tf6)))
+    ratios = list(ratio_series(THREE_ADIC_EXTENSION, tf6))
     assert len(ratios) == 6
     assert ratios[-1].numerator // 6 == 10
     assert ratios[-1] == Fraction(60, 128)
@@ -94,8 +90,8 @@ def test_series_refuse_maps_of_other_entropy(spec):
     # The normalisation by 2**X fits only entropy log 2; g2's ratio would
     # read about 8.5e29 at X = 100 and this custom table's 1.6e-28.  Both
     # series are iterators, and each refuses at the call, before it reads a
-    # count: pnt and merten feed them a sieve stream, so a refusal costs no
-    # sieve.
+    # count: pnt and merten feed them an orbit stream, so a refusal costs no
+    # inversion.
     def unread():
         pytest.fail("a refused map's orbit counts were read")
         yield
@@ -115,8 +111,8 @@ def test_delta_gap_examples(tf6, tg6):
 
 def test_delta_gap_bound_holds(tf, tg):
     for X, (gap, even_bound) in enumerate(delta_gap(tf, tg), start=1):
-        assert gap == sum(tg.orbit_counts[:X]) - sum(tf.orbit_counts[:X])
-        assert even_bound == sum(tg.orbit_counts[1:X:2])
+        assert gap == sum(tg[:X]) - sum(tf[:X])
+        assert even_bound == sum(tg[1:X:2])
         assert 0 <= gap <= even_bound
 
 
@@ -159,23 +155,24 @@ def test_series_are_iterators_that_refuse_at_the_call(series, good, bad):
 
 def test_merten_examples():
     f, g = THREE_ADIC_EXTENSION, CIRCLE_DOUBLING
-    assert list(merten_series(f, build_table(f, 3).orbit_counts)) == [
+    assert list(merten_series(f, build_table(f, 3))) == [
         Fraction(1, 2),
         Fraction(1, 2),
         Fraction(3, 4),
     ]
-    assert list(merten_series(g, build_table(g, 3).orbit_counts))[-1] == Fraction(1)
-    assert list(merten_series(f, build_table(f, 1).orbit_counts)) == [Fraction(1, 2)]
+    assert list(merten_series(g, build_table(g, 3)))[-1] == Fraction(1)
+    assert list(merten_series(f, build_table(f, 1))) == [Fraction(1, 2)]
 
 
 def test_merten_denominator_is_power_of_two(tf):
-    for X, total in enumerate(merten_series(*counts_of(tf)), start=1):
+    for X, total in enumerate(merten_series(THREE_ADIC_EXTENSION, tf), start=1):
         assert isinstance(total, Dyadic)
         assert total.shift == X
 
 
 def test_merten_normalized_matches_sum(tf):
-    sums, logs = list(merten_series(*counts_of(tf))), log_table(tf.n_max, MERTEN_PRECISION_BITS)
+    sums = list(merten_series(THREE_ADIC_EXTENSION, tf))
+    logs = log_table(len(tf), MERTEN_PRECISION_BITS)
     assert logs[0] == 0
     with pytest.raises(ValueError, match="X >= 2"):
         merten_normalized(sums[0], logs[0])
@@ -264,12 +261,12 @@ def test_ratio_series_against_fraction_oracle(spec, burn_in):
     # The window from X = burn_in, as pnt and verify slice it; verify reads
     # its observed range as the window's min and max.
     table = build_table(spec, 300)
-    ratios = list(ratio_series(*counts_of(table)))
+    ratios = list(ratio_series(spec, table))
     assert len(ratios) == 300
     window = ratios[burn_in - 1:]
     expected = []
     for X, ratio in enumerate(window, start=burn_in):
-        pi = sum(table.orbit_counts[:X])
+        pi = sum(table[:X])
         expected.append(Fraction(X * pi, 2 ** (X + 1)))
         assert ratio.numerator // X == pi
         assert ratio == expected[-1]
@@ -282,8 +279,8 @@ def test_merten_series_against_fraction_oracle(spec):
     total = Fraction(0)
     logs = log_table(300, MERTEN_PRECISION_BITS)
     with mpmath.workprec(64):
-        for X, (value, log_x) in enumerate(zip(merten_series(*counts_of(table)), logs), start=1):
-            total += Fraction(table.orbit_counts[X - 1], 2**X)
+        for X, (value, log_x) in enumerate(zip(merten_series(spec, table), logs), start=1):
+            total += Fraction(table[X - 1], 2**X)
             assert value == total
             reference = mpmath.log(X)
             assert log_x == exact(reference)
@@ -305,7 +302,7 @@ def mpmath_columns(table, bits):
     columns = []
     numerator = 0
     with mpmath.workprec(bits):
-        for X, orbits in enumerate(table.orbit_counts, start=1):
+        for X, orbits in enumerate(table, start=1):
             numerator = 2 * numerator + orbits
             log_x = mpmath.log(X)
             normalized = mpmath.mpf((numerator, -X)) / log_x if X >= 2 else None
@@ -313,10 +310,10 @@ def mpmath_columns(table, bits):
     return columns
 
 
-def merten_columns(table):
+def merten_columns(spec, table):
     """merten's (ln X, sum/ln X) columns before they are printed."""
-    logs = log_table(table.n_max, MERTEN_PRECISION_BITS)
-    sums = merten_series(*counts_of(table))
+    logs = log_table(len(table), MERTEN_PRECISION_BITS)
+    sums = merten_series(spec, table)
     return [(fraction(log_x), fraction(merten_normalized(total, log_x)) if X >= 2 else None)
             for X, (total, log_x) in enumerate(zip(sums, logs), start=1)]
 
@@ -329,7 +326,7 @@ def test_merten_columns_match_mpmath(spec, bits, n_max):
     # 64 bits.
     assert [fraction(log_x) for log_x in log_table(n_max, bits)] == mpmath_logs(n_max, bits)
     table = build_table(spec, n_max)
-    assert merten_columns(table) == mpmath_columns(table, MERTEN_PRECISION_BITS)
+    assert merten_columns(spec, table) == mpmath_columns(table, MERTEN_PRECISION_BITS)
 
 
 @maps
@@ -342,4 +339,4 @@ def test_merten_columns_match_mpmath_from_one_guard_bit(spec, monkeypatch):
     for bits in (60, 64, 200):
         assert [fraction(log_x) for log_x in log_table(1000, bits)] == mpmath_logs(1000, bits)
     table = build_table(spec, 1000)
-    assert merten_columns(table) == mpmath_columns(table, MERTEN_PRECISION_BITS)
+    assert merten_columns(spec, table) == mpmath_columns(table, MERTEN_PRECISION_BITS)

@@ -587,7 +587,7 @@ def test_table_columns_match_str_of_int(capsys, tmp_path, name):
                            "--max", "2000")
     assert code == 0
     _, rows = csv_rows(out)
-    fix, orbits = list(fix_counts(spec, 2000)), build_table(spec, 2000).orbit_counts
+    fix, orbits = list(fix_counts(spec, 2000)), build_table(spec, 2000)
     assert rows == [[str(n), str(fix[n - 1]), str(n * orbits[n - 1]), str(orbits[n - 1])]
                     for n in range(1, 2001)]
 
@@ -614,7 +614,7 @@ def test_pnt_columns_match_str_and_format_fraction(capsys, spec, name, burn_in):
     _, rows = csv_rows(out)
     table = build_table(spec, 2000)
     first = int(burn_in)
-    pi = list(accumulate(table.orbit_counts))  # pi(X) = pi[X - 1]
+    pi = list(accumulate(table))  # pi(X) = pi[X - 1]
     # The running extrema against min and max of Fraction prefixes.
     ratios = [Fraction(X * pi[X - 1], 2 ** (X + 1)) for X in range(first, 2001)]
     lows, highs = accumulate(ratios, min), accumulate(ratios, max)
@@ -624,12 +624,12 @@ def test_pnt_columns_match_str_and_format_fraction(capsys, spec, name, burn_in):
         for X, ratio, lo, hi in zip(range(first, 2001), ratios, lows, highs)
     ]
     # The library's exact ratios are the same values.
-    assert list(ratio_series(spec, table.orbit_counts))[first - 1:] == ratios
+    assert list(ratio_series(spec, table))[first - 1:] == ratios
 
 
 @pytest.mark.parametrize("command", ["table", "pnt", "merten"])
 def test_table_commands_build_through_cli_build_table(monkeypatch, capsys, command):
-    # The benchmark times the sieve where cli binds build_table; a command
+    # The benchmark times the inversion where cli binds build_table; a command
     # that reached it another way would time as 0 there.  table builds one
     # Decimal table there and renders from it; pnt and merten build none:
     # their series read the int orbit stream and they render the Decimal one.
@@ -728,7 +728,7 @@ def test_merten_sum_matches_format_fraction(capsys, spec, name):
     code, out, _ = run_cli(capsys, "merten", "--map", name, "--max", "2000")
     assert code == 0
     _, rows = csv_rows(out)
-    sums = merten_series(spec, build_table(spec, 2000).orbit_counts)
+    sums = merten_series(spec, build_table(spec, 2000))
     assert [(row[0], row[1]) for row in rows] == [
         (str(X), format_fraction(total)) for X, total in enumerate(sums, start=1)
     ]

@@ -9,12 +9,11 @@ from pathlib import Path
 import pytest
 
 from orbitkit import cli, counting
-from orbitkit.arith import EXACT_DECIMAL, ExactnessError, divisors, ord_p
+from orbitkit.arith import EXACT_DECIMAL, ExactnessError, divisors, mobius, ord_p
 from orbitkit.counting import (
     CIRCLE_DOUBLING,
     THREE_ADIC_EXTENSION,
     MapSpec,
-    OrbitTable,
     build_table,
     custom_orbits,
     fix_count,
@@ -125,7 +124,7 @@ def test_decimal_custom_fix_counts_match_fix_count(n_max):
             fix = list(fix_counts(spec, n_max, number))
             assert all(type(c) is number for c in fix), (spec.label, number)
             assert fix == expected, (spec.label, number)
-            orbits = build_table(spec, n_max, number).orbit_counts
+            orbits = build_table(spec, n_max, number)
             assert all(type(c) is number for c in orbits), (spec.label, number)
             for n in range(1, n_max + 1):
                 with localcontext(EXACT_DECIMAL):  # a Decimal sum must not round
@@ -174,7 +173,7 @@ def test_decimal_fix_counts_are_exact_in_the_default_context():
 
 @pytest.mark.parametrize("number", [int, Decimal])
 def test_orbit_counts_stream_the_table(number):
-    # The stream inverts by Möbius what build_table sieves: the same counts,
+    # The stream and build_table share one Möbius inversion: the same counts,
     # of the same type and with the same strings, for every kind of map.
     custom = custom_orbits((3, 0, 7, 0, 0, 10**40, 1, 0, 2, 0, 5, 4))
     specs = [THREE_ADIC_EXTENSION, CIRCLE_DOUBLING, iterate(THREE_ADIC_EXTENSION, 2),
@@ -185,15 +184,68 @@ def test_orbit_counts_stream_the_table(number):
         for n_max in (1, 12, 210, 400, 2310):
             stream = list(orbit_counts(spec, n_max, number))
             assert all(type(c) is number for c in stream), (spec.label, n_max)
-            table = build_table(spec, n_max, number).orbit_counts
+            table = build_table(spec, n_max, number)
+            assert type(table) is tuple and table == tuple(stream), (spec.label, n_max)
             assert list(map(str, stream)) == list(map(str, table)), (spec.label, n_max)
         assert list(orbit_counts(spec, 0, number)) == []
+
+
+ORACLE_CUSTOM = custom_orbits((3, 0, 7, 0, 0, 10**40, 1, 0, 2, 0, 5, 4))
+
+
+@pytest.mark.parametrize("spec", [
+    THREE_ADIC_EXTENSION, CIRCLE_DOUBLING, iterate(THREE_ADIC_EXTENSION, 2),
+    iterate(CIRCLE_DOUBLING, 2), ORACLE_CUSTOM, iterate(ORACLE_CUSTOM, 2),
+    custom_orbits([(37 * n * n + 11) % 997 for n in range(1, 401)]),
+], ids=["f", "g", "f2", "g2", "custom", "custom2", "custom400"])
+def test_orbit_counts_match_a_mobius_oracle(spec):
+    # orbits(n) = (1/n) * sum over d | n of mobius(n/d) * fix(d), from the
+    # per-n fix_count, trial-division divisors and mobius: no code shared
+    # with the inversion or its least-prime-factor table.  2310 is the first
+    # n with five distinct primes.
+    n_max = 2310
+    fix = [None] + [fix_count(spec, d) for d in range(1, n_max + 1)]
+    expected = []
+    for n in range(1, n_max + 1):
+        orbits, remainder = divmod(sum(mobius(n // d) * fix[d] for d in divisors(n)), n)
+        assert remainder == 0, n
+        expected.append(orbits)
+    assert build_table(spec, n_max) == tuple(expected)
+    assert list(orbit_counts(spec, n_max)) == expected
+    strings = list(map(str, expected))
+    assert list(map(str, build_table(spec, n_max, Decimal))) == strings
+    assert list(map(str, orbit_counts(spec, n_max, Decimal))) == strings
+
+
+@pytest.mark.parametrize("number", [int, Decimal])
+@pytest.mark.parametrize("spec, n, change, message", [
+    (THREE_ADIC_EXTENSION, 5, lambda c: c + 1, "5 does not divide least-period count 31"),
+    (CIRCLE_DOUBLING, 30, lambda c: c * 0, "negative least-period count -33813 at n=30"),
+], ids=["indivisible", "negative"])
+def test_inversion_fails_at_the_smallest_bad_n(monkeypatch, spec, n, change, message, number):
+    # A fix count off at n spoils least(m) at multiples m of n as well, up to
+    # 295 and 300 here: build_table and the stream must both name n, the
+    # smallest bad n, not the first one a descending pass would reach.
+    original = counting.fix_counts
+
+    def fix_off_at_n(fix_spec, n_max, fix_number):
+        counts = list(original(fix_spec, n_max, fix_number))
+        with localcontext(EXACT_DECIMAL):
+            counts[n - 1] = change(counts[n - 1])
+        return iter(counts)
+
+    monkeypatch.setattr(counting, "fix_counts", fix_off_at_n)
+    with pytest.raises(ExactnessError) as table_error:
+        counting.build_table(spec, 300, number)
+    with pytest.raises(ExactnessError) as stream_error:
+        list(counting.orbit_counts(spec, 300, number))
+    assert str(table_error.value) == str(stream_error.value) == message
 
 
 def test_decimal_orbit_counts_leave_the_callers_context():
     # The counts of f at 300 have up to 88 digits: read in a 7-digit context
     # they stay exact, and the context stays the caller's between values.
-    ints = [str(c) for c in build_table(THREE_ADIC_EXTENSION, 300).orbit_counts]
+    ints = [str(c) for c in build_table(THREE_ADIC_EXTENSION, 300)]
     with localcontext(Context(prec=7)) as mine:
         stream = orbit_counts(THREE_ADIC_EXTENSION, 300, Decimal)
         assert str(next(stream)) == ints[0]
@@ -268,21 +320,21 @@ def test_tables_match_spec_values():
     tf = build_table(THREE_ADIC_EXTENSION, 6)
     tg = build_table(CIRCLE_DOUBLING, 6)
     assert list(fix_counts(THREE_ADIC_EXTENSION, 6)) == [1, 1, 7, 5, 31, 7]
-    assert tf.orbit_counts == (1, 0, 2, 1, 6, 0)
+    assert tf == (1, 0, 2, 1, 6, 0)
     assert list(fix_counts(CIRCLE_DOUBLING, 6)) == [1, 3, 7, 15, 31, 63]
-    assert tg.orbit_counts == (1, 1, 2, 3, 6, 9)
+    assert tg == (1, 1, 2, 3, 6, 9)
 
 
 def test_table_against_direct_dynamics():
     table = build_table(CIRCLE_DOUBLING, 12)
     for n in range(1, 13):
-        assert table.orbit_counts[n - 1] == doubling_orbit_counts_brute(n)
+        assert table[n - 1] == doubling_orbit_counts_brute(n)
 
 
 def test_table_inversion_roundtrip():
     for spec in (THREE_ADIC_EXTENSION, CIRCLE_DOUBLING):
         fix = list(fix_counts(spec, 200))
-        orbits = build_table(spec, 200).orbit_counts
+        orbits = build_table(spec, 200)
         for n in range(1, 201):
             rebuilt = sum(d * orbits[d - 1] for d in divisors(n))  # least(d) = d * orbits(d)
             assert rebuilt == fix[n - 1]
@@ -292,12 +344,12 @@ def test_orbit_domination_small():
     tf = build_table(THREE_ADIC_EXTENSION, 300)
     tg = build_table(CIRCLE_DOUBLING, 300)
     for n in range(1, 301):
-        assert tf.orbit_counts[n - 1] <= tg.orbit_counts[n - 1]
+        assert tf[n - 1] <= tg[n - 1]
 
 
 def test_killed_orbits():
     fix = list(fix_counts(THREE_ADIC_EXTENSION, 6))
-    orbits = build_table(THREE_ADIC_EXTENSION, 6).orbit_counts
+    orbits = build_table(THREE_ADIC_EXTENSION, 6)
     assert 2 * orbits[1] == fix[1] - fix[0] == 0  # least(2) = fix(2) - fix(1)
     assert orbits[1] == 0
     assert orbits[5] == 0
@@ -306,14 +358,13 @@ def test_killed_orbits():
 def test_custom_example_tables():
     assert list(fix_counts(custom_orbits((1, 3)), 2)) == [1, 7]
     assert list(fix_counts(custom_orbits((6, 1)), 2)) == [6, 8]
-    assert build_table(custom_orbits((1, 3)), 2).orbit_counts == (1, 3)
-    assert build_table(custom_orbits((6, 1)), 2).orbit_counts == (6, 1)
+    assert build_table(custom_orbits((1, 3)), 2) == (1, 3)
+    assert build_table(custom_orbits((6, 1)), 2) == (6, 1)
 
 
 def test_table_accessors_and_rows(capsys):
     table = build_table(CIRCLE_DOUBLING, 4)
-    assert table.n_max == 4
-    assert table.orbit_counts == (1, 1, 2, 3)
+    assert table == (1, 1, 2, 3) and type(table) is tuple
     # The table command's rows (n, fix, least, orbits), least = n * orbits.
     assert cli.main(["table", "--map", "g", "--max", "4"]) == 0
     rows = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
@@ -322,16 +373,17 @@ def test_table_accessors_and_rows(capsys):
 
 
 @pytest.mark.parametrize("number", [int, Decimal])
-def test_build_table_sieves_one_list(number):
-    # The sieve runs in place on the list of fix counts, so at its peak the
-    # build holds about one list of counts.
+def test_build_table_inverts_one_list_in_place(number):
+    # The Möbius inversion runs in place on the list of fix counts, each
+    # replaced by its least-period and then its orbit count, so at its peak
+    # the build holds about one list of counts.
     tracemalloc.start()
     try:
         table = build_table(THREE_ADIC_EXTENSION, 3000, number)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * sum(sys.getsizeof(c) for c in table.orbit_counts)
+    assert peak < 1.5 * sum(sys.getsizeof(c) for c in table)
 
 
 def test_build_table_rejects_empty():
@@ -344,7 +396,7 @@ def test_build_table_prefix_consistency():
     large = build_table(CIRCLE_DOUBLING, 20)
     again = build_table(CIRCLE_DOUBLING, 10)
     assert small == again
-    assert large.orbit_counts[:10] == small.orbit_counts
+    assert large[:10] == small
     assert list(fix_counts(CIRCLE_DOUBLING, 20))[:10] == list(fix_counts(CIRCLE_DOUBLING, 10))
 
 
@@ -446,7 +498,7 @@ def test_orbit_count_iterate_matches_direct_tables():
             base = build_table(spec, 40 * k)
             direct = build_table(iterate(spec, k), 40)
             for n in range(1, 41):
-                assert orbit_count_iterate(base, k, n) == direct.orbit_counts[n - 1]
+                assert orbit_count_iterate(base, k, n) == direct[n - 1]
 
 
 def test_orbit_count_iterate_range_errors():
@@ -460,12 +512,8 @@ def test_orbit_count_iterate_range_errors():
 
 
 def test_orbit_count_iterate_negative_is_hard_error():
-    corrupt = OrbitTable(
-        spec=custom_orbits((7, 7, 7)),
-        orbit_counts=(-1, 0),
-    )
     with pytest.raises(ExactnessError):
-        orbit_count_iterate(corrupt, 1, 1)
+        orbit_count_iterate((-1, 0), 1, 1)
 
 
 def test_square_identity_examples():
@@ -481,7 +529,7 @@ def test_square_identity_matches_direct():
         base = build_table(spec, 120)
         direct = build_table(iterate(spec, 2), 60)
         for n in range(1, 61):
-            assert iterate_square_identity(base, n) == direct.orbit_counts[n - 1]
+            assert iterate_square_identity(base, n) == direct[n - 1]
 
 
 def test_square_identity_range_errors():

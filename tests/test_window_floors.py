@@ -19,7 +19,6 @@ from orbitkit.arith import Dyadic
 from orbitkit.counting import (
     CIRCLE_DOUBLING,
     THREE_ADIC_EXTENSION,
-    OrbitTable,
     build_table,
     custom_orbits,
 )
@@ -40,7 +39,7 @@ def floor64(value) -> int:
 
 def reference_ratio_band():
     low, high = asymptotics.RATIO_BAND
-    ratios = asymptotics.ratio_series(THREE_ADIC_EXTENSION, TABLES[THREE_ADIC_EXTENSION].orbit_counts)
+    ratios = asymptotics.ratio_series(THREE_ADIC_EXTENSION, TABLES[THREE_ADIC_EXTENSION])
     window = list(ratios)[63:]
     for X, ratio in enumerate(window, start=64):
         if not low <= ratio <= high:
@@ -49,13 +48,13 @@ def reference_ratio_band():
 
 
 def reference_doubling_ratio():
-    ratios = asymptotics.ratio_series(CIRCLE_DOUBLING, TABLES[CIRCLE_DOUBLING].orbit_counts)
+    ratios = asymptotics.ratio_series(CIRCLE_DOUBLING, TABLES[CIRCLE_DOUBLING])
     worst = max(abs(ratio - 1) for ratio in list(ratios)[63:])
     return worst < asymptotics.RATIO_BAND_TOLERANCE, f"max |ratio-1| = {float(worst):.6f}"
 
 
 def merten_window(spec):
-    sums = list(asymptotics.merten_series(spec, TABLES[spec].orbit_counts))
+    sums = list(asymptotics.merten_series(spec, TABLES[spec]))
     return list(zip(range(16, MAX + 1), sums[15:], LOGS[15:]))
 
 
@@ -120,7 +119,7 @@ def plant(monkeypatch, source, spec, planted):
     if source == "delta_gap":
         values = list(original(*TABLES.values()))
     else:
-        values = list(original(spec, TABLES[spec].orbit_counts))
+        values = list(original(spec, TABLES[spec]))
     for X, value in planted.items():
         values[X - 1] = value
 
@@ -181,7 +180,7 @@ def test_ratio_range_decides_a_dyadic_band_exactly(monkeypatch):
                              (HIGH_X, below(high, HIGH_X + 1), True),
                              (HIGH_X, step(below(high, HIGH_X + 1), 1), False)):
         plant(monkeypatch, "ratio_series", THREE_ADIC_EXTENSION, {X: ratio})
-        outside, _, _ = verify._ratio_range(table, (low, high))
+        outside, _, _ = verify._ratio_range(THREE_ADIC_EXTENSION, table, (low, high))
         assert outside == (None if inside else (X, ratio))
 
 
@@ -198,7 +197,8 @@ def test_ratio_extremes_tied_on_their_floor(monkeypatch, later):
             second.numerator, second.shift)
     planted = {LOW_X: lowest, LOW_X + 1: highest, HIGH_X: lowest_later, HIGH_X + 1: highest_later}
     plant(monkeypatch, "ratio_series", THREE_ADIC_EXTENSION, planted)
-    _, low, high = verify._ratio_range(TABLES[THREE_ADIC_EXTENSION], asymptotics.RATIO_BAND)
+    _, low, high = verify._ratio_range(
+        THREE_ADIC_EXTENSION, TABLES[THREE_ADIC_EXTENSION], asymptotics.RATIO_BAND)
     assert low == min(lowest, lowest_later) and high == max(highest, highest_later)
     assert low == (lowest_later if later < 0 else lowest)
     assert_exact_rule("extension-ratio-band")
@@ -266,7 +266,7 @@ def test_merten_extremes_tied_on_their_floor(monkeypatch, later, spec, halved):
                LOW_X + 1: planted_sum(LOW_X + 1, 1, 0, 0),
                HIGH_X + 1: planted_sum(HIGH_X + 1, 1, 0, -later)}
     plant(monkeypatch, "merten_series", spec, planted)
-    _, lowest, highest = verify._merten_range(MAX, LOGS, TABLES[spec], halved)
+    _, lowest, highest = verify._merten_range(MAX, LOGS, spec, TABLES[spec], halved)
     window = merten_window(spec)
     assert lowest == min(total - Dyadic(log_x.numerator, log_x.shift + halved)
                          for _, total, log_x in window)
@@ -284,11 +284,11 @@ def test_merten_floors_exact_or_refused_at_any_precision(spec, halved, bits):
     logs = asymptotics.log_table(MAX, bits)
     if max(log_x.shift for log_x in logs[15:]) + halved > 64:
         with pytest.raises(ValueError):
-            verify._merten_range(MAX, logs, TABLES[spec], halved)
+            verify._merten_range(MAX, logs, spec, TABLES[spec], halved)
         return
-    sums = list(asymptotics.merten_series(spec, TABLES[spec].orbit_counts))[15:]
+    sums = list(asymptotics.merten_series(spec, TABLES[spec]))[15:]
     window = list(zip(sums, logs[15:]))
-    assert verify._merten_range(MAX, logs, TABLES[spec], halved) == (
+    assert verify._merten_range(MAX, logs, spec, TABLES[spec], halved) == (
         None,
         min(total - Dyadic(log_x.numerator, log_x.shift + halved) for total, log_x in window),
         max(total - log_x for total, log_x in window))
@@ -354,10 +354,10 @@ def test_delta_gap_fault_fails_where_it_did(monkeypatch):
     original = asymptotics.delta_gap
 
     def tripled_g_at_150(table_f, table_g):
-        counts = list(table_g.orbit_counts)
+        counts = list(table_g)
         counts[149] *= 3
         counts[150] *= 3
-        return original(table_f, OrbitTable(table_g.spec, tuple(counts)))
+        return original(table_f, tuple(counts))
 
     monkeypatch.setattr(asymptotics, "delta_gap", tripled_g_at_150)
     result = verify.CHECKS["delta-gap-bound"](300)
@@ -385,7 +385,7 @@ def test_padic_abs_range_bounds(monkeypatch, value, passed, detail):
 def binomial_reference(table, degree):
     coeffs = [1] + [0] * degree
     for n in range(1, degree + 1):
-        m, new = table.orbit_counts[n - 1], coeffs[:]
+        m, new = table[n - 1], coeffs[:]
         for k in range(1, degree // n + 1):
             b = math.comb(m - 1 + k, k)
             for i in range(degree - n * k + 1):
@@ -405,8 +405,8 @@ ROUTE_TABLES = [
 
 @pytest.mark.parametrize("table", ROUTE_TABLES, ids=["custom", "sparse", "f", "g"])
 def test_orbit_product_routes_match_the_binomial_expansion(table):
-    n_max = len(table.orbit_counts)
-    routes = {0 <= table.orbit_counts[n - 1] <= n_max // n // 2 for n in range(1, n_max + 1)}
+    n_max = len(table)
+    routes = {0 <= table[n - 1] <= n_max // n // 2 for n in range(1, n_max + 1)}
     assert routes == {True, False}  # both the running sums and the binomial terms
     for degree in (0, 1, 2, n_max // 2, n_max):
         assert zeta.orbit_product_series(table, degree) == binomial_reference(table, degree)
@@ -420,9 +420,9 @@ def test_zeta_two_routes_sees_one_g_count_off_by_one(monkeypatch, n):
         table = original(spec, n_max)
         if spec != CIRCLE_DOUBLING:
             return table
-        counts = list(table.orbit_counts)
+        counts = list(table)
         counts[n - 1] += 1
-        return OrbitTable(spec, tuple(counts))
+        return tuple(counts)
 
     monkeypatch.setattr(verify, "build_table", g_off_by_one)
     result = verify.CHECKS["zeta-two-routes"](400)
