@@ -83,11 +83,13 @@ def divisors(n: int) -> list[int]:
 
 def least_prime_factors(n: int) -> memoryview:
     """The least prime factor of X for X = 0..n (X itself at 0, 1 and every
-    prime), as unsigned ints in one bytearray: d = isqrt(n)..2 marks its
-    multiples from d*d, so the last mark on a composite X is its least
-    divisor d > 1, which is prime."""
+    prime), as unsigned ints in one bytearray that X itself fills, packed 1024
+    at a time: d = isqrt(n)..2 marks its multiples from d*d, so the last mark
+    on a composite X is its least divisor d > 1, which is prime."""
     import struct  # at the call: importing orbitkit loads nothing for it
-    least = memoryview(bytearray(struct.pack(f"{n + 1}I", *range(n + 1)))).cast("I")
+    least = memoryview(bytearray(4 * (n + 1))).cast("I")
+    for block in (range(i, min(i + 1024, n + 1)) for i in range(0, n + 1, 1024)):
+        least[block.start:block.stop] = memoryview(struct.pack(f"{len(block)}I", *block)).cast("I")
     for d in range(isqrt(n), 1, -1):
         least[d * d::d] = memoryview(struct.pack("I", d) * len(range(d * d, n + 1, d))).cast("I")
     return least

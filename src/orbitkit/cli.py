@@ -25,8 +25,8 @@ linear in the digits, where ``str`` of an int takes quadratic time.
 ``build_table``, zipped with the stream of Decimal fix counts, which it
 reads once.  ``pnt`` and ``merten`` hold no orbit table: their series read
 streams of int orbit counts, and they render from the stream of Decimal
-orbit counts.  ``zeta boundary`` reads the stream of fix counts into one
-float per degree and holds none.
+orbit counts.  ``zeta boundary`` reads no count: one float per degree,
+F_n/2**n from its closed form (``zeta._scaled_fix_terms``).
 
 A command loads only what it runs: the check suite, ``orbitkit.verify``,
 is loaded only by ``verify``, and ``json`` only by JSON output.

@@ -23,9 +23,9 @@ whose decimal strings take time linear in their digits (``str`` of an int
 takes quadratic time), so the CLI renders its big columns from that twin.
 ``fix_counts`` and ``orbit_counts`` give the fix and the orbit counts as
 streams: one count at a time, so a single pass never holds the list.  The
-``table`` command's fix column, the inner zeta sum, the boundary scan and
-``verify`` read the fix stream once; ``pnt`` and ``merten`` compute their
-series from the int orbit stream and render from the Decimal one.
+``table`` command's fix column, the inner zeta sum and ``verify`` read the
+fix stream once; ``pnt`` and ``merten`` compute their series from the int
+orbit stream and render from the Decimal one.
 Readers that index the counts list them: ``build_table``, which inverts
 its list of fix counts in place, and the convolution of custom orbit data
 in the zeta series.  ``build_table`` and the orbit stream share one
@@ -318,8 +318,8 @@ def _fix_stream(spec: MapSpec, n_max: int, number: type, ops) -> Iterator:
     for n in range(p, n_max * p + 1, p):
         power = mul(power, step)
         count = sub(power, 1)
-        if spec.kind == _EXTENSION:
-            valuation = padic_factor(n)
+        valuation = padic_factor(n) if spec.kind == _EXTENSION else 0
+        if valuation:  # odd n: 3**0, nothing to divide
             count, remainder = div(count, 3**valuation)
             if remainder:
                 raise ExactnessError(f"3**{valuation} does not divide 2**{n} - 1")

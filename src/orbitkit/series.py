@@ -11,17 +11,19 @@ from fractions import Fraction
 
 __all__ = ["log_one_minus"]
 
+ZERO = Fraction(0)  # the one object in every gap of a ``log_one_minus`` series
+
 
 def log_one_minus(scale: "int | Fraction", power: int, degree: int) -> tuple[Fraction, ...]:
-    """The series log(1 - scale*z**power) = -sum_k scale**k/k * z**(k*power)."""
-    if power < 1:
-        raise ValueError(f"power must be >= 1, got {power}")
-    coeffs = [Fraction(0)] * (degree + 1)
-    s = Fraction(scale)
-    term = Fraction(1)
-    k = 0
-    while (k + 1) * power <= degree:
-        k += 1
-        term *= s
-        coeffs[k * power] = -term / k
+    """The series log(1 - scale*z**power) = -sum_k scale**k/k * z**(k*power):
+    for scale = a/b the coefficient of z**(k*power) is one ``Fraction`` of
+    running int powers, -a**k/(k*b**k), and every other one is ``ZERO``."""
+    if power < 1 or degree < 0:
+        raise ValueError(f"log_one_minus needs power >= 1 and degree >= 0, got {power}, {degree}")
+    coeffs = [ZERO] * (degree + 1)
+    a, b = Fraction(scale).as_integer_ratio()
+    num, den = -1, 1
+    for k in range(1, degree // power + 1):
+        num, den = num * a, den * b
+        coeffs[k * power] = Fraction(num, k * den)
     return tuple(coeffs)

@@ -19,9 +19,9 @@ operations for degree D and T terms, instead of the D**2/2 products of the
 convolution n*c_n = sum F_k c_{n-k}.  Custom orbit data has no term form
 and keeps that convolution over its fix counts, listed from the stream of
 ``counting.fix_counts`` because every coefficient reads them again.  The inner
-sum (``xi_series``) and the boundary scan's series read the stream once
-and hold no list of big counts.  Each series takes the map and the degree
-it reads, and no orbit table.
+sum (``xi_series``) reads the stream once and holds no list of big counts;
+the boundary scan's series reads none (``_scaled_fix_terms``).  Each series
+takes the map and the degree it reads, and no orbit table.
 ``orbit_product_series`` alone takes a table, a map's orbit counts: it
 expands the product factor by factor from them, by running sums or binomial
 coefficients, and the two routes must agree coefficientwise.
@@ -52,8 +52,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .arith import ExactnessError, ord_p
-from .counting import THREE_ADIC_EXTENSION, MapSpec, fix_counts, fix_terms
-from .series import log_one_minus
+from .counting import THREE_ADIC_EXTENSION, MapSpec, fix_counts, fix_terms, padic_factor
+from .series import ZERO, log_one_minus
 
 __all__ = [
     "xi_series",
@@ -73,8 +73,8 @@ __all__ = [
 def _add_scaled(
     a: Sequence[Fraction], weight: "int | Fraction", b: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
-    """a + weight*b coefficientwise; a degree mismatch raises ValueError."""
-    return tuple(x + weight * y if y else x for x, y in zip(a, b, strict=True))
+    """a + weight*b, skipping b's ``ZERO`` entries; a degree mismatch raises ValueError."""
+    return tuple(x if y is ZERO else x + weight * y for x, y in zip(a, b, strict=True))
 
 
 def xi_series(spec: MapSpec, degree: int) -> tuple[Fraction, ...]:
@@ -282,16 +282,27 @@ def series_modulus(spec: MapSpec, degree: int, point: BoundaryPoint) -> float:
     The sum runs over n = 1..degree in double precision; it pairs with the
     product.  Terms are accumulated as (2z)**n * (F_n/2**n)/n, which keeps
     every intermediate bounded for |z| <= 1/2 even though F_n itself grows
-    like 2**n.
+    like 2**n.  That fits f and g alone: any other map raises ValueError.
     """
     return _exp_series_modulus(_scaled_fix_terms(spec, degree), point.to_complex())
 
 
 def _scaled_fix_terms(spec: MapSpec, degree: int) -> list[float]:
-    """(F_n/2**n)/n for n = 1..degree: the series' coefficients in 2z, read
-    from the stream of fix counts, so no list of big counts is held."""
-    # fix / 2**n is an exact int ratio, rounded once.
-    return [fix / (1 << n) / n for n, fix in enumerate(fix_counts(spec, degree), start=1)]
+    """(F_n/2**n)/n for n = 1..degree, the series' coefficients in 2z, from
+    F_n/2**n = (1 - 2**-n) * 3**-e(n) in O(degree) float work.
+
+    Each double is the int quotient's: for n <= 53 both operands are exact,
+    so it is rounded once; for n >= 54 the numerator is 1.0, and 3**-e lies
+    at least ulp/(2 * 3**e) from every rounding midpoint, farther than the
+    3**-e * 2**-n it drops once 2**(n - 54) >= 3**e (n >= 62; tests: n <= 10**4)."""
+    if spec.entropy_base != 2:
+        raise ValueError(f"series_modulus normalises by 2**n, which fits only maps of "
+                         f"entropy log 2 (f, g), got {spec.label}")
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    if spec != THREE_ADIC_EXTENSION:
+        return [(1.0 - 0.5**n) / n for n in range(1, degree + 1)]
+    return [(1.0 - 0.5**n) / 3 ** padic_factor(n) / n for n in range(1, degree + 1)]
 
 
 def _exp_series_modulus(terms: list[float], z: complex) -> float:

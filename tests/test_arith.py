@@ -1,5 +1,6 @@
 import decimal
 import random
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -71,6 +72,18 @@ def test_least_prime_factors_against_naive():
         assert least.format == "I" and len(least) == n + 1
         assert list(least[:2]) == [0, 1][:n + 1]
         assert list(least[2:]) == [naive_divisors(X)[1] for X in range(2, n + 1)]
+
+
+def test_least_prime_factors_allocates_about_its_table():
+    # The table is packed from the range in blocks: one argument tuple of
+    # all 10**4 + 1 ints peaked at 11.8x the table.
+    tracemalloc.start()
+    try:
+        least = least_prime_factors(10**4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * least.nbytes, (peak, least.nbytes)
 
 
 def test_mobius_examples():

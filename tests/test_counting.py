@@ -70,6 +70,16 @@ def test_padic_factor_against_brute_division():
         assert padic_factor(n) == ord_p((1 << n) - 1, 3)
 
 
+@pytest.mark.parametrize("number", [int, Decimal])
+def test_fix_stream_divides_even_n_exactly(monkeypatch, number):
+    # The extension's stream divides 2**n - 1 by 3**padic_factor(n) only
+    # where that power of 3 exceeds 1; a division that leaves a remainder
+    # at an even n is still a hard error.
+    monkeypatch.setattr(counting, "padic_factor", lambda n: 0 if n % 2 else 3)
+    with pytest.raises(ExactnessError, match=r"^3\*\*3 does not divide 2\*\*2 - 1$"):
+        list(fix_counts(THREE_ADIC_EXTENSION, 5, number))
+
+
 def test_padic_factor_rejects_zero():
     with pytest.raises(ValueError):
         padic_factor(0)

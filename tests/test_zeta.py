@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -12,7 +13,9 @@ from orbitkit.counting import (
     THREE_ADIC_EXTENSION,
     build_table,
     custom_orbits,
+    fix_count,
     fix_counts,
+    iterate,
 )
 from orbitkit.zeta import (
     BoundaryPoint,
@@ -248,7 +251,7 @@ def test_exact_point_off_the_rim_is_its_complex_value(turns):
 
 @pytest.mark.parametrize("degree", [1, 7, 150, 3000])
 def test_scan_series_column_is_series_modulus(degree):
-    # radial_scan scales f's fix counts once for all its radii; each row
+    # radial_scan scales f's coefficients once for all its radii; each row
     # must still be the very float series_modulus gives.
     radii = (0.001, 0.1, 0.25, 0.3, 0.49, 0.4999)
     for turns in ("0", "1/3", "2/9", "-5/7", "1/2", "37/100", "1/1000"):
@@ -261,7 +264,7 @@ def test_scan_series_column_is_series_modulus(degree):
 
 def test_scan_holds_no_list_of_fix_counts():
     # At degree 10000 a list of f's fix counts holds about 6 MB of ints;
-    # the scan reads them as a stream into one float each.
+    # the scan reads none: one float per degree, from the closed form.
     tracemalloc.start()
     try:
         radial_scan(Fraction(1, 3), [0.49], 10, 10000)
@@ -269,6 +272,49 @@ def test_scan_holds_no_list_of_fix_counts():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("spec", [F, G])
+def test_scaled_fix_terms_are_the_int_quotients(spec):
+    # The closed form (1 - 2**-n) * 3**-e(n) gives the very double of the
+    # exact quotient F_n/2**n, then n divides it, at every n up to the
+    # --degree cap of the boundary scan.
+    degree = 10**4
+    closed = zeta._scaled_fix_terms(spec, degree)
+    exact = [fix_count(spec, n) / (1 << n) / n for n in range(1, degree + 1)]
+    assert list(map(float.hex, closed)) == list(map(float.hex, exact))
+
+
+def test_boundary_series_reads_no_fix_count(monkeypatch):
+    point = BoundaryPoint(Fraction(49, 100), Fraction(1, 3))
+    expected = [series_modulus(spec, 2000, point) for spec in (F, G)]
+    scan = radial_scan(Fraction(1, 3), [0.49, 0.4999], 10, 2000)
+
+    def no_counts(*args):
+        raise AssertionError("the boundary series read the fix stream")
+
+    monkeypatch.setattr(zeta, "fix_counts", no_counts)
+    assert [series_modulus(spec, 2000, point) for spec in (F, G)] == expected
+    assert radial_scan(Fraction(1, 3), [0.49, 0.4999], 10, 2000) == scan
+
+
+@pytest.mark.parametrize("spec", [iterate(F, 2), iterate(G, 2), custom_orbits([1, 2, 3])])
+def test_series_modulus_refuses_maps_other_than_f_and_g(spec):
+    # The 2z scaling fits entropy log 2 alone; f2 at z = 0.49 overflowed
+    # math.exp before it was refused.
+    point = BoundaryPoint(Fraction(49, 100), Fraction(0))
+    with pytest.raises(ValueError, match=f"got {re.escape(spec.label)}$"):
+        series_modulus(spec, 150, point)
+
+
+def test_boundary_series_refuses_a_negative_degree():
+    point = BoundaryPoint(Fraction(1, 4), Fraction(1, 3))
+    for spec in (F, G):
+        assert series_modulus(spec, 0, point) == 1.0
+        with pytest.raises(ValueError, match="degree"):
+            series_modulus(spec, -1, point)
+    with pytest.raises(ValueError, match="degree"):
+        radial_scan(Fraction(1, 3), [0.25], 10, -1)
 
 
 def test_series_modulus_matches_direct_sum():
